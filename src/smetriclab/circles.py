@@ -61,7 +61,7 @@ def rho(
     infimum over the continuum.
     """
     tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in sample] if sample else list(space.points)
+    pts = space.sampled(sample)
     s = space.smetric.triple
     best: Fraction | None = None
     for p in pts:
@@ -102,16 +102,8 @@ def circle_points(
     tol: object = DEFAULT_TOL,
 ) -> list[Point]:
     """Sampled points with |S(x, x, x0) - r| within the membership tolerance."""
-    tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in sample] if sample else list(space.points)
-    center = space.coerce(spec.center)
-    margin = (
-        circle_tolerance(space, center, pts, tol)
-        if tol_circle is None
-        else to_fraction(tol_circle)
-    )
-    s = space.smetric.triple
-    return [p for p in pts if abs(s(p, p, center) - spec.radius) <= margin]
+    rows, margin = _distances(space, spec, sample, tol_circle, tol)
+    return [p for p, v in rows if abs(v - spec.radius) <= margin]
 
 
 def disc_points(
@@ -122,16 +114,23 @@ def disc_points(
     tol: object = DEFAULT_TOL,
 ) -> list[Point]:
     """Sampled points with S(x, x, x0) <= r plus the membership tolerance."""
-    tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in sample] if sample else list(space.points)
+    rows, margin = _distances(space, spec, sample, tol_circle, tol)
+    return [p for p, v in rows if v <= spec.radius + margin]
+
+
+def _margin(space, center, pts, tol, tol_circle):
+    if tol_circle is None:
+        return circle_tolerance(space, center, pts, to_fraction(tol))
+    return to_fraction(tol_circle)
+
+
+def _distances(space, spec, sample, tol_circle, tol):
+    """(x, S(x, x, x0)) over the sample, and the membership margin."""
+    pts = space.sampled(sample)
     center = space.coerce(spec.center)
-    margin = (
-        circle_tolerance(space, center, pts, tol)
-        if tol_circle is None
-        else to_fraction(tol_circle)
-    )
+    margin = _margin(space, center, pts, tol, tol_circle)
     s = space.smetric.triple
-    return [p for p in pts if s(p, p, center) <= spec.radius + margin]
+    return [(p, s(p, p, center)) for p in pts], margin
 
 
 def verify_zamfirescu_x0(
@@ -154,7 +153,7 @@ def verify_zamfirescu_x0(
     if not 0 <= b < 1:
         raise ValueError(f"b must lie in [0, 1), got {b}")
     tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in sample] if sample else list(space.points)
+    pts = space.sampled(sample)
     center = space.resolve(x0)
     s = space.smetric.triple
     t_center = mapping.apply(space, center)
@@ -216,17 +215,13 @@ def check_fixed_circle(
     an inconsistency.
     """
     tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in sample] if sample else list(space.points)
+    pts = space.sampled(sample)
     center = space.resolve(x0)
     s = space.smetric.triple
 
     radius = rho(space, mapping, pts, tol)
     spec = CircleSpec(center, radius)
-    margin = (
-        circle_tolerance(space, center, pts, tol)
-        if tol_circle is None
-        else to_fraction(tol_circle)
-    )
+    margin = _margin(space, center, pts, tol, tol_circle)
     circle = circle_points(space, spec, pts, margin, tol)
     disc = disc_points(space, spec, pts, margin, tol)
 

@@ -1,12 +1,9 @@
 """Command line front end.
 
-Subcommands select a family of checks from the experiment file:
-
-    axioms   distance-structure checks (axioms, symmetry, triangle, generated)
-    verify   contraction checks (xi, phi_gauge, condition_i, condition_ii)
-    solve    iteration checks (solve, solve_power, fix_set, discontinuity)
-    circle   fixed-circle checks (zamfirescu, fixed_circle)
-    run      everything, in declared order
+Subcommands ``axioms``, ``verify``, ``solve`` and ``circle`` run one
+family of the experiment's checks; each check's family is set in the
+check table, ``runner.CHECKS``.  ``run`` runs every check in declared
+order.
 
 When the file declares no check of the requested family, a sensible
 default is synthesized where one exists (axioms and symmetry sweeps, the
@@ -27,13 +24,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from .experiment import (
-    CHECK_FAMILIES,
     CheckSpec,
     ConfigError,
     ExperimentSpec,
+    build_check,
     load_experiment,
 )
-from .runner import RunReport, render_text, run
+from .runner import CHECK_FAMILIES, RunReport, render_text, run
 
 _SAMPLE_CAP = 24  # synthesized sweeps subsample larger universes
 
@@ -73,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_subsample(spec: ExperimentSpec) -> list | None:
+def _grid_subsample(spec: ExperimentSpec) -> list[str] | None:
+    """Labels of an evenly strided subsample of a large universe."""
     points = spec.space.points
     if len(points) <= _SAMPLE_CAP:
         return None
@@ -81,52 +79,42 @@ def _grid_subsample(spec: ExperimentSpec) -> list | None:
     sample = list(points[::stride])
     if sample[-1] != points[-1]:
         sample.append(points[-1])
-    return sample
+    return [p.label for p in sample]
 
 
 def _synthesize(spec: ExperimentSpec, command: str) -> list[CheckSpec]:
+    """Default checks of a family, read like declared check entries."""
+    sample = _grid_subsample(spec)
     if command == "axioms":
-        sample = _grid_subsample(spec)
-        return [
-            CheckSpec("axioms", "axioms", {"sample": sample}),
-            CheckSpec("symmetry", "symmetry", {"sample": sample}),
-        ]
-    if command == "verify":
+        given = {} if sample is None else {"sample": sample}
+        entries = [{"check": "axioms", **given}, {"check": "symmetry", **given}]
+    elif command == "verify":
         if spec.mapping is None or spec.params is None:
             raise ConfigError(
                 "checks", "verify needs a map and params in the experiment"
             )
-        sample = _grid_subsample(spec)
-        pairs = (
-            list(itertools.product(sample, repeat=2))
-            if sample is not None else None
-        )
-        checks = [CheckSpec("xi", "xi", {})]
+        given = {}
+        if sample is not None:
+            given["pairs"] = [list(p) for p in itertools.product(sample, repeat=2)]
         has_phi = spec.gauge is not None and spec.gauge.phi is not None
-        mode = "full" if has_phi else "strict"
-        checks.append(
-            CheckSpec(
-                "condition_i", f"condition_i[{mode}]",
-                {"mode": mode, "pairs": pairs, "sample": None},
-            )
-        )
+        entries = [
+            {"check": "xi"},
+            {"check": "condition_i", "mode": "full" if has_phi else "strict",
+             **given},
+        ]
         if spec.gauge is not None and spec.gauge.delta is not None:
-            checks.append(
-                CheckSpec(
-                    "condition_ii", "condition_ii",
-                    {"eps": None, "pairs": pairs, "sample": None},
-                )
-            )
-        return checks
-    if command == "solve":
+            entries.append({"check": "condition_ii", **given})
+    elif command == "solve":
         if spec.mapping is None:
             raise ConfigError("checks", "solve needs a map in the experiment")
-        return [CheckSpec("fix_set", "fix_set", {})]
-    raise ConfigError(
-        "checks",
-        "no circle checks are declared; add a zamfirescu or fixed_circle "
-        "check naming its center",
-    )
+        entries = [{"check": "fix_set"}]
+    else:
+        raise ConfigError(
+            "checks",
+            "no circle checks are declared; add a zamfirescu or fixed_circle "
+            "check naming its center",
+        )
+    return [build_check(entry, "checks", spec) for entry in entries]
 
 
 def _execute(args: argparse.Namespace) -> RunReport:
@@ -136,7 +124,6 @@ def _execute(args: argparse.Namespace) -> RunReport:
     family = CHECK_FAMILIES[args.command]
     if not any(c.name in family for c in spec.checks):
         spec.checks = _synthesize(spec, args.command)
-        return run(spec, tolerance=args.tolerance)
     return run(spec, only=family, tolerance=args.tolerance)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +25,7 @@ from .numeric import DEFAULT_TOL, to_fraction
 from .space import (
     FormulaMetric,
     FormulaSMetric,
+    GeneratedSMetric,
     Metric,
     MetricAxiomError,
     Point,
@@ -33,34 +34,9 @@ from .space import (
     SpaceError,
     TableMetric,
     TableSMetric,
+    as_point,
     s_from_metric,
 )
-
-CHECK_NAMES = (
-    "axioms",
-    "symmetry",
-    "triangle",
-    "generated",
-    "xi",
-    "phi_gauge",
-    "condition_i",
-    "condition_ii",
-    "solve",
-    "solve_power",
-    "fix_set",
-    "discontinuity",
-    "zamfirescu",
-    "fixed_circle",
-)
-
-#: Which subcommand runs which checks.
-CHECK_FAMILIES = {
-    "axioms": ("axioms", "symmetry", "triangle", "generated"),
-    "verify": ("xi", "phi_gauge", "condition_i", "condition_ii"),
-    "solve": ("solve", "solve_power", "fix_set", "discontinuity"),
-    "circle": ("zamfirescu", "fixed_circle"),
-}
-
 
 class ConfigError(Exception):
     """Invalid experiment file; the message names the JSON path."""
@@ -110,12 +86,11 @@ class ExperimentSpec:
     tolerance: Fraction
     space: Space
     mapping: Mapping | None
-    metric: Metric | None
     params: ContractionParams | None
     gauge: GaugeSpec | None
-    checks: list[CheckSpec]
-    echo: dict
-    digest: str
+    checks: list[CheckSpec] = field(default_factory=list)
+    echo: dict = field(default_factory=dict)
+    digest: str = ""
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
@@ -153,13 +128,13 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
     if not isinstance(name, str) or not name:
         raise ConfigError("name", "must be a nonempty string")
 
-    tolerance = _number(doc.get("tolerance", DEFAULT_TOL), "tolerance")
+    tolerance = number(doc.get("tolerance", DEFAULT_TOL), "tolerance")
     if tolerance <= 0:
         raise ConfigError("tolerance", "must be positive")
 
     if "space" not in doc:
         raise ConfigError("space", "is required")
-    space, metric = _build_space(doc["space"])
+    space = _build_space(doc["space"])
 
     mapping = None
     if "map" in doc:
@@ -176,30 +151,28 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
     raw_checks = doc.get("checks", [])
     if not isinstance(raw_checks, list):
         raise ConfigError("checks", "must be a list")
-    checks = []
-    for i, entry in enumerate(raw_checks):
-        checks.append(
-            _build_check(entry, f"checks[{i}]", space, mapping, params, gauge)
-        )
-    _disambiguate_labels(checks)
+    spec = ExperimentSpec(name, tolerance, space, mapping, params, gauge)
+    spec.checks = [
+        build_check(entry, f"checks[{i}]", spec)
+        for i, entry in enumerate(raw_checks)
+    ]
+    _disambiguate_labels(spec.checks)
 
-    echo = _echo(name, tolerance, doc, space, mapping, params, gauge, checks)
-    digest = hashlib.sha256(
-        json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
+    spec.echo = _echo(spec)
+    spec.digest = hashlib.sha256(
+        json.dumps(spec.echo, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    return ExperimentSpec(
-        name, tolerance, space, mapping, metric, params, gauge, checks,
-        echo, digest,
-    )
+    return spec
 
 
-def _number(value: object, path: str) -> Fraction:
+def number(value: object, path: str, spec: object = None) -> Fraction:
+    """An exact JSON number; also the check-table reader of one."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ConfigError(path, "must be a number")
     return to_fraction(value)
 
 
-def _build_space(node: object) -> tuple[Space, Metric | None]:
+def _build_space(node: object) -> Space:
     if not isinstance(node, dict):
         raise ConfigError("space", "must be an object")
     kind = node.get("kind")
@@ -222,7 +195,7 @@ def _build_space(node: object) -> tuple[Space, Metric | None]:
                 points.append(to_fraction(p))
             else:
                 raise ConfigError(f"space.points[{i}]", "must be a number or string")
-        smetric, metric = _build_smetric(node["smetric"], points, kind)
+        smetric = _build_smetric(node["smetric"], points, kind)
         try:
             space = Space.finite(points, smetric)
         except ValueError as e:
@@ -231,9 +204,9 @@ def _build_space(node: object) -> tuple[Space, Metric | None]:
         for key in ("lo", "hi", "step"):
             if key not in node:
                 raise ConfigError(f"space.{key}", "is required for a grid")
-        lo = _number(node["lo"], "space.lo")
-        hi = _number(node["hi"], "space.hi")
-        step = _number(node["step"], "space.step")
+        lo = number(node["lo"], "space.lo")
+        hi = number(node["hi"], "space.hi")
+        step = number(node["step"], "space.step")
         if step <= 0:
             raise ConfigError("space.step", "grid step must be positive")
         if hi < lo:
@@ -244,14 +217,12 @@ def _build_space(node: object) -> tuple[Space, Metric | None]:
         count = span.numerator // span.denominator
         stride = max(1, count // 24)
         probe = [lo + i * step for i in range(0, count + 1, stride)]
-        smetric, metric = _build_smetric(node["smetric"], probe, kind)
+        smetric = _build_smetric(node["smetric"], probe, kind)
         space = Space.real_grid(lo, hi, step, smetric)
-    return space, metric
+    return space
 
 
-def _build_smetric(
-    node: object, points: list | None, kind: str
-) -> tuple[SMetric, Metric | None]:
+def _build_smetric(node: object, points: list | None, kind: str) -> SMetric:
     path = "space.smetric"
     if not isinstance(node, dict):
         raise ConfigError(path, "must be an object")
@@ -262,7 +233,7 @@ def _build_smetric(
             raise ConfigError(
                 "space.points", "a formula S-metric needs numeric points"
             )
-        return FormulaSMetric(formula), None
+        return FormulaSMetric(formula)
     if skind == "table":
         if kind != "finite":
             raise ConfigError(path, "a table S-metric needs a finite space")
@@ -286,15 +257,14 @@ def _build_smetric(
                             f"{path}.entries",
                             f"missing entry for ({x}, {y}, {z})",
                         )
-        return TableSMetric(table), None
+        return TableSMetric(table)
     if skind == "generated":
         metric = _build_metric(node.get("metric"), f"{path}.metric", points, kind)
         sample = points if points is not None else None
         try:
-            generated = s_from_metric(metric, sample)
+            return s_from_metric(metric, sample)
         except (MetricAxiomError, ValueError) as e:
             raise ConfigError(f"{path}.metric", str(e)) from None
-        return generated, metric
     raise ConfigError(
         f"{path}.kind", "must be 'formula', 'table', or 'generated'"
     )
@@ -332,8 +302,6 @@ def _build_metric(
 
 
 def _label_of(p: object) -> str:
-    from .space import as_point
-
     return p if isinstance(p, str) else as_point(p).label
 
 
@@ -349,7 +317,7 @@ def _table_entries(
                 f"{path}[{i}]", f"must be a list of {arity} points and a value"
             )
         refs = [_label_of(_point_literal(r, f"{path}[{i}]")) for r in row[:arity]]
-        value = _number(row[arity], f"{path}[{i}]")
+        value = number(row[arity], f"{path}[{i}]")
         rows.append((refs, value))
     return rows
 
@@ -410,9 +378,9 @@ def _build_params(node: object) -> ContractionParams:
             raise ConfigError(f"params.{key}", "unknown field")
     try:
         return ContractionParams(
-            _number(node.get("a", 0), "params.a"),
-            _number(node.get("b", 0), "params.b"),
-            _number(node.get("c", 0), "params.c"),
+            number(node.get("a", 0), "params.a"),
+            number(node.get("b", 0), "params.b"),
+            number(node.get("c", 0), "params.c"),
         )
     except ValueError as e:
         raise ConfigError("params", str(e)) from None
@@ -432,265 +400,155 @@ def _build_gauge(node: object) -> GaugeSpec:
     return GaugeSpec(phi, delta)
 
 
-def _resolve_point(space: Space, ref: object, path: str) -> Point:
-    literal = _point_literal(ref, path)
-    try:
-        return space.resolve(literal)
-    except SpaceError as e:
-        raise ConfigError(path, str(e)) from None
-
-
-def _sample_option(
-    node: dict, space: Space, path: str
-) -> list[Point] | None:
-    if "sample" not in node:
-        return None
-    raw = node["sample"]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}.sample", "must be a nonempty list")
-    return [
-        _resolve_point(space, r, f"{path}.sample[{i}]")
-        for i, r in enumerate(raw)
-    ]
-
-
-def _pairs_option(
-    node: dict, space: Space, path: str
-) -> list[tuple[Point, Point]] | None:
-    if "pairs" not in node:
-        return None
-    raw = node["pairs"]
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}.pairs", "must be a nonempty list")
-    pairs = []
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != 2:
-            raise ConfigError(f"{path}.pairs[{i}]", "must be a two-point pair")
-        pairs.append(
-            (
-                _resolve_point(space, row[0], f"{path}.pairs[{i}]"),
-                _resolve_point(space, row[1], f"{path}.pairs[{i}]"),
-            )
-        )
-    return pairs
-
-
 def _require(condition: object, path: str, message: str) -> None:
     if not condition:
         raise ConfigError(path, message)
 
 
-def _build_check(
-    entry: object,
-    path: str,
-    space: Space,
-    mapping: Mapping | None,
-    params: ContractionParams | None,
-    gauge: GaugeSpec | None,
-) -> CheckSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError(path, "must be an object")
+def build_check(entry: object, path: str, spec: ExperimentSpec) -> CheckSpec:
+    """Validate one check entry against its row of the check table."""
+    from .runner import CHECKS  # the table sits with the execute functions
+
+    _require(isinstance(entry, dict), path, "must be an object")
     name = entry.get("check")
-    if name not in CHECK_NAMES:
-        raise ConfigError(f"{path}.check", f"unknown check {name!r}")
-
-    known_options = {
-        "axioms": {"sample"},
-        "symmetry": {"sample"},
-        "triangle": {"sample"},
-        "generated": {"sample", "expect"},
-        "xi": set(),
-        "phi_gauge": {"t_values"},
-        "condition_i": {"mode", "pairs", "sample"},
-        "condition_ii": {"eps", "pairs", "sample"},
-        "solve": {"x0", "max_iter", "tol"},
-        "solve_power": {"m", "x0", "max_iter", "tol"},
-        "fix_set": {"expect"},
-        "discontinuity": {
-            "u", "sequences", "limit_tol", "conv_tol",
-            "tail_start", "window", "expect",
-        },
-        "zamfirescu": {"x0", "a", "b", "sample"},
-        "fixed_circle": {
-            "x0", "a", "b", "sample", "tol_circle",
-            "expect_circle_fixed", "expect_disc_fixed",
-        },
-    }[name]
+    _require(
+        isinstance(name, str) and name in CHECKS, f"{path}.check",
+        f"unknown check {name!r}",
+    )
+    check = CHECKS[name]
     for key in entry:
-        if key != "check" and key not in known_options:
+        if key != "check" and key not in check.options:
             raise ConfigError(f"{path}.{key}", "unknown option")
-
-    options: dict = {}
-    label = name
-
-    if name in ("axioms", "symmetry", "triangle", "generated"):
-        options["sample"] = _sample_option(entry, space, path)
-        if name == "generated" and "expect" in entry:
-            _require(
-                isinstance(entry["expect"], bool), f"{path}.expect",
-                "must be a boolean",
-            )
-            options["expect"] = entry["expect"]
-    elif name == "xi":
-        _require(params is not None, path, "xi needs params")
-    elif name == "phi_gauge":
-        _require(gauge is not None and gauge.phi is not None, path,
-                 "phi_gauge needs gauge.phi")
-        raw = entry.get("t_values")
-        _require(isinstance(raw, list) and raw, f"{path}.t_values",
-                 "must be a nonempty list")
-        options["t_values"] = [
-            _number(t, f"{path}.t_values[{i}]") for i, t in enumerate(raw)
-        ]
-    elif name == "condition_i":
-        mode = entry.get("mode", "full")
-        _require(mode in ("full", "simple", "strict"), f"{path}.mode",
-                 "must be 'full', 'simple', or 'strict'")
-        _require(mapping is not None, path, "condition_i needs a map")
-        _require(params is not None, path, "condition_i needs params")
-        if mode in ("full", "simple"):
-            _require(gauge is not None and gauge.phi is not None, path,
-                     f"mode {mode!r} needs gauge.phi")
-        options["mode"] = mode
-        options["pairs"] = _pairs_option(entry, space, path)
-        options["sample"] = _sample_option(entry, space, path)
-        label = f"condition_i[{mode}]"
-    elif name == "condition_ii":
-        _require(mapping is not None, path, "condition_ii needs a map")
-        _require(params is not None, path, "condition_ii needs params")
-        _require(gauge is not None and gauge.delta is not None, path,
-                 "condition_ii needs gauge.delta")
-        if "eps" in entry:
-            raw = entry["eps"]
-            _require(isinstance(raw, list) and raw, f"{path}.eps",
-                     "must be a nonempty list")
-            options["eps"] = [
-                _number(e, f"{path}.eps[{i}]") for i, e in enumerate(raw)
-            ]
-        else:
-            options["eps"] = None
-        options["pairs"] = _pairs_option(entry, space, path)
-        options["sample"] = _sample_option(entry, space, path)
-    elif name in ("solve", "solve_power"):
-        _require(mapping is not None, path, f"{name} needs a map")
-        _require("x0" in entry, f"{path}.x0", "is required")
-        options["x0"] = _resolve_point(space, entry["x0"], f"{path}.x0")
-        max_iter = entry.get("max_iter", 1000)
-        _require(
-            isinstance(max_iter, int) and not isinstance(max_iter, bool)
-            and max_iter >= 1,
-            f"{path}.max_iter", "must be a positive integer",
-        )
-        options["max_iter"] = max_iter
-        options["tol"] = (
-            _number(entry["tol"], f"{path}.tol") if "tol" in entry else None
-        )
-        if name == "solve_power":
-            m = entry.get("m")
-            _require(
-                isinstance(m, int) and not isinstance(m, bool) and m >= 1,
-                f"{path}.m", "must be a positive integer",
-            )
-            options["m"] = m
-            label = f"solve_power[m={m}, x0={options['x0'].label}]"
-        else:
-            label = f"solve[x0={options['x0'].label}]"
-    elif name == "fix_set":
-        _require(mapping is not None, path, "fix_set needs a map")
-        if "expect" in entry:
-            raw = entry["expect"]
-            _require(isinstance(raw, list), f"{path}.expect", "must be a list")
-            options["expect"] = [
-                _resolve_point(space, r, f"{path}.expect[{i}]")
-                for i, r in enumerate(raw)
-            ]
-    elif name == "discontinuity":
-        _require(mapping is not None, path, "discontinuity needs a map")
-        _require(params is not None, path, "discontinuity needs params")
-        _require("u" in entry, f"{path}.u", "is required")
-        options["u"] = _resolve_point(space, entry["u"], f"{path}.u")
-        raw = entry.get("sequences")
-        _require(isinstance(raw, list) and raw, f"{path}.sequences",
-                 "must be a nonempty list")
-        options["sequences"] = [
-            _build_sequence(s, f"{path}.sequences[{i}]")
-            for i, s in enumerate(raw)
-        ]
-        options["limit_tol"] = (
-            _number(entry["limit_tol"], f"{path}.limit_tol")
-            if "limit_tol" in entry else None
-        )
-        options["conv_tol"] = (
-            _number(entry["conv_tol"], f"{path}.conv_tol")
-            if "conv_tol" in entry else None
-        )
-        for key in ("tail_start", "window"):
-            if key in entry:
-                _require(
-                    isinstance(entry[key], int)
-                    and not isinstance(entry[key], bool) and entry[key] >= 1,
-                    f"{path}.{key}", "must be a positive integer",
-                )
-                options[key] = entry[key]
-            else:
-                options[key] = None
-        if "expect" in entry:
-            _require(
-                entry["expect"] in (
-                    "continuous_at_u", "discontinuous_at_u", "inconclusive"
-                ),
-                f"{path}.expect", "is not a known classification",
-            )
-            options["expect"] = entry["expect"]
-        label = f"discontinuity[u={options['u'].label}]"
-    elif name in ("zamfirescu", "fixed_circle"):
-        _require(mapping is not None, path, f"{name} needs a map")
-        _require("x0" in entry, f"{path}.x0", "is required")
-        options["x0"] = _resolve_point(space, entry["x0"], f"{path}.x0")
-        for coeff in ("a", "b"):
-            if coeff in entry:
-                options[coeff] = _number(entry[coeff], f"{path}.{coeff}")
-            elif params is not None:
-                options[coeff] = getattr(params, coeff)
-            else:
-                raise ConfigError(
-                    f"{path}.{coeff}", "is required when no params are declared"
-                )
-            _require(0 <= options[coeff] < 1, f"{path}.{coeff}",
-                     "must lie in [0, 1)")
-        options["sample"] = _sample_option(entry, space, path)
-        if name == "fixed_circle":
-            options["tol_circle"] = (
-                _number(entry["tol_circle"], f"{path}.tol_circle")
-                if "tol_circle" in entry else None
-            )
-            for key in ("expect_circle_fixed", "expect_disc_fixed"):
-                if key in entry:
-                    _require(isinstance(entry[key], bool), f"{path}.{key}",
-                             "must be a boolean")
-                    options[key] = entry[key]
-        label = f"{name}[x0={options['x0'].label}]"
-
+    for part in check.needs:
+        _require(_NEEDS[part](spec), path, f"{name} needs {part}")
+    options = {
+        key: read(entry.get(key, MISSING), f"{path}.{key}", spec)
+        for key, read in check.options.items()
+    }
+    label = name if check.label is None else check.label.format(**options)
     return CheckSpec(name, label, options)
 
 
-def _build_sequence(node: object, path: str) -> SequenceSpec:
+#: What a check may need from the experiment, as its error message says it.
+_NEEDS = {
+    "a map": lambda spec: spec.mapping is not None,
+    "params": lambda spec: spec.params is not None,
+    "gauge.phi": lambda spec: spec.gauge is not None and spec.gauge.phi is not None,
+    "gauge.delta": lambda spec: (
+        spec.gauge is not None and spec.gauge.delta is not None
+    ),
+}
+
+# Option readers for the check table.  Each takes the entry's value (or
+# MISSING), the option's JSON path and the experiment being built.  A
+# bare reader also sees MISSING and rejects it with its own message.
+
+MISSING = object()
+
+
+def optional(read):
+    """The option may be left out, and then reads as None."""
+    return lambda raw, path, spec: (
+        None if raw is MISSING else read(raw, path, spec)
+    )
+
+
+def default(value, read):
+    """A left-out option reads as ``value``."""
+    return lambda raw, path, spec: read(
+        value if raw is MISSING else raw, path, spec
+    )
+
+
+def list_of(read, may_be_empty=False):
+    def reader(raw, path, spec):
+        if may_be_empty:
+            _require(isinstance(raw, list), path, "must be a list")
+        else:
+            _require(isinstance(raw, list) and raw, path, "must be a nonempty list")
+        return [read(r, f"{path}[{i}]", spec) for i, r in enumerate(raw)]
+
+    return reader
+
+
+def point(raw: object, path: str, spec: ExperimentSpec) -> Point:
+    _require(raw is not MISSING, path, "is required")
+    literal = _point_literal(raw, path)
+    try:
+        return spec.space.resolve(literal)
+    except SpaceError as e:
+        raise ConfigError(path, str(e)) from None
+
+
+def pair(raw: object, path: str, spec: ExperimentSpec) -> tuple[Point, Point]:
+    _require(
+        isinstance(raw, list) and len(raw) == 2, path, "must be a two-point pair"
+    )
+    return point(raw[0], path, spec), point(raw[1], path, spec)
+
+
+def positive_int(raw: object, path: str, spec: ExperimentSpec) -> int:
+    _require(
+        isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1,
+        path, "must be a positive integer",
+    )
+    return raw
+
+
+def boolean(raw: object, path: str, spec: ExperimentSpec) -> bool:
+    _require(isinstance(raw, bool), path, "must be a boolean")
+    return raw
+
+
+def one_of(values: tuple[str, ...], message: str):
+    def reader(raw, path, spec):
+        _require(raw in values, path, message)
+        return raw
+
+    return reader
+
+
+def mode(raw: object, path: str, spec: ExperimentSpec) -> str:
+    """Condition (i)'s mode; every mode but strict compares against phi."""
+    _require(
+        raw in ("full", "simple", "strict"), path,
+        "must be 'full', 'simple', or 'strict'",
+    )
+    if raw != "strict":
+        _require(
+            _NEEDS["gauge.phi"](spec), path.rpartition(".")[0],
+            f"mode {raw!r} needs gauge.phi",
+        )
+    return raw
+
+
+def coefficient(name: str):
+    """Coefficient a or b of the circle checks, by default from params."""
+
+    def reader(raw, path, spec):
+        if raw is not MISSING:
+            value = number(raw, path)
+        elif spec.params is not None:
+            value = getattr(spec.params, name)
+        else:
+            raise ConfigError(path, "is required when no params are declared")
+        _require(0 <= value < 1, path, "must lie in [0, 1)")
+        return value
+
+    return reader
+
+
+def sequence(node: object, path: str, spec: ExperimentSpec) -> SequenceSpec:
     if isinstance(node, list):
         if not node:
             raise ConfigError(path, "must not be empty")
         return SequenceSpec(
-            values=[_number(v, f"{path}[{i}]") for i, v in enumerate(node)]
+            values=[number(v, f"{path}[{i}]") for i, v in enumerate(node)]
         )
     if isinstance(node, dict):
         if "values" in node:
-            raw = node["values"]
-            _require(isinstance(raw, list) and raw, f"{path}.values",
-                     "must be a nonempty list")
-            return SequenceSpec(
-                values=[
-                    _number(v, f"{path}.values[{i}]") for i, v in enumerate(raw)
-                ]
-            )
+            values = list_of(number)(node["values"], f"{path}.values", spec)
+            return SequenceSpec(values=values)
         formula = _formula(node.get("expr"), ("n",), f"{path}.expr")
         n_from = node.get("n_from", 1)
         n_to = node.get("n_to")
@@ -713,18 +571,10 @@ def _disambiguate_labels(checks: list[CheckSpec]) -> None:
             check.label = f"{check.label}#{count + 1}"
 
 
-def _echo(
-    name: str,
-    tolerance: Fraction,
-    doc: dict,
-    space: Space,
-    mapping: Mapping | None,
-    params: ContractionParams | None,
-    gauge: GaugeSpec | None,
-    checks: list[CheckSpec],
-) -> dict:
+def _echo(spec: ExperimentSpec) -> dict:
     """JSON-ready resolved configuration (defaults applied, forms canonical)."""
-    out: dict = {"name": name, "tolerance": float(tolerance)}
+    space, params, gauge = spec.space, spec.params, spec.gauge
+    out: dict = {"name": spec.name, "tolerance": float(spec.tolerance)}
 
     snode: dict = {"kind": space.kind}
     if space.kind == "finite":
@@ -736,12 +586,10 @@ def _echo(
     snode["smetric"] = _describe_smetric(space.smetric)
     out["space"] = snode
 
-    if mapping is not None:
-        out["map"] = _describe_mapping(mapping)
+    if spec.mapping is not None:
+        out["map"] = _describe_mapping(spec.mapping)
     if params is not None:
-        out["params"] = {
-            "a": float(params.a), "b": float(params.b), "c": float(params.c)
-        }
+        out["params"] = describe(vars(params))
     if gauge is not None:
         gnode = {}
         if gauge.phi is not None:
@@ -750,16 +598,46 @@ def _echo(
             gnode["delta"] = gauge.delta.pretty()
         out["gauge"] = gnode
 
+    # integer options (max_iter, m, ...) are echoed as floats
     out["checks"] = [
-        {"check": c.name, "label": c.label, **_describe_options(c.options)}
-        for c in checks
+        {
+            "check": c.name,
+            "label": c.label,
+            **{
+                key: float(value) if type(value) is int else describe(value)
+                for key, value in c.options.items()
+                if value is not None
+            },
+        }
+        for c in spec.checks
     ]
     return out
 
 
-def _describe_smetric(smetric: SMetric) -> dict:
-    from .space import FormulaSMetric, GeneratedSMetric, TableSMetric
+def describe(value: object) -> object:
+    """JSON-ready form of a check option or evidence value.
 
+    Points become their labels and rationals floats; containers, and
+    dataclasses as dicts of their fields, are converted element by
+    element; anything else (ints, bools, strings, None) is kept as is.
+    """
+    kind = type(value)  # exact types first: reports walk many values
+    if kind is Fraction:
+        return float(value)
+    if kind is Point:
+        return value.label
+    if kind is dict:
+        return {key: describe(v) for key, v in value.items()}
+    if kind is list or kind is tuple:
+        return [describe(v) for v in value]
+    if kind is SequenceSpec:
+        return value.describe()
+    if is_dataclass(value):
+        return describe(vars(value))
+    return value
+
+
+def _describe_smetric(smetric: SMetric) -> dict:
     if isinstance(smetric, FormulaSMetric):
         return {"kind": "formula", "expr": smetric.formula.pretty()}
     if isinstance(smetric, TableSMetric):
@@ -792,26 +670,3 @@ def _describe_mapping(mapping: Mapping) -> dict:
         return {"kind": "formula", "expr": mapping.formula.pretty()}
     assert isinstance(mapping, TableMapping)
     return {"kind": "table", "entries": dict(sorted(mapping.entries.items()))}
-
-
-def _describe_options(options: dict) -> dict:
-    def convert(value: object) -> object:
-        if isinstance(value, Point):
-            return value.label
-        if isinstance(value, bool) or value is None:
-            return value
-        if isinstance(value, (int, Fraction, float)):
-            return float(value)
-        if isinstance(value, SequenceSpec):
-            return value.describe()
-        if isinstance(value, tuple):
-            return [convert(v) for v in value]
-        if isinstance(value, list):
-            return [convert(v) for v in value]
-        return value
-
-    return {
-        key: convert(value)
-        for key, value in options.items()
-        if value is not None
-    }

@@ -322,6 +322,11 @@ def _level(node: Expr) -> int:
             return _LEVEL_TERM
         case Neg(_):
             return _LEVEL_UNARY
+        # format_decimal prints some numbers as "n/d", or with a sign
+        case Num(value) if "/" in format_decimal(value):
+            return _LEVEL_TERM
+        case Num(value) if value < 0:
+            return _LEVEL_UNARY
     return _LEVEL_ATOM
 
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 #: Default strictness margin for inequality checks.
 DEFAULT_TOL = Fraction(1, 10**9)
 
@@ -33,10 +31,6 @@ def to_fraction(x: object) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-def to_float(x: Fraction | int | float) -> float:
-    return float(x)
 
 
 def format_decimal(q: Fraction) -> str:

@@ -1,4 +1,11 @@
-"""Check execution and report assembly.
+"""The check table, check execution and report assembly.
+
+``CHECKS`` has one entry per check: its name and family, the options an
+experiment entry may give and how each is read, what the check needs
+from the experiment, its label, the function that executes it and its
+one-line text summary.  Each entry is made by the ``_check`` decorator on
+its execute function.  The loader, ``run``, ``render_text`` and the
+command line all read from the table.
 
 ``run`` executes the declared checks in order.  A failing check never
 stops the run; only an evaluation or configuration error does, in which
@@ -13,7 +20,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Callable
 
 from .circles import check_fixed_circle, verify_zamfirescu_x0
 from .contraction import (
@@ -23,12 +30,27 @@ from .contraction import (
     verify_phi_gauge,
     xi,
 )
-from .experiment import CheckSpec, ConfigError, ExperimentSpec
+from .experiment import (
+    ConfigError,
+    ExperimentSpec,
+    boolean,
+    coefficient,
+    default,
+    describe,
+    list_of,
+    mode,
+    number,
+    one_of,
+    optional,
+    pair,
+    point,
+    positive_int,
+    sequence,
+)
 from .expr import ExprError
 from .numeric import to_fraction
 from .solver import discontinuity_criterion, fix_set, picard, solve_power
 from .space import (
-    Point,
     SpaceError,
     UnsupportedSpaceError,
     check_axioms,
@@ -63,33 +85,27 @@ def run(
     started = time.perf_counter()
     records = []
     counts = {"pass": 0, "fail": 0, "unsupported": 0, "aborted": 0}
-    aborted = False
     for check in selected:
         try:
-            verdict, details = _dispatch(spec, check, tol)
+            passed, details = CHECKS[check.name].execute(
+                spec, check.options, tol
+            )
+            verdict = "pass" if passed else "fail"
         except UnsupportedSpaceError as e:
             verdict, details = "unsupported", {"reason": str(e)}
         except (ExprError, SpaceError, GaugeDomainError, ConfigError,
                 ValueError, ZeroDivisionError, OverflowError) as e:
-            records.append(
-                {
-                    "check": check.name,
-                    "label": check.label,
-                    "verdict": "aborted",
-                    "error": f"{type(e).__name__}: {e}",
-                }
-            )
-            counts["aborted"] += 1
-            aborted = True
-            break
+            verdict, details = "aborted", {"error": f"{type(e).__name__}: {e}"}
         records.append(
             {"check": check.name, "label": check.label, "verdict": verdict,
-             **details}
+             **describe(details)}
         )
         counts[verdict] += 1
+        if verdict == "aborted":
+            break
     elapsed = time.perf_counter() - started
 
-    if aborted:
+    if counts["aborted"]:
         status = "aborted"
     elif counts["fail"] or counts["unsupported"]:
         status = "fail"
@@ -115,325 +131,6 @@ def run(
     return RunReport(report, status)
 
 
-def _dispatch(
-    spec: ExperimentSpec, check: CheckSpec, tol: Fraction
-) -> tuple[str, dict]:
-    handler = _HANDLERS[check.name]
-    return handler(spec, check.options, tol)
-
-
-def _labels(points: list[Point]) -> list[str]:
-    return [p.label for p in points]
-
-
-def _run_axioms(spec, options, tol):
-    report = check_axioms(spec.space, options.get("sample"), tol)
-    details = {
-        "s1_violations": [
-            {"triple": _labels(list(t)), "value": float(v)}
-            for t, v in report.s1_violations
-        ],
-        "s2_violations": [
-            {"quadruple": _labels(list(q)), "lhs": float(l), "rhs": float(r)}
-            for q, l, r in report.s2_violations
-        ],
-        "triples_checked": report.triples_checked,
-        "quadruples_checked": report.quadruples_checked,
-    }
-    return ("pass" if report.passed else "fail"), details
-
-
-def _run_symmetry(spec, options, tol):
-    bad = check_symmetry(spec.space, options.get("sample"), tol)
-    details = {
-        "violations": [
-            {
-                "x": x.label, "y": y.label,
-                "forward": float(f), "backward": float(b),
-            }
-            for (x, y), f, b in bad
-        ]
-    }
-    return ("pass" if not bad else "fail"), details
-
-
-def _run_triangle(spec, options, tol):
-    report = check_triangle(spec.space, options.get("sample"), tol)
-    details = {
-        "violations": [
-            {"triple": _labels(list(t)), "lhs": float(l), "rhs": float(r)}
-            for t, l, r in report.violations
-        ],
-        "triples_checked": report.triples_checked,
-    }
-    return ("pass" if report.passed else "fail"), details
-
-
-def _run_generated(spec, options, tol):
-    report = generating_metric_check(spec.space, options.get("sample"), tol)
-    witness = None
-    if report.witness is not None:
-        triple, actual, expected = report.witness
-        witness = {
-            "triple": _labels(list(triple)),
-            "s_value": float(actual),
-            "candidate_value": float(expected),
-        }
-    details = {
-        "generated": report.generated,
-        "witness": witness,
-        "triples_checked": report.triples_checked,
-    }
-    expect = options.get("expect")
-    if expect is None:
-        return "pass", details
-    details["expect"] = expect
-    return ("pass" if report.generated == expect else "fail"), details
-
-
-def _run_xi(spec, options, tol):
-    value = xi(spec.params)
-    details = {
-        "xi": float(value),
-        "a": float(spec.params.a),
-        "b": float(spec.params.b),
-        "c": float(spec.params.c),
-    }
-    return ("pass" if value < 1 else "fail"), details
-
-
-def _run_phi_gauge(spec, options, tol):
-    bad = verify_phi_gauge(spec.gauge, options["t_values"], tol)
-    details = {
-        "t_values": [float(t) for t in options["t_values"]],
-        "violations": [
-            {"t": float(t), "phi": float(p)} for t, p in bad
-        ],
-    }
-    return ("pass" if not bad else "fail"), details
-
-
-def _explicit_pairs(spec, options):
-    pairs = options.get("pairs")
-    if pairs is not None:
-        return pairs
-    sample = options.get("sample")
-    if sample is not None:
-        return list(itertools.product(sample, repeat=2))
-    return None
-
-
-def _run_condition_i(spec, options, tol):
-    pairs = _explicit_pairs(spec, options)
-    violations = verify_condition_i(
-        spec.space, spec.mapping, spec.params, spec.gauge,
-        pairs, options["mode"], tol,
-    )
-    checked = len(pairs) if pairs is not None else len(spec.space) ** 2
-    details = {
-        "mode": options["mode"],
-        "pairs_checked": checked,
-        "violations": [
-            {
-                "x": v.x.label, "y": v.y.label,
-                "m": float(v.m_value), "s_t": float(v.s_t_value),
-            }
-            for v in violations
-        ],
-    }
-    return ("pass" if not violations else "fail"), details
-
-
-def _run_condition_ii(spec, options, tol):
-    pairs = _explicit_pairs(spec, options)
-    grid, violations = condition_ii_probe(
-        spec.space, spec.mapping, spec.params, spec.gauge,
-        pairs, options.get("eps"), tol,
-    )
-    checked = len(pairs) if pairs is not None else len(spec.space) ** 2
-    details = {
-        "pairs_checked": checked,
-        "eps_grid": [float(e) for e in grid],
-        "violations": [
-            {
-                "x": v.x.label, "y": v.y.label, "eps": float(v.eps),
-                "m": float(v.m_value), "s_t": float(v.s_t_value),
-            }
-            for v in violations
-        ],
-    }
-    return ("pass" if not violations else "fail"), details
-
-
-def _trace_details(trace):
-    outcome = {
-        "status": trace.outcome.status,
-        "u": trace.outcome.u.label if trace.outcome.u else None,
-        "steps": trace.outcome.steps,
-        "period": trace.outcome.period,
-    }
-    return {
-        "points": _labels(trace.points),
-        "alphas": [float(a) for a in trace.alphas],
-        "outcome": outcome,
-    }
-
-
-def _run_solve(spec, options, tol):
-    local = tol if options["tol"] is None else options["tol"]
-    trace = picard(
-        spec.space, spec.mapping, options["x0"], options["max_iter"], local
-    )
-    details = {"x0": options["x0"].label, **_trace_details(trace)}
-    return (
-        "pass" if trace.outcome.status == "converged" else "fail"
-    ), details
-
-
-def _run_solve_power(spec, options, tol):
-    local = tol if options["tol"] is None else options["tol"]
-    result = solve_power(
-        spec.space, spec.mapping, options["m"], options["x0"],
-        options["max_iter"], local,
-    )
-    details = {
-        "x0": options["x0"].label,
-        "m": options["m"],
-        **_trace_details(result.trace),
-        "fixed_by_base": result.fixed_by_base,
-    }
-    ok = (
-        result.trace.outcome.status == "converged"
-        and result.fixed_by_base is True
-    )
-    return ("pass" if ok else "fail"), details
-
-
-def _run_fix_set(spec, options, tol):
-    fixed = fix_set(spec.space, spec.mapping)
-    details = {"fixed": _labels(fixed)}
-    expect = options.get("expect")
-    if expect is None:
-        return "pass", details
-    details["expect"] = _labels(expect)
-    ok = {p.label for p in fixed} == {p.label for p in expect}
-    return ("pass" if ok else "fail"), details
-
-
-def _run_discontinuity(spec, options, tol):
-    sequences = [s.expand() for s in options["sequences"]]
-    limit_tol = (
-        tol if options["limit_tol"] is None else options["limit_tol"]
-    )
-    verdict = discontinuity_criterion(
-        spec.space, spec.mapping, spec.params, options["u"], sequences,
-        limit_tol=limit_tol,
-        conv_tol=options["conv_tol"],
-        tail_start=options["tail_start"],
-        window=options["window"],
-        tol=tol,
-    )
-    details = {
-        "u": options["u"].label,
-        "classification": verdict.classification,
-        "note": verdict.note,
-        "overall_limsup": (
-            float(verdict.overall_limsup)
-            if verdict.overall_limsup is not None else None
-        ),
-        "sequences": [
-            {
-                "index": sl.index,
-                "estimate": float(sl.estimate),
-                "spread": float(sl.spread),
-                "conclusive": sl.conclusive,
-                "window": sl.window,
-            }
-            for sl in verdict.per_sequence
-        ],
-    }
-    expect = options.get("expect")
-    if expect is None:
-        return "pass", details
-    details["expect"] = expect
-    return ("pass" if verdict.classification == expect else "fail"), details
-
-
-def _run_zamfirescu(spec, options, tol):
-    violations = verify_zamfirescu_x0(
-        spec.space, spec.mapping, options["a"], options["b"],
-        options["x0"], options.get("sample"), tol,
-    )
-    sample = options.get("sample")
-    details = {
-        "x0": options["x0"].label,
-        "a": float(options["a"]),
-        "b": float(options["b"]),
-        "points_checked": len(sample) if sample else len(spec.space),
-        "violations": [
-            {"x": p.label, "lhs": float(l), "rhs": float(r)}
-            for p, l, r in violations
-        ],
-    }
-    return ("pass" if not violations else "fail"), details
-
-
-def _run_fixed_circle(spec, options, tol):
-    report = check_fixed_circle(
-        spec.space, spec.mapping, options["a"], options["b"],
-        options["x0"], options.get("sample"), tol, options.get("tol_circle"),
-    )
-    details = {
-        "x0": options["x0"].label,
-        "a": float(options["a"]),
-        "b": float(options["b"]),
-        "rho": float(report.rho),
-        "tol_circle": float(report.tol_circle),
-        "circle": _labels(report.circle_points),
-        "disc": _labels(report.disc_points),
-        "zamfirescu_violations": [
-            {"x": p.label, "lhs": float(l), "rhs": float(r)}
-            for p, l, r in report.zamfirescu_violations
-        ],
-        "hypothesis_violations": [
-            {"x": p.label, "s_t_x0": float(v)}
-            for p, v in report.hypothesis_violations
-        ],
-        "hypotheses_hold": report.hypotheses_hold,
-        "circle_fixed": report.fixed_verdict.circle_fixed,
-        "disc_fixed": report.fixed_verdict.disc_fixed,
-        "nonfixed_witnesses": _labels(report.fixed_verdict.nonfixed_witnesses),
-        "inconsistent": report.inconsistent,
-    }
-    ok = not report.inconsistent
-    for key, actual in (
-        ("expect_circle_fixed", report.fixed_verdict.circle_fixed),
-        ("expect_disc_fixed", report.fixed_verdict.disc_fixed),
-    ):
-        if key in options:
-            details[key] = options[key]
-            ok = ok and options[key] == actual
-    return ("pass" if ok else "fail"), details
-
-
-_HANDLERS = {
-    "axioms": _run_axioms,
-    "symmetry": _run_symmetry,
-    "triangle": _run_triangle,
-    "generated": _run_generated,
-    "xi": _run_xi,
-    "phi_gauge": _run_phi_gauge,
-    "condition_i": _run_condition_i,
-    "condition_ii": _run_condition_ii,
-    "solve": _run_solve,
-    "solve_power": _run_solve_power,
-    "fix_set": _run_fix_set,
-    "discontinuity": _run_discontinuity,
-    "zamfirescu": _run_zamfirescu,
-    "fixed_circle": _run_fixed_circle,
-}
-
-
 def render_text(report: dict) -> str:
     """Human-oriented plain text rendering of a report."""
     lines = [
@@ -442,10 +139,13 @@ def render_text(report: dict) -> str:
     ]
     for record in report["checks"]:
         verdict = record["verdict"]
-        tag = verdict.upper()
-        summary = _summarize(record)
+        if verdict in ("pass", "fail"):
+            check = CHECKS.get(record["check"])
+            summary = check.summary(record) if check else ""
+        else:  # aborted or unsupported
+            summary = record.get("error", record.get("reason", ""))
         suffix = f": {summary}" if summary else ""
-        lines.append(f"[{tag}] {record['label']}{suffix}")
+        lines.append(f"[{verdict.upper()}] {record['label']}{suffix}")
     s = report["summary"]
     lines.append(
         f"status: {s['status']} "
@@ -455,44 +155,362 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _summarize(record: dict) -> str:
-    if record["verdict"] == "aborted":
-        return record.get("error", "")
-    if record["verdict"] == "unsupported":
-        return record.get("reason", "")
-    name = record["check"]
-    if name == "axioms":
-        n = len(record["s1_violations"]) + len(record["s2_violations"])
-        return f"{n} violations"
-    if name in ("symmetry", "triangle", "phi_gauge", "condition_i",
-                "condition_ii", "zamfirescu"):
-        n = len(record["violations"])
-        text = f"{n} violations"
-        if n and name == "condition_ii":
-            first = record["violations"][0]
-            text += (
-                f"; first pair ({first['x']}, {first['y']}) "
-                f"at eps {first['eps']}"
-            )
-        return text
-    if name == "generated":
-        return "generated" if record["generated"] else "not generated"
-    if name == "xi":
-        return f"xi = {record['xi']}"
-    if name in ("solve", "solve_power"):
-        outcome = record["outcome"]
-        if outcome["status"] == "converged":
-            return f"converged to {outcome['u']} in {outcome['steps']} steps"
-        return outcome["status"]
-    if name == "fix_set":
-        return f"{len(record['fixed'])} fixed points"
-    if name == "discontinuity":
-        note = f" ({record['note']})" if record.get("note") else ""
-        return record["classification"] + note
-    if name == "fixed_circle":
-        return (
-            f"rho = {record['rho']}, "
-            f"circle {len(record['circle'])} points, "
-            f"disc {len(record['disc'])} points"
+@dataclass(frozen=True)
+class Check:
+    """One entry of the check table."""
+
+    name: str
+    family: str  # the subcommand that runs it
+    #: option key -> reader (see ``experiment``), in the order reports list them
+    options: dict[str, Callable]
+    #: (spec, options, tol) -> (passed, evidence with exact values)
+    execute: Callable
+    #: JSON-ready record of a passed or failed run -> one line of text
+    summary: Callable[[dict], str]
+    #: what the experiment must declare, as ``experiment._NEEDS`` names it
+    needs: tuple[str, ...] = ()
+    #: ``str.format`` template over the options; None means the name
+    label: str | None = None
+
+
+CHECKS: dict[str, Check] = {}
+
+
+def _check(name, family, options, summary, needs=(), label=None):
+    """Enter the decorated execute function in ``CHECKS``."""
+
+    def enter(execute):
+        CHECKS[name] = Check(
+            name, family, options, execute, summary, needs, label
         )
-    return ""
+        return execute
+
+    return enter
+
+
+# Execute functions call the kernels through this module's names, and
+# ``run`` makes their evidence (result dataclasses included) JSON-ready
+# with ``describe``.
+
+_SAMPLE = {"sample": optional(list_of(point))}
+_PAIRS = {"pairs": optional(list_of(pair)), **_SAMPLE}
+_ITERATION = {
+    "x0": point,
+    "max_iter": default(1000, positive_int),
+    "tol": optional(number),
+}
+_CENTER = {
+    "x0": point,
+    "a": coefficient("a"),
+    "b": coefficient("b"),
+    **_SAMPLE,
+}
+
+
+def _violations(record):
+    return f"{len(record['violations'])} violations"
+
+
+def _rows(keys, rows):
+    """Evidence records from a kernel's result tuples."""
+    return [dict(zip(keys, row)) for row in rows]
+
+
+def _meets(options, key, actual, details):
+    """Whether ``actual`` is what the optional ``options[key]`` expects;
+    a given expectation is recorded in the evidence."""
+    expect = options[key]
+    if expect is None:
+        return True
+    details[key] = expect
+    return expect == actual
+
+
+@_check(
+    "axioms", "axioms", _SAMPLE,
+    lambda r: f"{len(r['s1_violations']) + len(r['s2_violations'])} violations",
+)
+def _run_axioms(spec, options, tol):
+    report = check_axioms(spec.space, options["sample"], tol)
+    return report.passed, {
+        "s1_violations": _rows(("triple", "value"), report.s1_violations),
+        "s2_violations": _rows(
+            ("quadruple", "lhs", "rhs"), report.s2_violations
+        ),
+        "triples_checked": report.triples_checked,
+        "quadruples_checked": report.quadruples_checked,
+    }
+
+
+@_check("symmetry", "axioms", _SAMPLE, _violations)
+def _run_symmetry(spec, options, tol):
+    bad = check_symmetry(spec.space, options["sample"], tol)
+    return not bad, {
+        "violations": _rows(
+            ("x", "y", "forward", "backward"),
+            ((x, y, f, b) for (x, y), f, b in bad),
+        )
+    }
+
+
+@_check("triangle", "axioms", _SAMPLE, _violations)
+def _run_triangle(spec, options, tol):
+    report = check_triangle(spec.space, options["sample"], tol)
+    return report.passed, {
+        "violations": _rows(("triple", "lhs", "rhs"), report.violations),
+        "triples_checked": report.triples_checked,
+    }
+
+
+@_check(
+    "generated", "axioms", {**_SAMPLE, "expect": optional(boolean)},
+    lambda r: "generated" if r["generated"] else "not generated",
+)
+def _run_generated(spec, options, tol):
+    report = generating_metric_check(spec.space, options["sample"], tol)
+    details = {
+        "generated": report.generated,
+        "witness": None if report.witness is None else dict(
+            zip(("triple", "s_value", "candidate_value"), report.witness)
+        ),
+        "triples_checked": report.triples_checked,
+    }
+    return _meets(options, "expect", report.generated, details), details
+
+
+@_check("xi", "verify", {}, lambda r: f"xi = {r['xi']}", needs=("params",))
+def _run_xi(spec, options, tol):
+    value = xi(spec.params)
+    return value < 1, {"xi": value, **vars(spec.params)}
+
+
+@_check(
+    "phi_gauge", "verify", {"t_values": list_of(number)}, _violations,
+    needs=("gauge.phi",),
+)
+def _run_phi_gauge(spec, options, tol):
+    bad = verify_phi_gauge(spec.gauge, options["t_values"], tol)
+    return not bad, {
+        "t_values": options["t_values"],
+        "violations": _rows(("t", "phi"), bad),
+    }
+
+
+def _explicit_pairs(spec, options):
+    """The pairs to check and how many there are."""
+    pairs = options["pairs"]
+    if pairs is None and options["sample"] is not None:
+        pairs = list(itertools.product(options["sample"], repeat=2))
+    return pairs, len(pairs) if pairs is not None else len(spec.space) ** 2
+
+
+@_check(
+    "condition_i", "verify", {"mode": default("full", mode), **_PAIRS},
+    _violations, needs=("a map", "params"), label="condition_i[{mode}]",
+)
+def _run_condition_i(spec, options, tol):
+    pairs, checked = _explicit_pairs(spec, options)
+    violations = verify_condition_i(
+        spec.space, spec.mapping, spec.params, spec.gauge,
+        pairs, options["mode"], tol,
+    )
+    return not violations, {
+        "mode": options["mode"],
+        "pairs_checked": checked,
+        "violations": [
+            {"x": v.x, "y": v.y, "m": v.m_value, "s_t": v.s_t_value}
+            for v in violations
+        ],
+    }
+
+
+def _first_window_violation(record):
+    text = _violations(record)
+    if record["violations"]:
+        first = record["violations"][0]
+        text += f"; first pair ({first['x']}, {first['y']}) at eps {first['eps']}"
+    return text
+
+
+@_check(
+    "condition_ii", "verify", {"eps": optional(list_of(number)), **_PAIRS},
+    _first_window_violation, needs=("a map", "params", "gauge.delta"),
+)
+def _run_condition_ii(spec, options, tol):
+    pairs, checked = _explicit_pairs(spec, options)
+    grid, violations = condition_ii_probe(
+        spec.space, spec.mapping, spec.params, spec.gauge,
+        pairs, options["eps"], tol,
+    )
+    return not violations, {
+        "pairs_checked": checked,
+        "eps_grid": grid,
+        "violations": [
+            {"x": v.x, "y": v.y, "eps": v.eps, "m": v.m_value,
+             "s_t": v.s_t_value}
+            for v in violations
+        ],
+    }
+
+
+def _orbit_summary(record):
+    outcome = record["outcome"]
+    if outcome["status"] == "converged":
+        return f"converged to {outcome['u']} in {outcome['steps']} steps"
+    return outcome["status"]
+
+
+def _local(options, key, tol):
+    return tol if options[key] is None else options[key]
+
+
+@_check(
+    "solve", "solve", _ITERATION, _orbit_summary, needs=("a map",),
+    label="solve[x0={x0.label}]",
+)
+def _run_solve(spec, options, tol):
+    trace = picard(
+        spec.space, spec.mapping, options["x0"], options["max_iter"],
+        _local(options, "tol", tol),
+    )
+    converged = trace.outcome.status == "converged"
+    return converged, {"x0": options["x0"], **vars(trace)}
+
+
+@_check(
+    "solve_power", "solve", {**_ITERATION, "m": positive_int}, _orbit_summary,
+    needs=("a map",), label="solve_power[m={m}, x0={x0.label}]",
+)
+def _run_solve_power(spec, options, tol):
+    result = solve_power(
+        spec.space, spec.mapping, options["m"], options["x0"],
+        options["max_iter"], _local(options, "tol", tol),
+    )
+    converged = result.trace.outcome.status == "converged"
+    return converged and result.fixed_by_base is True, {
+        "x0": options["x0"],
+        "m": options["m"],
+        **vars(result.trace),
+        "fixed_by_base": result.fixed_by_base,
+    }
+
+
+@_check(
+    "fix_set", "solve", {"expect": optional(list_of(point, may_be_empty=True))},
+    lambda r: f"{len(r['fixed'])} fixed points", needs=("a map",),
+)
+def _run_fix_set(spec, options, tol):
+    fixed = fix_set(spec.space, spec.mapping)
+    details = {"fixed": fixed}
+    expect = options["expect"]
+    if expect is not None:
+        details["expect"] = expect
+    return expect is None or set(expect) == set(fixed), details
+
+
+_CLASSIFICATIONS = ("continuous_at_u", "discontinuous_at_u", "inconclusive")
+
+
+@_check(
+    "discontinuity", "solve",
+    {
+        "u": point,
+        "sequences": list_of(sequence),
+        "limit_tol": optional(number),
+        "conv_tol": optional(number),
+        "tail_start": optional(positive_int),
+        "window": optional(positive_int),
+        "expect": optional(
+            one_of(_CLASSIFICATIONS, "is not a known classification")
+        ),
+    },
+    lambda r: r["classification"] + (f" ({r['note']})" if r["note"] else ""),
+    needs=("a map", "params"), label="discontinuity[u={u.label}]",
+)
+def _run_discontinuity(spec, options, tol):
+    verdict = discontinuity_criterion(
+        spec.space, spec.mapping, spec.params, options["u"],
+        [s.expand() for s in options["sequences"]],
+        limit_tol=_local(options, "limit_tol", tol),
+        conv_tol=options["conv_tol"],
+        tail_start=options["tail_start"],
+        window=options["window"],
+        tol=tol,
+    )
+    details = {
+        "u": options["u"],
+        "classification": verdict.classification,
+        "note": verdict.note,
+        "overall_limsup": verdict.overall_limsup,
+        "sequences": verdict.per_sequence,
+    }
+    return _meets(options, "expect", verdict.classification, details), details
+
+
+def _center(options):
+    return {"x0": options["x0"], "a": options["a"], "b": options["b"]}
+
+
+@_check(
+    "zamfirescu", "circle", _CENTER, _violations, needs=("a map",),
+    label="zamfirescu[x0={x0.label}]",
+)
+def _run_zamfirescu(spec, options, tol):
+    sample = options["sample"]
+    violations = verify_zamfirescu_x0(
+        spec.space, spec.mapping, options["a"], options["b"],
+        options["x0"], sample, tol,
+    )
+    return not violations, {
+        **_center(options),
+        "points_checked": len(sample) if sample else len(spec.space),
+        "violations": _rows(("x", "lhs", "rhs"), violations),
+    }
+
+
+@_check(
+    "fixed_circle", "circle",
+    {
+        **_CENTER,
+        "tol_circle": optional(number),
+        "expect_circle_fixed": optional(boolean),
+        "expect_disc_fixed": optional(boolean),
+    },
+    lambda r: f"rho = {r['rho']}, circle {len(r['circle'])} points, "
+    f"disc {len(r['disc'])} points",
+    needs=("a map",), label="fixed_circle[x0={x0.label}]",
+)
+def _run_fixed_circle(spec, options, tol):
+    report = check_fixed_circle(
+        spec.space, spec.mapping, options["a"], options["b"],
+        options["x0"], options["sample"], tol, options["tol_circle"],
+    )
+    fixed = report.fixed_verdict
+    details = {
+        **_center(options),
+        "rho": report.rho,
+        "tol_circle": report.tol_circle,
+        "circle": report.circle_points,
+        "disc": report.disc_points,
+        "zamfirescu_violations": _rows(
+            ("x", "lhs", "rhs"), report.zamfirescu_violations
+        ),
+        "hypothesis_violations": _rows(
+            ("x", "s_t_x0"), report.hypothesis_violations
+        ),
+        "hypotheses_hold": report.hypotheses_hold,
+        **vars(fixed),
+        "inconsistent": report.inconsistent,
+    }
+    circle_ok = _meets(options, "expect_circle_fixed", fixed.circle_fixed, details)
+    disc_ok = _meets(options, "expect_disc_fixed", fixed.disc_fixed, details)
+    return not report.inconsistent and circle_ok and disc_ok, details
+
+
+CHECK_NAMES = tuple(CHECKS)
+
+#: Which subcommand runs which checks.
+CHECK_FAMILIES = {
+    family: tuple(c.name for c in CHECKS.values() if c.family == family)
+    for family in dict.fromkeys(c.family for c in CHECKS.values())
+}

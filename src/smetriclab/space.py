@@ -243,6 +243,10 @@ class Space:
         value = to_fraction(ref)
         return self._by_value.get(value) or as_point(value)
 
+    def sampled(self, sample: list[object] | None) -> list[Point]:
+        """The sample's points, or the whole universe when none is given."""
+        return [self.coerce(p) for p in sample] if sample else list(self.points)
+
     def s(self, x: object, y: object, z: object) -> Fraction:
         return self.smetric.triple(self.coerce(x), self.coerce(y), self.coerce(z))
 
@@ -300,7 +304,7 @@ def check_axioms(
     quadruples with additive slack tol.
     """
     tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in sample] if sample else list(space.points)
+    pts = space.sampled(sample)
     cache: dict[tuple[int, int, int], Fraction] = {}
 
     def s(i: int, j: int, k: int) -> Fraction:
@@ -339,7 +343,7 @@ def check_symmetry(
     Any space satisfying S1 and S2 has none; this probes that directly.
     """
     tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in sample] if sample else list(space.points)
+    pts = space.sampled(sample)
     bad = []
     for x, y in itertools.combinations(pts, 2):
         forward = space.smetric.triple(x, x, y)
@@ -420,7 +424,7 @@ def check_triangle(
 ) -> TriangleReport:
     """Test the induced distance for the triangle inequality on triples."""
     tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in sample] if sample else list(space.points)
+    pts = space.sampled(sample)
     pair: dict[tuple[int, int], Fraction] = {}
 
     def ds(i: int, j: int) -> Fraction:
@@ -463,7 +467,7 @@ def generating_metric_check(
     degenerate triples are still checked afterwards.
     """
     tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in sample] if sample else list(space.points)
+    pts = space.sampled(sample)
     n = len(pts)
     half: dict[tuple[int, int], Fraction] = {}
 

@@ -252,10 +252,10 @@ def test_evaluation_error_aborts_and_keeps_the_partial_report():
 
 
 def test_unsupported_check_counts_as_failure(monkeypatch):
-    def refuse(spec, options, tol):
+    def refuse(params):
         raise UnsupportedSpaceError("needs a space kind this one is not")
 
-    monkeypatch.setitem(runner_module._HANDLERS, "xi", refuse)
+    monkeypatch.setattr(runner_module, "xi", refuse)
     outcome = run(build_experiment(band_doc(checks=[{"check": "xi"}])))
     assert outcome.status == "fail"
     assert outcome.exit_code == 1

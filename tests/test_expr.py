@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from smetriclab import (
@@ -146,6 +146,9 @@ def test_pretty_parse_is_a_fixed_point(ast):
 
 
 @given(_ast_strategy(), st.integers(-3, 3), st.integers(-3, 3))
+@example(BinOp("/", Var("x"), Num(Fraction(1, 3))), 1, 0)
+@example(Call("abs", (Neg(BinOp("/", Var("x"), Num(Fraction(1, 3)))),)), 1, 0)
+@example(BinOp("/", Var("x"), Num(Fraction(-1, 3))), 1, 0)
 def test_reparsing_preserves_value(ast, xv, yv):
     env = {"x": Fraction(xv), "y": Fraction(yv)}
     try:

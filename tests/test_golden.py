@@ -247,6 +247,12 @@ ERRORS += [
      "checks[0].sequences[0]: must not be empty"),
     ("discontinuity bad sequence", _doc(_discontinuity(sequences=[4])),
      "checks[0].sequences[0]: must be a list of values or an object"),
+    ("discontinuity empty values",
+     _doc(_discontinuity(sequences=[{"values": []}])),
+     "checks[0].sequences[0].values: must be a nonempty list"),
+    ("discontinuity bad value",
+     _doc(_discontinuity(sequences=[{"values": [1, "a"]}])),
+     "checks[0].sequences[0].values[1]: must be a number"),
     ("discontinuity bad range",
      _doc(_discontinuity(sequences=[{"expr": "4", "n_from": 3, "n_to": 2}])),
      "checks[0].sequences[0].n_to: must be at least n_from"),
