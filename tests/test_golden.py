@@ -28,7 +28,7 @@ FIXTURES = (
     "example_2_2_corrected",
     "example_3_3",
 )
-EXTRA = ("aborted", "evidence", "swap")
+EXTRA = ("aborted", "evidence", "overflow", "swap")
 COMMANDS = ("axioms", "verify", "solve", "circle", "run")
 FORMATS = ("json", "text")
 CASES = [
