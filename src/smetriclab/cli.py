@@ -26,6 +26,7 @@ from pathlib import Path
 from .experiment import (
     CheckSpec,
     ConfigError,
+    Declared,
     ExperimentSpec,
     build_check,
     load_experiment,
@@ -114,7 +115,8 @@ def _synthesize(spec: ExperimentSpec, command: str) -> list[CheckSpec]:
             "no circle checks are declared; add a zamfirescu or fixed_circle "
             "check naming its center",
         )
-    return [build_check(entry, "checks", spec) for entry in entries]
+    declared = Declared(spec.space, spec.mapping, spec.params, spec.gauge)
+    return [build_check(entry, "checks", declared) for entry in entries]
 
 
 def _execute(args: argparse.Namespace) -> RunReport:

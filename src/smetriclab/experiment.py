@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -88,9 +88,20 @@ class ExperimentSpec:
     mapping: Mapping | None
     params: ContractionParams | None
     gauge: GaugeSpec | None
-    checks: list[CheckSpec] = field(default_factory=list)
-    echo: dict = field(default_factory=dict)
-    digest: str = ""
+    checks: list[CheckSpec]
+    echo: dict
+    digest: str
+
+
+@dataclass(frozen=True)
+class Declared:
+    """What an experiment declares besides its checks: the parts check
+    entries are read and validated against."""
+
+    space: Space
+    mapping: Mapping | None
+    params: ContractionParams | None
+    gauge: GaugeSpec | None
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
@@ -151,21 +162,23 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
     raw_checks = doc.get("checks", [])
     if not isinstance(raw_checks, list):
         raise ConfigError("checks", "must be a list")
-    spec = ExperimentSpec(name, tolerance, space, mapping, params, gauge)
-    spec.checks = [
-        build_check(entry, f"checks[{i}]", spec)
+    declared = Declared(space, mapping, params, gauge)
+    checks = [
+        build_check(entry, f"checks[{i}]", declared)
         for i, entry in enumerate(raw_checks)
     ]
-    _disambiguate_labels(spec.checks)
+    _disambiguate_labels(checks)
 
-    spec.echo = _echo(spec)
-    spec.digest = hashlib.sha256(
-        json.dumps(spec.echo, sort_keys=True, separators=(",", ":")).encode()
+    echo = _echo(name, tolerance, declared, checks)
+    digest = hashlib.sha256(
+        json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    return spec
+    return ExperimentSpec(
+        name, tolerance, space, mapping, params, gauge, checks, echo, digest
+    )
 
 
-def number(value: object, path: str, spec: object = None) -> Fraction:
+def number(value: object, path: str, declared: object = None) -> Fraction:
     """An exact JSON number; also the check-table reader of one."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ConfigError(path, "must be a number")
@@ -405,7 +418,7 @@ def _require(condition: object, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def build_check(entry: object, path: str, spec: ExperimentSpec) -> CheckSpec:
+def build_check(entry: object, path: str, declared: Declared) -> CheckSpec:
     """Validate one check entry against its row of the check table."""
     from .runner import CHECKS  # the table sits with the execute functions
 
@@ -420,27 +433,31 @@ def build_check(entry: object, path: str, spec: ExperimentSpec) -> CheckSpec:
         if key != "check" and key not in check.options:
             raise ConfigError(f"{path}.{key}", "unknown option")
     for part in check.needs:
-        _require(_NEEDS[part](spec), path, f"{name} needs {part}")
+        _require(_NEEDS[part](declared), path, f"{name} needs {part}")
     options = {
-        key: read(entry.get(key, MISSING), f"{path}.{key}", spec)
+        key: read(entry.get(key, MISSING), f"{path}.{key}", declared)
         for key, read in check.options.items()
     }
+    for subject, part in check.option_needs(options):
+        _require(_NEEDS[part](declared), path, f"{subject} needs {part}")
     label = name if check.label is None else check.label.format(**options)
     return CheckSpec(name, label, options)
 
 
 #: What a check may need from the experiment, as its error message says it.
 _NEEDS = {
-    "a map": lambda spec: spec.mapping is not None,
-    "params": lambda spec: spec.params is not None,
-    "gauge.phi": lambda spec: spec.gauge is not None and spec.gauge.phi is not None,
-    "gauge.delta": lambda spec: (
-        spec.gauge is not None and spec.gauge.delta is not None
+    "a map": lambda declared: declared.mapping is not None,
+    "params": lambda declared: declared.params is not None,
+    "gauge.phi": lambda declared: (
+        declared.gauge is not None and declared.gauge.phi is not None
+    ),
+    "gauge.delta": lambda declared: (
+        declared.gauge is not None and declared.gauge.delta is not None
     ),
 }
 
 # Option readers for the check table.  Each takes the entry's value (or
-# MISSING), the option's JSON path and the experiment being built.  A
+# MISSING), the option's JSON path and the experiment's declarations.  A
 # bare reader also sees MISSING and rejects it with its own message.
 
 MISSING = object()
@@ -448,46 +465,46 @@ MISSING = object()
 
 def optional(read):
     """The option may be left out, and then reads as None."""
-    return lambda raw, path, spec: (
-        None if raw is MISSING else read(raw, path, spec)
+    return lambda raw, path, declared: (
+        None if raw is MISSING else read(raw, path, declared)
     )
 
 
 def default(value, read):
     """A left-out option reads as ``value``."""
-    return lambda raw, path, spec: read(
-        value if raw is MISSING else raw, path, spec
+    return lambda raw, path, declared: read(
+        value if raw is MISSING else raw, path, declared
     )
 
 
 def list_of(read, may_be_empty=False):
-    def reader(raw, path, spec):
+    def reader(raw, path, declared):
         if may_be_empty:
             _require(isinstance(raw, list), path, "must be a list")
         else:
             _require(isinstance(raw, list) and raw, path, "must be a nonempty list")
-        return [read(r, f"{path}[{i}]", spec) for i, r in enumerate(raw)]
+        return [read(r, f"{path}[{i}]", declared) for i, r in enumerate(raw)]
 
     return reader
 
 
-def point(raw: object, path: str, spec: ExperimentSpec) -> Point:
+def point(raw: object, path: str, declared: Declared) -> Point:
     _require(raw is not MISSING, path, "is required")
     literal = _point_literal(raw, path)
     try:
-        return spec.space.resolve(literal)
+        return declared.space.resolve(literal)
     except SpaceError as e:
         raise ConfigError(path, str(e)) from None
 
 
-def pair(raw: object, path: str, spec: ExperimentSpec) -> tuple[Point, Point]:
+def pair(raw: object, path: str, declared: Declared) -> tuple[Point, Point]:
     _require(
         isinstance(raw, list) and len(raw) == 2, path, "must be a two-point pair"
     )
-    return point(raw[0], path, spec), point(raw[1], path, spec)
+    return point(raw[0], path, declared), point(raw[1], path, declared)
 
 
-def positive_int(raw: object, path: str, spec: ExperimentSpec) -> int:
+def positive_int(raw: object, path: str, declared: Declared) -> int:
     _require(
         isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1,
         path, "must be a positive integer",
@@ -495,41 +512,27 @@ def positive_int(raw: object, path: str, spec: ExperimentSpec) -> int:
     return raw
 
 
-def boolean(raw: object, path: str, spec: ExperimentSpec) -> bool:
+def boolean(raw: object, path: str, declared: Declared) -> bool:
     _require(isinstance(raw, bool), path, "must be a boolean")
     return raw
 
 
 def one_of(values: tuple[str, ...], message: str):
-    def reader(raw, path, spec):
+    def reader(raw, path, declared):
         _require(raw in values, path, message)
         return raw
 
     return reader
 
 
-def mode(raw: object, path: str, spec: ExperimentSpec) -> str:
-    """Condition (i)'s mode; every mode but strict compares against phi."""
-    _require(
-        raw in ("full", "simple", "strict"), path,
-        "must be 'full', 'simple', or 'strict'",
-    )
-    if raw != "strict":
-        _require(
-            _NEEDS["gauge.phi"](spec), path.rpartition(".")[0],
-            f"mode {raw!r} needs gauge.phi",
-        )
-    return raw
-
-
 def coefficient(name: str):
     """Coefficient a or b of the circle checks, by default from params."""
 
-    def reader(raw, path, spec):
+    def reader(raw, path, declared):
         if raw is not MISSING:
             value = number(raw, path)
-        elif spec.params is not None:
-            value = getattr(spec.params, name)
+        elif declared.params is not None:
+            value = getattr(declared.params, name)
         else:
             raise ConfigError(path, "is required when no params are declared")
         _require(0 <= value < 1, path, "must lie in [0, 1)")
@@ -538,7 +541,7 @@ def coefficient(name: str):
     return reader
 
 
-def sequence(node: object, path: str, spec: ExperimentSpec) -> SequenceSpec:
+def sequence(node: object, path: str, declared: Declared) -> SequenceSpec:
     if isinstance(node, list):
         if not node:
             raise ConfigError(path, "must not be empty")
@@ -547,7 +550,7 @@ def sequence(node: object, path: str, spec: ExperimentSpec) -> SequenceSpec:
         )
     if isinstance(node, dict):
         if "values" in node:
-            values = list_of(number)(node["values"], f"{path}.values", spec)
+            values = list_of(number)(node["values"], f"{path}.values", declared)
             return SequenceSpec(values=values)
         formula = _formula(node.get("expr"), ("n",), f"{path}.expr")
         n_from = node.get("n_from", 1)
@@ -571,10 +574,12 @@ def _disambiguate_labels(checks: list[CheckSpec]) -> None:
             check.label = f"{check.label}#{count + 1}"
 
 
-def _echo(spec: ExperimentSpec) -> dict:
+def _echo(
+    name: str, tolerance: Fraction, declared: Declared, checks: list[CheckSpec]
+) -> dict:
     """JSON-ready resolved configuration (defaults applied, forms canonical)."""
-    space, params, gauge = spec.space, spec.params, spec.gauge
-    out: dict = {"name": spec.name, "tolerance": float(spec.tolerance)}
+    space, params, gauge = declared.space, declared.params, declared.gauge
+    out: dict = {"name": name, "tolerance": float(tolerance)}
 
     snode: dict = {"kind": space.kind}
     if space.kind == "finite":
@@ -586,10 +591,10 @@ def _echo(spec: ExperimentSpec) -> dict:
     snode["smetric"] = _describe_smetric(space.smetric)
     out["space"] = snode
 
-    if spec.mapping is not None:
-        out["map"] = _describe_mapping(spec.mapping)
+    if declared.mapping is not None:
+        out["map"] = _describe_mapping(declared.mapping)
     if params is not None:
-        out["params"] = describe(vars(params))
+        out["params"] = {k: float(getattr(params, k)) for k in ("a", "b", "c")}
     if gauge is not None:
         gnode = {}
         if gauge.phi is not None:
@@ -609,7 +614,7 @@ def _echo(spec: ExperimentSpec) -> dict:
                 if value is not None
             },
         }
-        for c in spec.checks
+        for c in checks
     ]
     return out
 
@@ -617,13 +622,14 @@ def _echo(spec: ExperimentSpec) -> dict:
 def describe(value: object) -> object:
     """JSON-ready form of a check option or evidence value.
 
-    Points become their labels and rationals floats; containers, and
-    dataclasses as dicts of their fields, are converted element by
-    element; anything else (ints, bools, strings, None) is kept as is.
+    Points become their labels and rationals floats; containers are
+    converted element by element; anything else (ints, bools, strings,
+    None) is kept as is.
     """
-    kind = type(value)  # exact types first: reports walk many values
+    kind = type(value)  # exact types first: reports convert many values
     if kind is Fraction:
-        return float(value)
+        # what float(value) computes, without its Python-level method call
+        return value.numerator / value.denominator
     if kind is Point:
         return value.label
     if kind is dict:
@@ -632,8 +638,6 @@ def describe(value: object) -> object:
         return [describe(v) for v in value]
     if kind is SequenceSpec:
         return value.describe()
-    if is_dataclass(value):
-        return describe(vars(value))
     return value
 
 

@@ -38,7 +38,6 @@ from .experiment import (
     default,
     describe,
     list_of,
-    mode,
     number,
     one_of,
     optional,
@@ -98,7 +97,7 @@ def run(
             verdict, details = "aborted", {"error": f"{type(e).__name__}: {e}"}
         records.append(
             {"check": check.name, "label": check.label, "verdict": verdict,
-             **describe(details)}
+             **details}
         )
         counts[verdict] += 1
         if verdict == "aborted":
@@ -163,12 +162,14 @@ class Check:
     family: str  # the subcommand that runs it
     #: option key -> reader (see ``experiment``), in the order reports list them
     options: dict[str, Callable]
-    #: (spec, options, tol) -> (passed, evidence with exact values)
+    #: (spec, options, tol) -> (passed, JSON-ready evidence)
     execute: Callable
     #: JSON-ready record of a passed or failed run -> one line of text
     summary: Callable[[dict], str]
     #: what the experiment must declare, as ``experiment._NEEDS`` names it
     needs: tuple[str, ...] = ()
+    #: options -> (subject, need) pairs that the chosen options add
+    option_needs: Callable[[dict], tuple] = lambda options: ()
     #: ``str.format`` template over the options; None means the name
     label: str | None = None
 
@@ -176,21 +177,19 @@ class Check:
 CHECKS: dict[str, Check] = {}
 
 
-def _check(name, family, options, summary, needs=(), label=None):
+def _check(name, family, options, summary, **rest):
     """Enter the decorated execute function in ``CHECKS``."""
 
     def enter(execute):
-        CHECKS[name] = Check(
-            name, family, options, execute, summary, needs, label
-        )
+        CHECKS[name] = Check(name, family, options, execute, summary, **rest)
         return execute
 
     return enter
 
 
-# Execute functions call the kernels through this module's names, and
-# ``run`` makes their evidence (result dataclasses included) JSON-ready
-# with ``describe``.
+# Execute functions call the kernels through this module's names and
+# return evidence made JSON-ready with ``describe``, key by key, so a
+# value that overflows a float aborts its check.
 
 _SAMPLE = {"sample": optional(list_of(point))}
 _PAIRS = {"pairs": optional(list_of(pair)), **_SAMPLE}
@@ -211,9 +210,18 @@ def _violations(record):
     return f"{len(record['violations'])} violations"
 
 
+def _record(keys, row):
+    """Evidence record of one of a kernel's result tuples."""
+    return {key: describe(value) for key, value in zip(keys, row)}
+
+
 def _rows(keys, rows):
-    """Evidence records from a kernel's result tuples."""
-    return [dict(zip(keys, row)) for row in rows]
+    return [_record(keys, row) for row in rows]
+
+
+def _fields(result, keys):
+    """Evidence record of the named fields of a kernel's result."""
+    return {key: describe(getattr(result, key)) for key in keys}
 
 
 def _meets(options, key, actual, details):
@@ -270,8 +278,8 @@ def _run_generated(spec, options, tol):
     report = generating_metric_check(spec.space, options["sample"], tol)
     details = {
         "generated": report.generated,
-        "witness": None if report.witness is None else dict(
-            zip(("triple", "s_value", "candidate_value"), report.witness)
+        "witness": None if report.witness is None else _record(
+            ("triple", "s_value", "candidate_value"), report.witness
         ),
         "triples_checked": report.triples_checked,
     }
@@ -281,7 +289,9 @@ def _run_generated(spec, options, tol):
 @_check("xi", "verify", {}, lambda r: f"xi = {r['xi']}", needs=("params",))
 def _run_xi(spec, options, tol):
     value = xi(spec.params)
-    return value < 1, {"xi": value, **vars(spec.params)}
+    return value < 1, {
+        "xi": describe(value), **_fields(spec.params, ("a", "b", "c"))
+    }
 
 
 @_check(
@@ -291,7 +301,7 @@ def _run_xi(spec, options, tol):
 def _run_phi_gauge(spec, options, tol):
     bad = verify_phi_gauge(spec.gauge, options["t_values"], tol)
     return not bad, {
-        "t_values": options["t_values"],
+        "t_values": describe(options["t_values"]),
         "violations": _rows(("t", "phi"), bad),
     }
 
@@ -304,9 +314,25 @@ def _explicit_pairs(spec, options):
     return pairs, len(pairs) if pairs is not None else len(spec.space) ** 2
 
 
+_MODES = ("full", "simple", "strict")
+
+
+def _mode_needs(options):
+    """Every mode of condition (i) but strict compares against phi."""
+    mode = options["mode"]
+    return () if mode == "strict" else ((f"mode {mode!r}", "gauge.phi"),)
+
+
 @_check(
-    "condition_i", "verify", {"mode": default("full", mode), **_PAIRS},
-    _violations, needs=("a map", "params"), label="condition_i[{mode}]",
+    "condition_i", "verify",
+    {
+        "mode": default(
+            "full", one_of(_MODES, "must be 'full', 'simple', or 'strict'")
+        ),
+        **_PAIRS,
+    },
+    _violations, needs=("a map", "params"), option_needs=_mode_needs,
+    label="condition_i[{mode}]",
 )
 def _run_condition_i(spec, options, tol):
     pairs, checked = _explicit_pairs(spec, options)
@@ -318,7 +344,8 @@ def _run_condition_i(spec, options, tol):
         "mode": options["mode"],
         "pairs_checked": checked,
         "violations": [
-            {"x": v.x, "y": v.y, "m": v.m_value, "s_t": v.s_t_value}
+            {"x": describe(v.x), "y": describe(v.y),
+             "m": describe(v.m_value), "s_t": describe(v.s_t_value)}
             for v in violations
         ],
     }
@@ -344,10 +371,10 @@ def _run_condition_ii(spec, options, tol):
     )
     return not violations, {
         "pairs_checked": checked,
-        "eps_grid": grid,
-        "violations": [
-            {"x": v.x, "y": v.y, "eps": v.eps, "m": v.m_value,
-             "s_t": v.s_t_value}
+        "eps_grid": describe(grid),
+        "violations": [  # the hot path: one row per violated window
+            {"x": describe(v.x), "y": describe(v.y), "eps": describe(v.eps),
+             "m": describe(v.m_value), "s_t": describe(v.s_t_value)}
             for v in violations
         ],
     }
@@ -358,6 +385,14 @@ def _orbit_summary(record):
     if outcome["status"] == "converged":
         return f"converged to {outcome['u']} in {outcome['steps']} steps"
     return outcome["status"]
+
+
+def _orbit(trace):
+    return {
+        "points": describe(trace.points),
+        "alphas": describe(trace.alphas),
+        "outcome": _fields(trace.outcome, ("status", "u", "steps", "period")),
+    }
 
 
 def _local(options, key, tol):
@@ -374,7 +409,7 @@ def _run_solve(spec, options, tol):
         _local(options, "tol", tol),
     )
     converged = trace.outcome.status == "converged"
-    return converged, {"x0": options["x0"], **vars(trace)}
+    return converged, {"x0": describe(options["x0"]), **_orbit(trace)}
 
 
 @_check(
@@ -388,9 +423,9 @@ def _run_solve_power(spec, options, tol):
     )
     converged = result.trace.outcome.status == "converged"
     return converged and result.fixed_by_base is True, {
-        "x0": options["x0"],
+        "x0": describe(options["x0"]),
         "m": options["m"],
-        **vars(result.trace),
+        **_orbit(result.trace),
         "fixed_by_base": result.fixed_by_base,
     }
 
@@ -401,10 +436,10 @@ def _run_solve_power(spec, options, tol):
 )
 def _run_fix_set(spec, options, tol):
     fixed = fix_set(spec.space, spec.mapping)
-    details = {"fixed": fixed}
+    details = {"fixed": describe(fixed)}
     expect = options["expect"]
     if expect is not None:
-        details["expect"] = expect
+        details["expect"] = describe(expect)
     return expect is None or set(expect) == set(fixed), details
 
 
@@ -438,17 +473,20 @@ def _run_discontinuity(spec, options, tol):
         tol=tol,
     )
     details = {
-        "u": options["u"],
+        "u": describe(options["u"]),
         "classification": verdict.classification,
         "note": verdict.note,
-        "overall_limsup": verdict.overall_limsup,
-        "sequences": verdict.per_sequence,
+        "overall_limsup": describe(verdict.overall_limsup),
+        "sequences": [
+            _fields(limit, ("index", "estimate", "spread", "conclusive", "window"))
+            for limit in verdict.per_sequence
+        ],
     }
     return _meets(options, "expect", verdict.classification, details), details
 
 
 def _center(options):
-    return {"x0": options["x0"], "a": options["a"], "b": options["b"]}
+    return {key: describe(options[key]) for key in ("x0", "a", "b")}
 
 
 @_check(
@@ -488,10 +526,10 @@ def _run_fixed_circle(spec, options, tol):
     fixed = report.fixed_verdict
     details = {
         **_center(options),
-        "rho": report.rho,
-        "tol_circle": report.tol_circle,
-        "circle": report.circle_points,
-        "disc": report.disc_points,
+        "rho": describe(report.rho),
+        "tol_circle": describe(report.tol_circle),
+        "circle": describe(report.circle_points),
+        "disc": describe(report.disc_points),
         "zamfirescu_violations": _rows(
             ("x", "lhs", "rhs"), report.zamfirescu_violations
         ),
@@ -499,7 +537,7 @@ def _run_fixed_circle(spec, options, tol):
             ("x", "s_t_x0"), report.hypothesis_violations
         ),
         "hypotheses_hold": report.hypotheses_hold,
-        **vars(fixed),
+        **_fields(fixed, ("circle_fixed", "disc_fixed", "nonfixed_witnesses")),
         "inconsistent": report.inconsistent,
     }
     circle_ok = _meets(options, "expect_circle_fixed", fixed.circle_fixed, details)
