@@ -184,7 +184,6 @@ class Space:
         if len(self._by_label) != len(points):
             raise ValueError("duplicate point labels in universe")
         self._by_value = {p.value: p for p in points if p.value is not None}
-        self._order = {p.label: i for i, p in enumerate(points)}
 
     @classmethod
     def finite(cls, points: list[object], smetric: SMetric) -> "Space":
@@ -249,12 +248,6 @@ class Space:
 
     def s(self, x: object, y: object, z: object) -> Fraction:
         return self.smetric.triple(self.coerce(x), self.coerce(y), self.coerce(z))
-
-    def order_key(self, p: Point) -> tuple:
-        pos = self._order.get(p.label)
-        if pos is not None:
-            return (0, pos)
-        return (1, p.value if p.value is not None else 0, p.label)
 
     def nearest(self, value: Fraction) -> tuple[Point, Fraction]:
         """Closest grid point to ``value`` and the distance to it."""
