@@ -11,13 +11,8 @@ from pathlib import Path
 
 from .circles import (
     CircleReport,
-    CircleSpec,
     FixedVerdict,
     check_fixed_circle,
-    circle_points,
-    circle_tolerance,
-    disc_points,
-    rho,
     verify_zamfirescu_x0,
 )
 from .contraction import (
@@ -27,11 +22,8 @@ from .contraction import (
     PairVerdict,
     condition_ii_probe,
     eps_grid,
-    m_z_metric,
     m_z_s,
-    m_z_s_star,
     verify_condition_i,
-    verify_condition_ii,
     verify_phi_gauge,
     xi,
 )
@@ -58,7 +50,6 @@ from .mapping import (
     MappingRangeError,
     PowerMapping,
     TableMapping,
-    identity_mapping,
     is_fixed,
 )
 from .numeric import DEFAULT_TOL, format_decimal, to_fraction
@@ -95,12 +86,9 @@ from .space import (
     check_axioms,
     check_symmetry,
     check_triangle,
-    eval_s,
     generating_metric_check,
-    induced_d_s,
     s_converges,
     s_from_metric,
-    s_is_cauchy,
 )
 from .version import __version__
 
@@ -116,7 +104,6 @@ __all__ = [
     "CHECK_NAMES",
     "CheckSpec",
     "CircleReport",
-    "CircleSpec",
     "ConfigError",
     "ContractionParams",
     "DEFAULT_TOL",
@@ -163,38 +150,27 @@ __all__ = [
     "check_fixed_circle",
     "check_symmetry",
     "check_triangle",
-    "circle_points",
-    "circle_tolerance",
     "condition_ii_probe",
-    "disc_points",
     "discontinuity_criterion",
     "eps_grid",
-    "eval_s",
     "evaluate",
     "fix_set",
     "fixture_path",
     "format_decimal",
     "generating_metric_check",
-    "identity_mapping",
-    "induced_d_s",
     "is_fixed",
     "load_experiment",
-    "m_z_metric",
     "m_z_s",
-    "m_z_s_star",
     "parse",
     "picard",
     "pretty",
     "render_text",
-    "rho",
     "run",
     "s_converges",
     "s_from_metric",
-    "s_is_cauchy",
     "solve_power",
     "to_fraction",
     "verify_condition_i",
-    "verify_condition_ii",
     "verify_phi_gauge",
     "verify_zamfirescu_x0",
     "xi",

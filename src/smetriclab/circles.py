@@ -19,118 +19,72 @@ separately; when every hypothesis verifies but a circle point still
 moves, that is flagged as a hard inconsistency rather than a plain
 failure, since it contradicts the theorem itself.
 
-Grid membership uses its own tolerance: half of (max local slope of
-S(., ., x0)) * step, so that at most the nearest node on each side of the
-true radius qualifies.  Finite universes use the plain margin tol.
+One pass over the sample evaluates each of these values at most once
+per point.  On a grid, membership has its own margin: half the steepest
+slope of S(., ., x0) between neighbouring sample coordinates, times the
+step.  Finite universes use the plain margin tol.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .contraction import ContractionParams
 from .mapping import Mapping
 from .numeric import DEFAULT_TOL, to_fraction
 from .space import Point, Space
 
 
-@dataclass(frozen=True)
-class CircleSpec:
-    """Center and radius; the radius must be nonnegative."""
+@dataclass(slots=True)
+class _Row:
+    """One sampled point and the values the verdicts read."""
 
-    center: Point
-    radius: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius", to_fraction(self.radius))
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+    point: Point
+    image: Point  # Tx
+    moved: Fraction  # S(Tx, Tx, x)
+    dist: Fraction | None = None  # S(x, x, x0)
+    image_dist: Fraction | None = None  # S(Tx, Tx, x0)
 
 
-def rho(
-    space: Space,
-    mapping: Mapping,
-    sample: list[object] | None = None,
-    tol: object = DEFAULT_TOL,
-) -> Fraction:
-    """Least displacement among sampled points that actually move.
+def _rows(space, mapping, a, b, center, pts, tol, every_dist):
+    """The row of each sampled point, in sample order, and the
+    (point, lhs, rhs) violations of the x0-bound.
 
-    Points count as moved when S(Tx, Tx, x) > tol.  With no moved point
-    the infimum is empty and the value is 0, matching the degenerate
-    circle {x0}.  On a grid this is an upper estimate of the true
-    infimum over the continuum.
+    A point that moves gets every term of the x0-bound; S(x, x, x0) is
+    taken on the others only when ``every_dist`` asks for it.
     """
-    tol = to_fraction(tol)
-    pts = space.sampled(sample)
+    weights = ContractionParams(a, b, 0)  # checks a and b
     s = space.smetric.triple
-    best: Fraction | None = None
+    t_center = mapping.apply(space, center)
+    rows, violations = [], []
     for p in pts:
         image = mapping.apply(space, p)
-        moved = s(image, image, p)
-        if moved > tol and (best is None or moved < best):
-            best = moved
-    return best if best is not None else Fraction(0)
+        row = _Row(p, image, s(image, image, p))
+        if every_dist or row.moved > tol:
+            row.dist = s(p, p, center)
+        if row.moved > tol:
+            back = s(t_center, t_center, p)
+            row.image_dist = s(image, image, center)
+            bound = max(
+                weights.a * row.dist, weights.b / 2 * (back + row.image_dist)
+            )
+            if row.moved > bound + tol:
+                violations.append((p, row.moved, bound))
+        rows.append(row)
+    return rows, violations
 
 
-def circle_tolerance(
-    space: Space,
-    center: Point,
-    sample: list[Point],
-    tol: Fraction,
-) -> Fraction:
-    """Membership tolerance for circle and disc scans.
-
-    Finite universes keep the plain margin.  On a grid, S(., ., center)
-    moves by at most (max local slope) * step between nodes, so half of
-    that bounds how far the nearest node can sit from the true radius.
-    """
-    if space.kind != "real_grid" or len(sample) < 2:
-        return tol
-    s = space.smetric.triple
-    values = [s(p, p, center) for p in sample]
-    steepest = max(
-        abs(b - a) for a, b in zip(values, values[1:])
-    )
-    return max(tol, steepest / 2)
-
-
-def circle_points(
-    space: Space,
-    spec: CircleSpec,
-    sample: list[object] | None = None,
-    tol_circle: object | None = None,
-    tol: object = DEFAULT_TOL,
-) -> list[Point]:
-    """Sampled points with |S(x, x, x0) - r| within the membership tolerance."""
-    rows, margin = _distances(space, spec, sample, tol_circle, tol)
-    return [p for p, v in rows if abs(v - spec.radius) <= margin]
-
-
-def disc_points(
-    space: Space,
-    spec: CircleSpec,
-    sample: list[object] | None = None,
-    tol_circle: object | None = None,
-    tol: object = DEFAULT_TOL,
-) -> list[Point]:
-    """Sampled points with S(x, x, x0) <= r plus the membership tolerance."""
-    rows, margin = _distances(space, spec, sample, tol_circle, tol)
-    return [p for p, v in rows if v <= spec.radius + margin]
-
-
-def _margin(space, center, pts, tol, tol_circle):
-    if tol_circle is None:
-        return circle_tolerance(space, center, pts, to_fraction(tol))
-    return to_fraction(tol_circle)
-
-
-def _distances(space, spec, sample, tol_circle, tol):
-    """(x, S(x, x, x0)) over the sample, and the membership margin."""
-    pts = space.sampled(sample)
-    center = space.coerce(spec.center)
-    margin = _margin(space, center, pts, tol, tol_circle)
-    s = space.smetric.triple
-    return [(p, s(p, p, center)) for p in pts], margin
+def _grid_margin(space, rows, tol):
+    """Half the steepest slope of S(., ., x0) between neighbouring sample
+    coordinates, times the grid step; never below tol."""
+    by_value = sorted({r.point.value: r.dist for r in rows}.items())
+    slopes = [
+        abs(d1 - d0) / (c1 - c0)
+        for (c0, d0), (c1, d1) in itertools.pairwise(by_value)
+    ]
+    return max([tol, *(slope * space.step / 2 for slope in slopes)])
 
 
 def verify_zamfirescu_x0(
@@ -147,28 +101,11 @@ def verify_zamfirescu_x0(
     Returns (point, lhs, rhs) for each x with S(Tx, Tx, x) > tol where
     lhs = S(Tx, Tx, x) exceeds rhs + tol.
     """
-    a, b = to_fraction(a), to_fraction(b)
-    if not 0 <= a < 1:
-        raise ValueError(f"a must lie in [0, 1), got {a}")
-    if not 0 <= b < 1:
-        raise ValueError(f"b must lie in [0, 1), got {b}")
     tol = to_fraction(tol)
-    pts = space.sampled(sample)
-    center = space.resolve(x0)
-    s = space.smetric.triple
-    t_center = mapping.apply(space, center)
-    violations = []
-    for p in pts:
-        image = mapping.apply(space, p)
-        lhs = s(image, image, p)
-        if lhs <= tol:
-            continue
-        rhs = max(
-            a * s(p, p, center),
-            b / 2 * (s(t_center, t_center, p) + s(image, image, center)),
-        )
-        if lhs > rhs + tol:
-            violations.append((p, lhs, rhs))
+    _, violations = _rows(
+        space, mapping, a, b, space.resolve(x0), space.sampled(sample), tol,
+        every_dist=False,
+    )
     return violations
 
 
@@ -207,53 +144,52 @@ def check_fixed_circle(
 ) -> CircleReport:
     """Full verification pass for the circle of radius rho around x0.
 
-    Computes rho over the sample, collects circle and disc membership,
-    checks the two hypotheses (the pointwise x0-bound everywhere, and
+    Computes rho over the sample, collects circle and disc membership
+    (within ``tol_circle`` when given, else the default margin), checks
+    the two hypotheses (the pointwise x0-bound everywhere, and
     S(Tx, Tx, x0) <= rho on the disc), then tests fixedness of every
     circle and disc point directly.  Verdicts never assume the theorem:
     a moved circle point under fully verified hypotheses is reported as
     an inconsistency.
     """
     tol = to_fraction(tol)
-    pts = space.sampled(sample)
     center = space.resolve(x0)
+    rows, zam = _rows(
+        space, mapping, a, b, center, space.sampled(sample), tol,
+        every_dist=True,
+    )
+    radius = min((r.moved for r in rows if r.moved > tol), default=Fraction(0))
+    if tol_circle is not None:
+        margin = to_fraction(tol_circle)
+    elif space.kind == "real_grid":
+        margin = _grid_margin(space, rows, tol)
+    else:
+        margin = tol
+    circle = [r for r in rows if abs(r.dist - radius) <= margin]
+    disc = [r for r in rows if r.dist <= radius + margin]
+
     s = space.smetric.triple
-
-    radius = rho(space, mapping, pts, tol)
-    spec = CircleSpec(center, radius)
-    margin = _margin(space, center, pts, tol, tol_circle)
-    circle = circle_points(space, spec, pts, margin, tol)
-    disc = disc_points(space, spec, pts, margin, tol)
-
-    zam = verify_zamfirescu_x0(space, mapping, a, b, center, pts, tol)
-
-    hypothesis_violations = []
-    nonfixed: list[Point] = []
-    for p in disc:
-        image = mapping.apply(space, p)
-        if s(image, image, center) > radius + tol:
-            hypothesis_violations.append((p, s(image, image, center)))
-        if s(image, image, p) > tol:
-            nonfixed.append(p)
-
-    circle_labels = {p.label for p in circle}
-    bad_on_circle = [p for p in nonfixed if p.label in circle_labels]
-    hyp_bad_on_circle = [
-        p for p, _ in hypothesis_violations if p.label in circle_labels
+    for r in disc:
+        if r.image_dist is None:
+            r.image_dist = s(r.image, r.image, center)
+    hypothesis_violations = [
+        (r.point, r.image_dist) for r in disc if r.image_dist > radius + tol
     ]
+    nonfixed = [r.point for r in disc if r.moved > tol]
     verdict = FixedVerdict(
-        circle_fixed=not bad_on_circle,
+        circle_fixed=all(r.moved <= tol for r in circle),
         disc_fixed=not nonfixed,
         nonfixed_witnesses=nonfixed,
     )
-    zam_ok = not zam
-    inconsistent = (
-        zam_ok and not hyp_bad_on_circle and bool(bad_on_circle)
-    ) or (zam_ok and not hypothesis_violations and bool(nonfixed))
+    hyp_ok_on_circle = all(r.image_dist <= radius + tol for r in circle)
+    inconsistent = not zam and (
+        (hyp_ok_on_circle and not verdict.circle_fixed)
+        or (not hypothesis_violations and bool(nonfixed))
+    )
     return CircleReport(
         rho=radius,
-        circle_points=circle,
-        disc_points=disc,
+        circle_points=[r.point for r in circle],
+        disc_points=[r.point for r in disc],
         zamfirescu_violations=zam,
         hypothesis_violations=hypothesis_violations,
         fixed_verdict=verdict,

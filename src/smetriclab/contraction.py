@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Formula
-from .mapping import Mapping, PowerMapping
+from .mapping import Mapping
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Metric, Point, Space
+from .space import Point, Space
 
 _HALF = Fraction(1, 2)
 
@@ -79,6 +79,15 @@ def xi(params: ContractionParams) -> Fraction:
     )
 
 
+def _m_value(s, params, px, py, tx, ty):
+    """M(x, y) from the pair, its images and the distance ``s``."""
+    return max(
+        params.a * s(px, px, py),
+        params.b * _HALF * (s(px, px, tx) + s(py, py, ty)),
+        params.c * _HALF * (s(px, px, ty) + s(py, py, tx)),
+    )
+
+
 def m_z_s(
     space: Space,
     mapping: Mapping,
@@ -89,43 +98,7 @@ def m_z_s(
     """The displacement maximum M(x, y) under the three-argument distance."""
     px, py = space.coerce(x), space.coerce(y)
     tx, ty = mapping.apply(space, px), mapping.apply(space, py)
-    s = space.smetric.triple
-    return max(
-        params.a * s(px, px, py),
-        params.b * _HALF * (s(px, px, tx) + s(py, py, ty)),
-        params.c * _HALF * (s(px, px, ty) + s(py, py, tx)),
-    )
-
-
-def m_z_metric(
-    space: Space,
-    metric: Metric,
-    mapping: Mapping,
-    params: ContractionParams,
-    x: object,
-    y: object,
-) -> Fraction:
-    """The analogous maximum under an ordinary two-argument metric."""
-    px, py = space.coerce(x), space.coerce(y)
-    tx, ty = mapping.apply(space, px), mapping.apply(space, py)
-    d = metric.distance
-    return max(
-        params.a * d(px, py),
-        params.b * _HALF * (d(px, tx) + d(py, ty)),
-        params.c * _HALF * (d(px, ty) + d(py, tx)),
-    )
-
-
-def m_z_s_star(
-    space: Space,
-    mapping: Mapping,
-    m: int,
-    params: ContractionParams,
-    x: object,
-    y: object,
-) -> Fraction:
-    """M(x, y) computed for the m-fold composition of the map."""
-    return m_z_s(space, PowerMapping(mapping, m), params, x, y)
+    return _m_value(space.smetric.triple, params, px, py, tx, ty)
 
 
 def verify_phi_gauge(
@@ -164,12 +137,26 @@ class PairVerdict:
     eps: Fraction | None = None
 
 
-def _pair_points(
-    space: Space, pairs: list[tuple[object, object]] | None
-) -> list[tuple[Point, Point]]:
+def _pair_rows(space, mapping, pairs, params):
+    """(x, y, reference, S(Tx, Tx, Ty)) per pair, in sample order.
+
+    T is applied once to each point of a pair.  The reference is M(x, y)
+    under ``params``, or S(x, x, y) when ``params`` is None.
+    """
     if pairs is None:
-        return list(itertools.product(space.points, repeat=2))
-    return [(space.coerce(x), space.coerce(y)) for x, y in pairs]
+        pairs = itertools.product(space.points, repeat=2)
+    else:
+        pairs = [(space.coerce(x), space.coerce(y)) for x, y in pairs]
+    s = space.smetric.triple
+    rows = []
+    for px, py in pairs:
+        tx, ty = mapping.apply(space, px), mapping.apply(space, py)
+        if params is None:
+            reference = s(px, px, py)
+        else:
+            reference = _m_value(s, params, px, py, tx, ty)
+        rows.append((px, py, reference, s(tx, tx, ty)))
+    return rows
 
 
 def verify_condition_i(
@@ -193,25 +180,20 @@ def verify_condition_i(
     if mode in ("full", "simple") and (gauge is None or gauge.phi is None):
         raise ValueError(f"mode {mode!r} needs a phi gauge")
     tol = to_fraction(tol)
-    s = space.smetric.triple
+    rows = _pair_rows(
+        space, mapping, pairs, None if mode == "simple" else params
+    )
     violations = []
-    for px, py in _pair_points(space, pairs):
-        tx, ty = mapping.apply(space, px), mapping.apply(space, py)
-        s_t = s(tx, tx, ty)
-        if mode == "full":
-            reference = m_z_s(space, mapping, params, px, py)
-            bound = gauge.phi(reference)
-        elif mode == "simple":
-            reference = s(px, px, py)
-            bound = gauge.phi(reference)
+    for px, py, ref, s_t in rows:
+        if mode != "strict":
+            bound = gauge.phi(ref)
+        elif ref <= tol:
+            continue
         else:
-            reference = m_z_s(space, mapping, params, px, py)
-            if reference <= tol:
-                continue
-            bound = reference - 2 * tol  # s_t <= M - tol, checked with slack
+            bound = ref - 2 * tol  # s_t <= M - tol, checked with slack
         if s_t > bound + tol:
             violations.append(
-                PairVerdict(px, py, reference, s_t, False, f"condition_i[{mode}]")
+                PairVerdict(px, py, ref, s_t, False, f"condition_i[{mode}]")
             )
     return violations
 
@@ -249,18 +231,18 @@ def condition_ii_probe(
     eps_values: list[object] | None = None,
     tol: object = DEFAULT_TOL,
 ) -> tuple[list[Fraction], list[PairVerdict]]:
-    """Run condition (ii) and return both the probe grid and violations."""
+    """Check the window condition (ii) over the eps probe grid.
+
+    For each probe eps the window is (eps, eps + delta(eps)), membership
+    exact; every pair whose M value falls inside must have
+    S(Tx, Tx, Ty) <= eps + tol.  A probe with delta(eps) <= 0 is a
+    configuration error.  Returns the probe grid and the violations,
+    ordered by eps, then by pair position.
+    """
     if gauge.delta is None:
         raise ValueError("condition (ii) needs a delta gauge")
     tol = to_fraction(tol)
-    s = space.smetric.triple
-    rows = []
-    for px, py in _pair_points(space, pairs):
-        tx, ty = mapping.apply(space, px), mapping.apply(space, py)
-        rows.append(
-            (px, py, m_z_s(space, mapping, params, px, py), s(tx, tx, ty))
-        )
-
+    rows = _pair_rows(space, mapping, pairs, params)
     grid = eps_grid([m for _, _, m, _ in rows], eps_values, tol)
     violations = []
     for eps in grid:
@@ -276,24 +258,3 @@ def condition_ii_probe(
                 )
     return grid, violations
 
-
-def verify_condition_ii(
-    space: Space,
-    mapping: Mapping,
-    params: ContractionParams,
-    gauge: GaugeSpec,
-    pairs: list[tuple[object, object]] | None = None,
-    eps_values: list[object] | None = None,
-    tol: object = DEFAULT_TOL,
-) -> list[PairVerdict]:
-    """Check the window condition (ii) over the eps probe grid.
-
-    For each probe eps the window is (eps, eps + delta(eps)), membership
-    exact; every pair whose M value falls inside must have
-    S(Tx, Tx, Ty) <= eps + tol.  A probe with delta(eps) <= 0 is a
-    configuration error.  Violations come back ordered by eps, then by
-    pair position.
-    """
-    return condition_ii_probe(
-        space, mapping, params, gauge, pairs, eps_values, tol
-    )[1]

@@ -26,6 +26,7 @@ from .space import (
     FormulaMetric,
     FormulaSMetric,
     GeneratedSMetric,
+    GridBoundError,
     Metric,
     MetricAxiomError,
     Point,
@@ -35,6 +36,7 @@ from .space import (
     TableMetric,
     TableSMetric,
     as_point,
+    grid_steps,
     s_from_metric,
 )
 
@@ -220,14 +222,12 @@ def _build_space(node: object) -> Space:
         lo = number(node["lo"], "space.lo")
         hi = number(node["hi"], "space.hi")
         step = number(node["step"], "space.step")
-        if step <= 0:
-            raise ConfigError("space.step", "grid step must be positive")
-        if hi < lo:
-            raise ConfigError("space.hi", "must be at least lo")
+        try:
+            count = grid_steps(lo, hi, step)
+        except GridBoundError as e:
+            raise ConfigError(f"space.{e.bound}", e.reason) from None
         # validate a generated metric on a thin, evenly spaced subsample;
         # the full grid would make the triangle sweep cubic in 10^3+ points
-        span = (hi - lo) / step
-        count = span.numerator // span.denominator
         stride = max(1, count // 24)
         probe = [lo + i * step for i in range(0, count + 1, stride)]
         smetric = _build_smetric(node["smetric"], probe, kind)

@@ -65,10 +65,6 @@ class PowerMapping(Mapping):
         return x
 
 
-def identity_mapping() -> Mapping:
-    return FormulaMapping(Formula.parse("x", ("x",)))
-
-
 def is_fixed(space: Space, mapping: Mapping, x: object) -> bool:
     """Exact test of T(x) = x; off-universe images simply compare unequal."""
     point = space.coerce(x)

@@ -387,6 +387,13 @@ def _orbit_summary(record):
     return outcome["status"]
 
 
+def _power_summary(record):
+    text = _orbit_summary(record)
+    if record["fixed_by_base"] is False:
+        text += "; the limit is not fixed by the map"
+    return text
+
+
 def _orbit(trace):
     return {
         "points": describe(trace.points),
@@ -413,7 +420,7 @@ def _run_solve(spec, options, tol):
 
 
 @_check(
-    "solve_power", "solve", {**_ITERATION, "m": positive_int}, _orbit_summary,
+    "solve_power", "solve", {**_ITERATION, "m": positive_int}, _power_summary,
     needs=("a map",), label="solve_power[m={m}, x0={x0.label}]",
 )
 def _run_solve_power(spec, options, tol):

@@ -150,6 +150,24 @@ class GeneratedSMetric(SMetric):
         return d(x, z) + d(y, z)
 
 
+class GridBoundError(ValueError):
+    """A grid bound out of range: ``bound`` names it, ``reason`` says why."""
+
+    def __init__(self, bound: str, reason: str):
+        super().__init__(f"{bound}: {reason}")
+        self.bound, self.reason = bound, reason
+
+
+def grid_steps(lo: Fraction, hi: Fraction, step: Fraction) -> int:
+    """Steps from lo to the last grid node lo + i * step <= hi."""
+    if step <= 0:
+        raise GridBoundError("step", "grid step must be positive")
+    if hi < lo:
+        raise GridBoundError("hi", "must be at least lo")
+    span = (hi - lo) / step
+    return span.numerator // span.denominator
+
+
 def _coordinate(p: Point) -> Fraction:
     if p.value is None:
         raise UnknownPointError(f"point {p.label!r} has no numeric coordinate")
@@ -194,14 +212,9 @@ class Space:
         cls, lo: object, hi: object, step: object, smetric: SMetric
     ) -> "Space":
         lo_f, hi_f, step_f = to_fraction(lo), to_fraction(hi), to_fraction(step)
-        if step_f <= 0:
-            raise ValueError("grid step must be positive")
-        if hi_f < lo_f:
-            raise ValueError("grid needs lo <= hi")
-        span = (hi_f - lo_f) / step_f
-        count = span.numerator // span.denominator
         points = tuple(
-            as_point(lo_f + i * step_f) for i in range(count + 1)
+            as_point(lo_f + i * step_f)
+            for i in range(grid_steps(lo_f, hi_f, step_f) + 1)
         )
         return cls("real_grid", points, smetric, lo_f, hi_f, step_f)
 
@@ -247,6 +260,7 @@ class Space:
         return [self.coerce(p) for p in sample] if sample else list(self.points)
 
     def s(self, x: object, y: object, z: object) -> Fraction:
+        """S(x, y, z) for universe points, labels, or raw coordinates."""
         return self.smetric.triple(self.coerce(x), self.coerce(y), self.coerce(z))
 
     def nearest(self, value: Fraction) -> tuple[Point, Fraction]:
@@ -262,11 +276,6 @@ class Space:
         point = self.points[i]
         assert point.value is not None
         return point, abs(value - point.value)
-
-
-def eval_s(space: Space, x: object, y: object, z: object) -> Fraction:
-    """S(x, y, z) for universe points, labels, or raw coordinates."""
-    return space.s(x, y, z)
 
 
 @dataclass
@@ -391,15 +400,6 @@ def s_from_metric(
     return GeneratedSMetric(metric)
 
 
-def induced_d_s(space: Space, x: object, y: object) -> Fraction:
-    """The symmetrized two-argument distance S(x,x,y) + S(y,y,x).
-
-    This need not satisfy the triangle inequality; see
-    :func:`check_triangle`.
-    """
-    return space.s(x, x, y) + space.s(y, y, x)
-
-
 @dataclass
 class TriangleReport:
     violations: list[tuple[tuple[Point, Point, Point], Fraction, Fraction]]
@@ -503,22 +503,4 @@ def s_converges(
         tail_start = len(pts) // 2
     return all(
         space.smetric.triple(p, p, target) <= tol for p in pts[tail_start:]
-    )
-
-
-def s_is_cauchy(
-    space: Space,
-    seq: list[object],
-    tol: object,
-    tail_start: int | None = None,
-) -> bool:
-    """True when all tail pairs satisfy S(x_n, x_n, x_m) <= tol."""
-    tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in seq]
-    if tail_start is None:
-        tail_start = len(pts) // 2
-    tail = pts[tail_start:]
-    return all(
-        space.smetric.triple(p, p, q) <= tol
-        for p, q in itertools.combinations(tail, 2)
     )

@@ -29,6 +29,10 @@ def sum_abs_smetric():
     return FormulaSMetric(Formula.parse(SUM_ABS, ("x", "y", "z")))
 
 
+def identity_mapping():
+    return FormulaMapping(Formula.parse("x", ("x",)))
+
+
 def closure_metric(rng, labels):
     """Random table metric: symmetric positive weights run through a
     shortest-path closure, which forces the triangle inequality."""

@@ -4,52 +4,60 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import identity_mapping
+
 from smetriclab import (
-    CircleSpec,
     Space,
     TableMapping,
     TableSMetric,
     check_fixed_circle,
-    circle_points,
-    circle_tolerance,
-    disc_points,
-    identity_mapping,
-    rho,
+    fixture_path,
+    load_experiment,
     verify_zamfirescu_x0,
 )
 
 
 def test_rho_is_the_least_moved_displacement(four_space, four_map):
-    assert rho(four_space, four_map) == 4
-    assert rho(four_space, identity_mapping()) == 0
-    assert rho(four_space, four_map, sample=[4]) == 0
+    assert check_fixed_circle(four_space, four_map, 0, 0, 4).rho == 4
+    assert check_fixed_circle(four_space, identity_mapping(), 0, 0, 4).rho == 0
+    assert check_fixed_circle(four_space, four_map, 0, 0, 4, [4]).rho == 0
 
 
 def test_rho_on_the_line_is_exact(line_space, tail_shift_map):
-    assert rho(line_space, tail_shift_map) == 2
+    assert check_fixed_circle(line_space, tail_shift_map, 0, 0, 0).rho == 2
 
 
-def test_circle_tolerance_tracks_the_grid_slope(line_space, four_space):
-    center = line_space.resolve(0)
-    margin = circle_tolerance(
-        line_space, center, list(line_space.points), Fraction(1, 10**9)
-    )
+def test_circle_tolerance_tracks_the_grid_slope(line_space, four_space, four_map):
+    margin = check_fixed_circle(
+        line_space, identity_mapping(), 0, 0, 0, tol=Fraction(1, 10**9)
+    ).tol_circle
     assert margin == Fraction(1, 100)
-    flat = circle_tolerance(
-        four_space, four_space.resolve(4), list(four_space.points), Fraction(1, 7)
-    )
+    flat = check_fixed_circle(
+        four_space, four_map, 0, 0, 4, tol=Fraction(1, 7)
+    ).tol_circle
     assert flat == Fraction(1, 7)
 
 
-def test_circle_spec_rejects_negative_radius(four_space):
-    with pytest.raises(ValueError, match="nonnegative"):
-        CircleSpec(four_space.resolve(4), -1)
+@pytest.mark.parametrize(
+    "sample",
+    [[-10, -2, 0, 2, 10], [-10, 0, 10, -2, 2], [2, 10, -2, 0, -10]],
+)
+def test_grid_margin_does_not_depend_on_sample_order(sample):
+    """Sample entries far apart must not widen the margin past one grid
+    step's change of S(x, x, 0) = 2|x|, whatever their order."""
+    spec = load_experiment(fixture_path("example_3_3.json"))
+    report = check_fixed_circle(
+        spec.space, spec.mapping, Fraction(1, 2), 0, 0, sample
+    )
+    assert report.rho == 2
+    assert report.tol_circle == Fraction(1, 100)
+    assert report.circle_points == []
 
 
-def test_circle_and_disc_membership(four_space):
-    spec = CircleSpec(four_space.resolve(4), 4)
-    assert [p.label for p in circle_points(four_space, spec)] == ["2"]
-    assert [p.label for p in disc_points(four_space, spec)] == ["2", "4"]
+def test_circle_and_disc_membership(four_space, four_map):
+    report = check_fixed_circle(four_space, four_map, 0, 0, 4)
+    assert [p.label for p in report.circle_points] == ["2"]
+    assert [p.label for p in report.disc_points] == ["2", "4"]
 
 
 def test_zamfirescu_parameter_ranges(four_space, four_map):

@@ -4,19 +4,18 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import identity_mapping
+
 from smetriclab import (
     ContractionParams,
-    FormulaMetric,
     Formula,
     GaugeDomainError,
     GaugeSpec,
+    PowerMapping,
+    condition_ii_probe,
     eps_grid,
-    identity_mapping,
-    m_z_metric,
     m_z_s,
-    m_z_s_star,
     verify_condition_i,
-    verify_condition_ii,
     verify_phi_gauge,
     xi,
 )
@@ -76,19 +75,14 @@ def test_m_z_s_displacement_terms(four_space, four_map):
     assert m_z_s(four_space, four_map, params, 0, 8) == 5
 
 
-def test_m_z_metric_matches_hand_values(four_space, four_map, four_params):
-    metric = FormulaMetric(Formula.parse("abs(x - y)", ("x", "y")))
-    assert m_z_metric(four_space, metric, four_map, four_params, 0, 8) == 6
-    assert m_z_metric(four_space, metric, four_map, four_params, 0, 2) == Fraction(3, 2)
-
-
 def test_m_z_s_star_uses_the_power(four_space, four_map):
     params = ContractionParams(0, Fraction(1, 2), 0)
-    assert m_z_s_star(four_space, four_map, 2, params, 0, 8) == 4
+    square = PowerMapping(four_map, 2)
+    assert m_z_s(four_space, square, params, 0, 8) == 4
     for x, y in ((0, 8), (2, 4), (8, 2)):
-        assert m_z_s_star(four_space, four_map, 1, params, x, y) == m_z_s(
-            four_space, four_map, params, x, y
-        )
+        assert m_z_s(
+            four_space, PowerMapping(four_map, 1), params, x, y
+        ) == m_z_s(four_space, four_map, params, x, y)
 
 
 def test_phi_gauge_checks_positive_probes_only():
@@ -190,7 +184,7 @@ def test_condition_ii_flags_the_loose_window(
     four_space, four_map, four_params, loose_gauge
 ):
     user_eps = [Fraction(3), Fraction(7, 2), Fraction(39, 10)]
-    bad = verify_condition_ii(
+    _, bad = condition_ii_probe(
         four_space, four_map, four_params, loose_gauge, eps_values=user_eps
     )
     rows = [(v.x.label, v.y.label, v.eps) for v in bad]
@@ -214,9 +208,9 @@ def test_condition_ii_passes_the_tight_window(
 ):
     user_eps = [Fraction(3), Fraction(7, 2), Fraction(39, 10)]
     assert (
-        verify_condition_ii(
+        condition_ii_probe(
             four_space, four_map, four_params, tight_gauge, eps_values=user_eps
-        )
+        )[1]
         == []
     )
 
@@ -226,8 +220,8 @@ def test_condition_ii_requires_positive_delta(
 ):
     gauge = GaugeSpec(delta=Formula.parse("eps - 10", ("eps",)))
     with pytest.raises(GaugeDomainError, match="not positive"):
-        verify_condition_ii(four_space, four_map, four_params, gauge)
+        condition_ii_probe(four_space, four_map, four_params, gauge)
     with pytest.raises(ValueError, match="needs a delta"):
-        verify_condition_ii(
+        condition_ii_probe(
             four_space, four_map, four_params, GaugeSpec()
         )

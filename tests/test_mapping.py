@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sum_abs_smetric
+from conftest import identity_mapping, sum_abs_smetric
 
 from smetriclab import (
     Formula,
@@ -14,7 +14,6 @@ from smetriclab import (
     Space,
     TableMapping,
     TableSMetric,
-    identity_mapping,
     is_fixed,
 )
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import identity_mapping
+
 from smetriclab import (
     ContractionParams,
     Formula,
@@ -13,7 +15,6 @@ from smetriclab import (
     TableMapping,
     discontinuity_criterion,
     fix_set,
-    identity_mapping,
     picard,
     solve_power,
 )

@@ -24,12 +24,9 @@ from smetriclab import (
     check_axioms,
     check_symmetry,
     check_triangle,
-    eval_s,
     generating_metric_check,
-    induced_d_s,
     s_converges,
     s_from_metric,
-    s_is_cauchy,
 )
 
 
@@ -81,9 +78,9 @@ def test_grid_nearest_and_coerce():
 
 
 def test_eval_s_accepts_raw_coordinates(four_space):
-    assert eval_s(four_space, 0, 0, 4) == 8
-    assert eval_s(four_space, "4", "4", "8") == 8
-    assert eval_s(four_space, 0, 1, 2) == 3  # 1 is not a universe point
+    assert four_space.s(0, 0, 4) == 8
+    assert four_space.s("4", "4", "8") == 8
+    assert four_space.s(0, 1, 2) == 3  # 1 is not a universe point
 
 
 def test_axioms_pass_for_sum_abs(four_space):
@@ -201,12 +198,18 @@ def test_bent_formula_is_not_generated():
 
 
 def test_induced_distance_symmetric_with_zero_diagonal(four_space):
+    # a negative margin reports every triple, with lhs the induced
+    # distance S(x, x, y) + S(y, y, x) of its first two points
+    report = check_triangle(four_space, tol=-1000)
+    assert len(report.violations) == report.triples_checked == 64
+    induced = {
+        (x.label, y.label): lhs for (x, y, _), lhs, _ in report.violations
+    }
     for p in four_space.points:
-        assert induced_d_s(four_space, p, p) == 0
+        assert induced[p.label, p.label] == 0
         for q in four_space.points:
-            forward = induced_d_s(four_space, p, q)
-            assert forward == induced_d_s(four_space, q, p)
-    assert induced_d_s(four_space, 0, 8) == 32
+            assert induced[p.label, q.label] == induced[q.label, p.label]
+    assert induced["0", "8"] == 32
 
 
 def test_triangle_holds_for_sum_abs(four_space):
@@ -237,8 +240,6 @@ def test_tail_convergence_surrogates():
     assert s_converges(space, seq, 1, Fraction(1, 50))
     assert not s_converges(space, seq, 1, Fraction(1, 200))
     assert s_converges(space, seq, 1, Fraction(1, 100), tail_start=199)
-    assert s_is_cauchy(space, seq, Fraction(1, 50))
-    assert not s_is_cauchy(space, [0, 2] * 20, Fraction(1, 2))
 
 
 @settings(max_examples=40, deadline=None)
