@@ -58,6 +58,7 @@ def _rows(space, mapping, a, b, center, pts, tol, every_dist):
     weights = ContractionParams(a, b, 0)  # checks a and b
     s = space.smetric.triple
     t_center = mapping.apply(space, center)
+    half_b = weights.b / 2
     rows, violations = [], []
     for p in pts:
         image = mapping.apply(space, p)
@@ -67,9 +68,7 @@ def _rows(space, mapping, a, b, center, pts, tol, every_dist):
         if row.moved > tol:
             back = s(t_center, t_center, p)
             row.image_dist = s(image, image, center)
-            bound = max(
-                weights.a * row.dist, weights.b / 2 * (back + row.image_dist)
-            )
+            bound = max(weights.a * row.dist, half_b * (back + row.image_dist))
             if row.moved > bound + tol:
                 violations.append((p, row.moved, bound))
         rows.append(row)
@@ -84,7 +83,7 @@ def _grid_margin(space, rows, tol):
         abs(d1 - d0) / (c1 - c0)
         for (c0, d0), (c1, d1) in itertools.pairwise(by_value)
     ]
-    return max([tol, *(slope * space.step / 2 for slope in slopes)])
+    return max(tol, max(slopes, default=0) * (space.step / 2))
 
 
 def verify_zamfirescu_x0(
@@ -166,14 +165,15 @@ def check_fixed_circle(
     else:
         margin = tol
     circle = [r for r in rows if abs(r.dist - radius) <= margin]
-    disc = [r for r in rows if r.dist <= radius + margin]
+    reach, limit = radius + margin, radius + tol
+    disc = [r for r in rows if r.dist <= reach]
 
     s = space.smetric.triple
     for r in disc:
         if r.image_dist is None:
             r.image_dist = s(r.image, r.image, center)
     hypothesis_violations = [
-        (r.point, r.image_dist) for r in disc if r.image_dist > radius + tol
+        (r.point, r.image_dist) for r in disc if r.image_dist > limit
     ]
     nonfixed = [r.point for r in disc if r.moved > tol]
     verdict = FixedVerdict(
@@ -181,7 +181,7 @@ def check_fixed_circle(
         disc_fixed=not nonfixed,
         nonfixed_witnesses=nonfixed,
     )
-    hyp_ok_on_circle = all(r.image_dist <= radius + tol for r in circle)
+    hyp_ok_on_circle = all(r.image_dist <= limit for r in circle)
     inconsistent = not zam and (
         (hyp_ok_on_circle and not verdict.circle_fixed)
         or (not hypothesis_violations and bool(nonfixed))

@@ -36,6 +36,7 @@ from .numeric import DEFAULT_TOL, to_fraction
 from .space import Point, Space
 
 _HALF = Fraction(1, 2)
+_ZERO = Fraction(0)
 
 
 class GaugeDomainError(ValueError):
@@ -80,11 +81,16 @@ def xi(params: ContractionParams) -> Fraction:
 
 
 def _m_value(s, params, px, py, tx, ty):
-    """M(x, y) from the pair, its images and the distance ``s``."""
+    """M(x, y) from the pair, its images and the distance ``s``.
+
+    A weight of exactly 0 makes its term exactly 0, so the S values under
+    it are not evaluated.
+    """
+    a, b, c = params.a, params.b, params.c
     return max(
-        params.a * s(px, px, py),
-        params.b * _HALF * (s(px, px, tx) + s(py, py, ty)),
-        params.c * _HALF * (s(px, px, ty) + s(py, py, tx)),
+        a * s(px, px, py) if a else _ZERO,
+        b * _HALF * (s(px, px, tx) + s(py, py, ty)) if b else _ZERO,
+        c * _HALF * (s(px, px, ty) + s(py, py, tx)) if c else _ZERO,
     )
 
 
@@ -251,8 +257,9 @@ def condition_ii_probe(
             raise GaugeDomainError(
                 f"delta({eps}) = {width} is not positive"
             )
+        upper, cap = eps + width, eps + tol
         for px, py, m, s_t in rows:
-            if eps < m < eps + width and s_t > eps + tol:
+            if eps < m < upper and s_t > cap:
                 violations.append(
                     PairVerdict(px, py, m, s_t, False, "condition_ii", eps)
                 )

@@ -13,6 +13,7 @@ the JSON path of the offending field, for example
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,15 +139,16 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
             raise ConfigError(key, "unknown field")
 
     name = doc.get("name", default_name)
-    if not isinstance(name, str) or not name:
-        raise ConfigError("name", "must be a nonempty string")
+    _require(isinstance(name, str) and name, "name", "must be a nonempty string")
 
     tolerance = number(doc.get("tolerance", DEFAULT_TOL), "tolerance")
-    if tolerance <= 0:
-        raise ConfigError("tolerance", "must be positive")
+    _require(tolerance > 0, "tolerance", "must be positive")
+    try:
+        float(tolerance)  # the echo reports it as a float
+    except OverflowError:
+        raise ConfigError("tolerance", "is too large for a float") from None
 
-    if "space" not in doc:
-        raise ConfigError("space", "is required")
+    _require("space" in doc, "space", "is required")
     space = _build_space(doc["space"])
 
     mapping = None
@@ -162,8 +164,7 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
         gauge = _build_gauge(doc["gauge"])
 
     raw_checks = doc.get("checks", [])
-    if not isinstance(raw_checks, list):
-        raise ConfigError("checks", "must be a list")
+    _require(isinstance(raw_checks, list), "checks", "must be a list")
     declared = Declared(space, mapping, params, gauge)
     checks = [
         build_check(entry, f"checks[{i}]", declared)
@@ -188,13 +189,13 @@ def number(value: object, path: str, declared: object = None) -> Fraction:
 
 
 def _build_space(node: object) -> Space:
-    if not isinstance(node, dict):
-        raise ConfigError("space", "must be an object")
+    _require(isinstance(node, dict), "space", "must be an object")
     kind = node.get("kind")
-    if kind not in ("finite", "real_grid"):
-        raise ConfigError("space.kind", "must be 'finite' or 'real_grid'")
-    if "smetric" not in node:
-        raise ConfigError("space.smetric", "is required")
+    _require(
+        kind in ("finite", "real_grid"), "space.kind",
+        "must be 'finite' or 'real_grid'",
+    )
+    _require("smetric" in node, "space.smetric", "is required")
 
     if kind == "finite":
         pts = node.get("points")
@@ -202,14 +203,9 @@ def _build_space(node: object) -> Space:
             raise ConfigError("space.points", "must be a nonempty list")
         points = []
         for i, p in enumerate(pts):
-            if isinstance(p, str):
-                points.append(p)
-            elif isinstance(p, bool):
+            if isinstance(p, bool) or not isinstance(p, (str, int, Fraction)):
                 raise ConfigError(f"space.points[{i}]", "must be a number or string")
-            elif isinstance(p, (int, Fraction)):
-                points.append(to_fraction(p))
-            else:
-                raise ConfigError(f"space.points[{i}]", "must be a number or string")
+            points.append(p if isinstance(p, str) else to_fraction(p))
         smetric = _build_smetric(node["smetric"], points, kind)
         try:
             space = Space.finite(points, smetric)
@@ -217,8 +213,7 @@ def _build_space(node: object) -> Space:
             raise ConfigError("space.points", str(e)) from None
     else:
         for key in ("lo", "hi", "step"):
-            if key not in node:
-                raise ConfigError(f"space.{key}", "is required for a grid")
+            _require(key in node, f"space.{key}", "is required for a grid")
         lo = number(node["lo"], "space.lo")
         hi = number(node["hi"], "space.hi")
         step = number(node["step"], "space.step")
@@ -237,8 +232,7 @@ def _build_space(node: object) -> Space:
 
 def _build_smetric(node: object, points: list | None, kind: str) -> SMetric:
     path = "space.smetric"
-    if not isinstance(node, dict):
-        raise ConfigError(path, "must be an object")
+    _require(isinstance(node, dict), path, "must be an object")
     skind = node.get("kind")
     if skind == "formula":
         formula = _formula(node.get("expr"), ("x", "y", "z"), f"{path}.expr")
@@ -248,28 +242,14 @@ def _build_smetric(node: object, points: list | None, kind: str) -> SMetric:
             )
         return FormulaSMetric(formula)
     if skind == "table":
-        if kind != "finite":
-            raise ConfigError(path, "a table S-metric needs a finite space")
+        _require(kind == "finite", path, "a table S-metric needs a finite space")
         assert points is not None
-        entries = _table_entries(node.get("entries"), f"{path}.entries", 3)
-        labels = [_label_of(p) for p in points]
-        table: dict[tuple[str, str, str], Fraction] = {}
-        for i, (refs, value) in enumerate(entries):
-            triple = tuple(refs)
-            for r in triple:
-                if r not in labels:
-                    raise ConfigError(
-                        f"{path}.entries[{i}]", f"unknown point label {r!r}"
-                    )
-            table[triple] = value
-        for x in labels:
-            for y in labels:
-                for z in labels:
-                    if (x, y, z) not in table:
-                        raise ConfigError(
-                            f"{path}.entries",
-                            f"missing entry for ({x}, {y}, {z})",
-                        )
+        table = _table(node.get("entries"), path, 3, points)
+        for triple in itertools.product(map(_label_of, points), repeat=3):
+            if triple not in table:
+                raise ConfigError(
+                    f"{path}.entries", f"missing entry for ({', '.join(triple)})"
+                )
         return TableSMetric(table)
     if skind == "generated":
         metric = _build_metric(node.get("metric"), f"{path}.metric", points, kind)
@@ -286,8 +266,7 @@ def _build_smetric(node: object, points: list | None, kind: str) -> SMetric:
 def _build_metric(
     node: object, path: str, points: list | None, kind: str
 ) -> Metric:
-    if not isinstance(node, dict):
-        raise ConfigError(path, "must be an object")
+    _require(isinstance(node, dict), path, "must be an object")
     mkind = node.get("kind")
     if mkind == "formula":
         formula = _formula(node.get("expr"), ("x", "y"), f"{path}.expr")
@@ -297,20 +276,9 @@ def _build_metric(
             )
         return FormulaMetric(formula)
     if mkind == "table":
-        if kind != "finite":
-            raise ConfigError(path, "a table metric needs a finite space")
-        entries = _table_entries(node.get("entries"), f"{path}.entries", 2)
-        labels = {_label_of(p) for p in points or []}
-        table: dict[tuple[str, str], Fraction] = {}
-        for i, (refs, value) in enumerate(entries):
-            pair = tuple(refs)
-            for r in pair:
-                if labels and r not in labels:
-                    raise ConfigError(
-                        f"{path}.entries[{i}]", f"unknown point label {r!r}"
-                    )
-            table[pair] = value
-        return TableMetric(table)
+        _require(kind == "finite", path, "a table metric needs a finite space")
+        assert points is not None
+        return TableMetric(_table(node.get("entries"), path, 2, points))
     raise ConfigError(f"{path}.kind", "must be 'formula' or 'table'")
 
 
@@ -318,21 +286,25 @@ def _label_of(p: object) -> str:
     return p if isinstance(p, str) else as_point(p).label
 
 
-def _table_entries(
-    node: object, path: str, arity: int
-) -> list[tuple[list[str], Fraction]]:
-    if not isinstance(node, list) or not node:
-        raise ConfigError(path, "must be a nonempty list")
+def _table(node: object, path: str, arity: int, points: list) -> dict:
+    """The rows of ``node`` keyed by label tuples, every label one of
+    ``points``; ``path`` names the table's metric."""
+    path = f"{path}.entries"
+    _require(isinstance(node, list) and node, path, "must be a nonempty list")
     rows = []
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != arity + 1:
             raise ConfigError(
                 f"{path}[{i}]", f"must be a list of {arity} points and a value"
             )
-        refs = [_label_of(_point_literal(r, f"{path}[{i}]")) for r in row[:arity]]
-        value = number(row[arity], f"{path}[{i}]")
-        rows.append((refs, value))
-    return rows
+        refs = tuple(_label_of(_point_literal(r, f"{path}[{i}]")) for r in row[:arity])
+        rows.append((refs, number(row[arity], f"{path}[{i}]")))
+    labels = {_label_of(p) for p in points}
+    for i, (refs, _) in enumerate(rows):
+        for r in refs:
+            if r not in labels:
+                raise ConfigError(f"{path}[{i}]", f"unknown point label {r!r}")
+    return dict(rows)
 
 
 def _point_literal(ref: object, path: str) -> object:
@@ -344,8 +316,7 @@ def _point_literal(ref: object, path: str) -> object:
 
 
 def _formula(text: object, variables: tuple[str, ...], path: str) -> Formula:
-    if not isinstance(text, str):
-        raise ConfigError(path, "must be an expression string")
+    _require(isinstance(text, str), path, "must be an expression string")
     try:
         return Formula.parse(text, variables)
     except ExprError as e:
@@ -353,8 +324,7 @@ def _formula(text: object, variables: tuple[str, ...], path: str) -> Formula:
 
 
 def _build_mapping(node: object, space: Space) -> Mapping:
-    if not isinstance(node, dict):
-        raise ConfigError("map", "must be an object")
+    _require(isinstance(node, dict), "map", "must be an object")
     kind = node.get("kind")
     if kind == "formula":
         formula = _formula(node.get("expr"), ("x",), "map.expr")
@@ -384,8 +354,7 @@ def _build_mapping(node: object, space: Space) -> Mapping:
 
 
 def _build_params(node: object) -> ContractionParams:
-    if not isinstance(node, dict):
-        raise ConfigError("params", "must be an object")
+    _require(isinstance(node, dict), "params", "must be an object")
     for key in node:
         if key not in ("a", "b", "c"):
             raise ConfigError(f"params.{key}", "unknown field")
@@ -400,8 +369,7 @@ def _build_params(node: object) -> ContractionParams:
 
 
 def _build_gauge(node: object) -> GaugeSpec:
-    if not isinstance(node, dict):
-        raise ConfigError("gauge", "must be an object")
+    _require(isinstance(node, dict), "gauge", "must be an object")
     for key in node:
         if key not in ("phi", "delta"):
             raise ConfigError(f"gauge.{key}", "unknown field")
@@ -585,9 +553,7 @@ def _echo(
     if space.kind == "finite":
         snode["points"] = [p.label for p in space.points]
     else:
-        snode["lo"] = float(space.lo or 0)
-        snode["hi"] = float(space.hi or 0)
-        snode["step"] = float(space.step or 0)
+        snode.update({k: float(getattr(space, k) or 0) for k in ("lo", "hi", "step")})
     snode["smetric"] = _describe_smetric(space.smetric)
     out["space"] = snode
 
@@ -596,12 +562,11 @@ def _echo(
     if params is not None:
         out["params"] = {k: float(getattr(params, k)) for k in ("a", "b", "c")}
     if gauge is not None:
-        gnode = {}
-        if gauge.phi is not None:
-            gnode["phi"] = gauge.phi.pretty()
-        if gauge.delta is not None:
-            gnode["delta"] = gauge.delta.pretty()
-        out["gauge"] = gnode
+        out["gauge"] = {
+            key: formula.pretty()
+            for key, formula in (("phi", gauge.phi), ("delta", gauge.delta))
+            if formula is not None
+        }
 
     # integer options (max_iter, m, ...) are echoed as floats
     out["checks"] = [

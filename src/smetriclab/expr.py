@@ -17,14 +17,21 @@ Comparisons exist only as piecewise conditions and are evaluated exactly
 over rationals, with no tolerance: ``x <= 1`` at the boundary takes the
 branch as written.  Numeric literals are decimal ("2", "0.75", "1e-9") and
 become exact fractions.  Division by zero is always an evaluation error.
+
+A formula nests at most ``MAX_DEPTH`` (100) levels deep, counting the
+whole formula as one, both in its text (parentheses, argument lists and
+unary minus) and in its tree (``1 + 2 + 3`` is three levels); deeper input
+is a syntax error, so no recursion over it exhausts Python's stack.
+:class:`Formula` compiles its tree once into closures over exact fractions.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .numeric import format_decimal, to_fraction
 
@@ -90,6 +97,7 @@ class Piecewise:
 Expr = Num | Var | Neg | BinOp | Call | Piecewise
 
 _FUNCTIONS = {"abs": 1, "min": 2, "max": 2}  # name -> minimum arity
+MAX_DEPTH = 100  # nesting levels a formula may use
 _RESERVED = frozenset(_FUNCTIONS) | {"piecewise", "else"}
 _COMPARISONS = frozenset({"<", "<=", ">", ">="})
 
@@ -131,6 +139,8 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.i = 0
         self.variables = variables
+        self.depth = 0  # levels open around the current token
+        self.heights: dict[int, int] = {}  # id(node) -> levels, leaves 1
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -151,6 +161,17 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "op" and tok.text in ops
 
+    def within(self, levels: int, tok: _Token) -> int:
+        if levels > MAX_DEPTH:
+            raise ExprSyntaxError(f"nested deeper than {MAX_DEPTH} levels", tok.pos)
+        return levels
+
+    def grow(self, node: Expr, tok: _Token, *children: Expr) -> Expr:
+        """``node`` over ``children``, one level above the highest."""
+        height = 1 + max(self.heights.get(id(c), 1) for c in children)
+        self.heights[id(node)] = self.within(height, tok)
+        return node
+
     def parse(self) -> Expr:
         node = self.sum()
         tok = self.peek()
@@ -159,24 +180,31 @@ class _Parser:
         return node
 
     def sum(self) -> Expr:
+        self.depth = self.within(self.depth + 1, self.tokens[self.i - 1])
         node = self.term()
         while self.at_op("+", "-"):
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
+            tok = self.advance()
+            right = self.term()
+            node = self.grow(BinOp(tok.text, node, right), tok, node, right)
+        self.depth -= 1
         return node
 
     def term(self) -> Expr:
         node = self.unary()
         while self.at_op("*", "/"):
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
+            tok = self.advance()
+            right = self.unary()
+            node = self.grow(BinOp(tok.text, node, right), tok, node, right)
         return node
 
     def unary(self) -> Expr:
-        if self.at_op("-"):
-            self.advance()
-            return Neg(self.unary())
-        return self.atom()
+        if not self.at_op("-"):
+            return self.atom()
+        tok = self.advance()
+        self.depth = self.within(self.depth + 1, tok)
+        operand = self.unary()
+        self.depth -= 1
+        return self.grow(Neg(operand), tok, operand)
 
     def atom(self) -> Expr:
         tok = self.peek()
@@ -215,7 +243,7 @@ class _Parser:
             raise ExprSyntaxError(
                 f"{name.text} takes at least {min_arity} arguments", name.pos
             )
-        return Call(name.text, tuple(args))
+        return self.grow(Call(name.text, tuple(args)), name, *args)
 
     def piecewise(self, name: _Token) -> Expr:
         self.expect_op("(", "'('")
@@ -232,18 +260,20 @@ class _Parser:
         self.expect_op(":", "':'")
         otherwise = self.sum()
         self.expect_op(")", "')'")
-        return Piecewise(tuple(branches), otherwise)
+        parts = [part for branch in branches for part in branch]
+        node = Piecewise(tuple(branches), otherwise)
+        return self.grow(node, name, *parts, otherwise)
 
     def branch(self) -> tuple[Comparison, Expr]:
         left = self.sum()
         tok = self.peek()
         if not (tok.kind == "op" and tok.text in _COMPARISONS):
             raise ExprSyntaxError("expected a comparison", tok.pos)
-        op = self.advance().text
+        self.advance()
         right = self.sum()
         self.expect_op(":", "':'")
         value = self.sum()
-        return Comparison(op, left, right), value
+        return self.grow(Comparison(tok.text, left, right), tok, left, right), value
 
 
 def parse(text: str, variables: Iterator[str] | frozenset[str]) -> Expr:
@@ -261,54 +291,64 @@ def parse(text: str, variables: Iterator[str] | frozenset[str]) -> Expr:
 
 def evaluate(node: Expr, env: Mapping[str, Fraction]) -> Fraction:
     """Evaluate exactly over rationals.  Raises :class:`ExprEvalError`."""
+    return _compile(node, {n: i for i, n in enumerate(env)})(tuple(env.values()))
+
+
+_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
+def _compile(node: Expr, index: Mapping[str, int]) -> Callable:
+    """``node`` as a closure over the tuple of values of the names in
+    ``index`` (name -> position).  Exact over rationals; division by zero
+    and a missing binding are raised when the closure is called."""
     match node:
         case Num(value):
-            return value
+            return lambda v: value
+        case Var(name) if name in index:
+            return operator.itemgetter(index[name])
         case Var(name):
-            try:
-                return env[name]
-            except KeyError:
-                raise ExprEvalError(f"missing binding for {name!r}") from None
+            def unbound(v):
+                raise ExprEvalError(f"missing binding for {name!r}")
+            return unbound
         case Neg(operand):
-            return -evaluate(operand, env)
-        case BinOp("+", left, right):
-            return evaluate(left, env) + evaluate(right, env)
-        case BinOp("-", left, right):
-            return evaluate(left, env) - evaluate(right, env)
-        case BinOp("*", left, right):
-            return evaluate(left, env) * evaluate(right, env)
+            f = _compile(operand, index)
+            return lambda v: -f(v)
         case BinOp("/", left, right):
-            denom = evaluate(right, env)
-            if denom == 0:
-                raise ExprEvalError("division by zero")
-            return evaluate(left, env) / denom
+            f, g = _compile(left, index), _compile(right, index)
+
+            def divide(v):
+                denom = g(v)
+                if not denom:
+                    raise ExprEvalError("division by zero")
+                return f(v) / denom
+            return divide
+        case BinOp("+" | "-" | "*" as op, left, right) | Comparison(
+            "<" | "<=" | ">" | ">=" as op, left, right
+        ):
+            apply = _OPERATORS[op]
+            f, g = _compile(left, index), _compile(right, index)
+            return lambda v: apply(f(v), g(v))
         case Call("abs", (arg,)):
-            return abs(evaluate(arg, env))
-        case Call("min", args):
-            return min(evaluate(a, env) for a in args)
-        case Call("max", args):
-            return max(evaluate(a, env) for a in args)
+            f = _compile(arg, index)
+            return lambda v: abs(f(v))
+        case Call("min" | "max" as func, args):
+            pick = min if func == "min" else max
+            fs = [_compile(a, index) for a in args]
+            return lambda v: pick([f(v) for f in fs])
         case Piecewise(branches, otherwise):
-            for cond, value in branches:
-                if _holds(cond, env):
-                    return evaluate(value, env)
-            return evaluate(otherwise, env)
+            tests = [(_compile(c, index), _compile(x, index)) for c, x in branches]
+            other = _compile(otherwise, index)
+
+            def piecewise(v):
+                for holds, value in tests:
+                    if holds(v):
+                        return value(v)
+                return other(v)
+            return piecewise
     raise ExprEvalError(f"cannot evaluate node {node!r}")
-
-
-def _holds(cond: Comparison, env: Mapping[str, Fraction]) -> bool:
-    left = evaluate(cond.left, env)
-    right = evaluate(cond.right, env)
-    match cond.op:
-        case "<":
-            return left < right
-        case "<=":
-            return left <= right
-        case ">":
-            return left > right
-        case ">=":
-            return left >= right
-    raise ExprEvalError(f"bad comparison {cond.op!r}")
 
 
 _LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4
@@ -369,6 +409,11 @@ class Formula:
 
     ast: Expr
     variables: tuple[str, ...]
+    compiled: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = {name: i for i, name in enumerate(self.variables)}
+        object.__setattr__(self, "compiled", _compile(self.ast, index))
 
     @classmethod
     def parse(cls, text: str, variables: tuple[str, ...]) -> "Formula":
@@ -379,11 +424,7 @@ class Formula:
             raise ExprEvalError(
                 f"expected {len(self.variables)} arguments, got {len(values)}"
             )
-        env = {
-            name: to_fraction(value)
-            for name, value in zip(self.variables, values)
-        }
-        return evaluate(self.ast, env)
+        return self.compiled(tuple(map(to_fraction, values)))
 
     def pretty(self) -> str:
         return pretty(self.ast)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from statistics import mean
 
-from .contraction import ContractionParams, m_z_s
+from .contraction import ContractionParams, _m_value
 from .mapping import Mapping, MappingRangeError, PowerMapping, is_fixed
 from .numeric import DEFAULT_TOL, to_fraction
 from .space import Point, Space, s_converges
@@ -198,7 +198,8 @@ def discontinuity_criterion(
     conv = limit_tol if conv_tol is None else to_fraction(conv_tol)
     target = space.resolve(u)
     image = mapping.apply(space, target)
-    if space.smetric.triple(target, target, image) > tol:
+    s = space.smetric.triple
+    if s(target, target, image) > tol:
         raise ValueError(f"{target.label} is not a fixed point of the map")
 
     per_sequence = []
@@ -212,7 +213,10 @@ def discontinuity_criterion(
         w = window if window is not None else max(1, len(seq) // 4)
         tail = seq[-w:]
         tails_at_u = tails_at_u and all(x == target for x in tail)
-        values = [m_z_s(space, mapping, params, x, target) for x in tail]
+        values = [
+            _m_value(s, params, x, target, mapping.apply(space, x), image)
+            for x in tail
+        ]
         estimate = Fraction(mean(values))
         spread = max(values) - min(values)
         per_sequence.append(

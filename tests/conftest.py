@@ -18,6 +18,8 @@ from smetriclab import (
     FormulaMapping,
     FormulaSMetric,
     GaugeSpec,
+    Mapping,
+    SMetric,
     Space,
     TableMetric,
 )
@@ -31,6 +33,28 @@ def sum_abs_smetric():
 
 def identity_mapping():
     return FormulaMapping(Formula.parse("x", ("x",)))
+
+
+class CountingSMetric(SMetric):
+    """An S-metric that counts its evaluations in ``calls``."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, 0
+
+    def triple(self, x, y, z):
+        self.calls += 1
+        return self.base.triple(x, y, z)
+
+
+class CountingMapping(Mapping):
+    """A map that counts its applications in ``calls``."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, 0
+
+    def apply(self, space, x):
+        self.calls += 1
+        return self.base.apply(space, x)
 
 
 def closure_metric(rng, labels):

@@ -4,14 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import identity_mapping
+from hypothesis import given
+from hypothesis import strategies as st
+
+from conftest import CountingSMetric, identity_mapping, sum_abs_smetric
 
 from smetriclab import (
     ContractionParams,
     Formula,
+    FormulaSMetric,
     GaugeDomainError,
     GaugeSpec,
     PowerMapping,
+    Space,
     condition_ii_probe,
     eps_grid,
     m_z_s,
@@ -19,6 +24,7 @@ from smetriclab import (
     verify_phi_gauge,
     xi,
 )
+from smetriclab.contraction import _m_value
 
 TOL = Fraction(1, 10**9)
 
@@ -73,6 +79,37 @@ def test_m_z_s_band_values(four_space, four_map, four_params):
 def test_m_z_s_displacement_terms(four_space, four_map):
     params = ContractionParams(0, Fraction(1, 2), Fraction(1, 2))
     assert m_z_s(four_space, four_map, params, 0, 8) == 5
+
+
+_WEIGHTS = st.sampled_from([0, Fraction(1, 4), Fraction(3, 4)])
+_COORDS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@given(_WEIGHTS, _WEIGHTS, st.sampled_from([0, Fraction(1, 2)]),
+       st.lists(_COORDS, min_size=4, max_size=4),
+       st.sampled_from(["abs(x - z) + abs(y - z)", "x - 2*y + z"]))
+def test_m_value_skipping_zero_weights_equals_the_full_max(a, b, c, coords, s):
+    # the second S may be negative: a negative a*S must still lose to 0
+    # points off the one-point universe are coerced to free-standing points
+    space = Space.finite([0], FormulaSMetric(Formula.parse(s, ("x", "y", "z"))))
+    params = ContractionParams(a, b, c)
+    px, py, tx, ty = (space.coerce(v) for v in coords)
+    triple = space.smetric.triple
+    full = max(
+        params.a * triple(px, px, py),
+        params.b / 2 * (triple(px, px, tx) + triple(py, py, ty)),
+        params.c / 2 * (triple(px, px, ty) + triple(py, py, tx)),
+    )
+    assert _m_value(triple, params, px, py, tx, ty) == full
+
+
+def test_condition_i_evaluates_s_twice_per_pair_without_b_and_c(
+    four_map, four_params, loose_gauge
+):
+    counting = CountingSMetric(sum_abs_smetric())
+    space = Space.finite([0, 2, 4, 8], counting)
+    verify_condition_i(space, four_map, four_params, loose_gauge)
+    assert counting.calls == 2 * 16  # a*S(x, x, y) and S(Tx, Tx, Ty)
 
 
 def test_m_z_s_star_uses_the_power(four_space, four_map):

@@ -151,6 +151,25 @@ def test_nonfinite_numbers_are_rejected(tmp_path):
         load_experiment(tmp_path / "missing.json")
 
 
+@pytest.mark.parametrize(
+    ("field", "raw", "message"),
+    [
+        ("tolerance", "1e400", "tolerance: is too large for a float"),
+        ("map", json.dumps({"kind": "formula", "expr": "(" * 250 + "x" + ")" * 250}),
+         "map.expr: nested deeper than 100 levels at offset 99"),
+    ],
+)
+def test_cli_rejects_inputs_past_the_limits(tmp_path, field, raw, message):
+    doc = json.loads(json.dumps(band_doc(checks=[{"check": "axioms"}]), default=float))
+    doc[field] = "@"
+    path = tmp_path / "limits.json"
+    path.write_text(json.dumps(doc).replace('"@"', raw))
+    result = run_cli("run", "--input", str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_sequence_specs_expand_exactly():
     listed = SequenceSpec(values=[Fraction(1), Fraction(1, 2)])
     assert listed.expand() == [1, Fraction(1, 2)]

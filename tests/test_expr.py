@@ -14,7 +14,67 @@ from smetriclab import (
     parse,
     pretty,
 )
-from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
+from smetriclab.expr import (
+    MAX_DEPTH,
+    BinOp,
+    Call,
+    Comparison,
+    Neg,
+    Num,
+    Piecewise,
+    Var,
+)
+
+
+def reference(node, env):
+    """The tree-walking evaluator that the compiled closures replaced,
+    kept as the oracle they are tested against."""
+    match node:
+        case Num(value):
+            return value
+        case Var(name):
+            try:
+                return env[name]
+            except KeyError:
+                raise ExprEvalError(f"missing binding for {name!r}") from None
+        case Neg(operand):
+            return -reference(operand, env)
+        case BinOp("+", left, right):
+            return reference(left, env) + reference(right, env)
+        case BinOp("-", left, right):
+            return reference(left, env) - reference(right, env)
+        case BinOp("*", left, right):
+            return reference(left, env) * reference(right, env)
+        case BinOp("/", left, right):
+            denom = reference(right, env)
+            if denom == 0:
+                raise ExprEvalError("division by zero")
+            return reference(left, env) / denom
+        case Call("abs", (arg,)):
+            return abs(reference(arg, env))
+        case Call("min", args):
+            return min(reference(a, env) for a in args)
+        case Call("max", args):
+            return max(reference(a, env) for a in args)
+        case Piecewise(branches, otherwise):
+            for cond, value in branches:
+                left, right = reference(cond.left, env), reference(cond.right, env)
+                holds = {
+                    "<": left < right, "<=": left <= right,
+                    ">": left > right, ">=": left >= right,
+                }[cond.op]
+                if holds:
+                    return reference(value, env)
+            return reference(otherwise, env)
+    raise ExprEvalError(f"cannot evaluate node {node!r}")
+
+
+def outcome(evaluate_it):
+    """The value, or the text of the ExprEvalError raised instead."""
+    try:
+        return evaluate_it()
+    except ExprEvalError as e:
+        return f"ExprEvalError: {e}"
 
 
 @pytest.mark.parametrize(
@@ -82,6 +142,52 @@ def test_missing_binding_and_division_by_zero():
         evaluate(node, {"x": Fraction(1)})
 
 
+def test_unbound_names_fail_only_when_reached():
+    node = parse("piecewise(x < 0 : y, else : 1)", ("x", "y"))
+    assert evaluate(node, {"x": Fraction(1)}) == 1
+    with pytest.raises(ExprEvalError, match="missing binding for 'y'"):
+        evaluate(node, {"x": Fraction(-1)})
+
+
+def test_formulas_compare_and_hash_by_tree_and_variables():
+    first = Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z"))
+    second = Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z"))
+    assert first == second and hash(first) == hash(second)
+    assert first != Formula.parse("abs(x - z) + abs(y - z)", ("z", "y", "x"))
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda depth: "(" * depth + "x" + ")" * depth,
+        lambda depth: "-" * depth + "x",
+        lambda depth: "abs(" * depth + "x" + ")" * depth,
+        lambda depth: "x" + " + 1" * depth,
+        lambda depth: "x" + "*2" * depth,
+    ],
+    ids=["parentheses", "unary minus", "arguments", "sum chain", "product chain"],
+)
+def test_nesting_depth_is_bounded(nest):
+    # the whole formula is one level, so MAX_DEPTH - 1 more levels fit
+    deepest = Formula.parse(nest(MAX_DEPTH - 1), ("x",))
+    assert pretty(parse(deepest.pretty(), ("x",))) == deepest.pretty()
+    deepest(3)
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+        parse(nest(MAX_DEPTH), ("x",))
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
+        parse(nest(30 * MAX_DEPTH), ("x",))
+
+
+def test_nested_piecewise_is_bounded():
+    text = "x"
+    # each piecewise is a level, and the innermost condition one more
+    for _ in range(MAX_DEPTH - 2):
+        text = f"piecewise(x < 1 : 1, else : {text})"
+    assert Formula.parse(text, ("x",))(5) == 5
+    with pytest.raises(ExprSyntaxError, match="nested deeper"):
+        parse(f"piecewise(x < 1 : 1, else : {text})", ("x",))
+
+
 def test_formula_checks_arity():
     formula = Formula.parse("x + y", ("x", "y"))
     assert formula(2, "0.5") == Fraction(5, 2)
@@ -143,6 +249,20 @@ def _ast_strategy():
 def test_pretty_parse_is_a_fixed_point(ast):
     text = pretty(ast)
     assert pretty(parse(text, ("x", "y"))) == text
+
+
+@given(_ast_strategy(), st.integers(-3, 3), st.integers(-3, 3), st.booleans())
+@example(BinOp("/", Var("y"), BinOp("/", Num(Fraction(1)), Var("x"))), 0, 1, False)
+def test_compiled_formula_matches_the_reference(ast, xv, yv, bind_y):
+    env = {"x": Fraction(xv), "y": Fraction(yv)}
+    want = outcome(lambda: reference(ast, env))
+    assert outcome(lambda: Formula(ast, ("x", "y"))(xv, yv)) == want
+    if not bind_y:
+        # y unbound: the error, or the value when y is never reached
+        del env["y"]
+        assert outcome(lambda: evaluate(ast, env)) == outcome(
+            lambda: reference(ast, env)
+        )
 
 
 @given(_ast_strategy(), st.integers(-3, 3), st.integers(-3, 3))

@@ -4,7 +4,8 @@ Every bundled fixture, plus the documents under ``golden/inputs``, goes
 through every subcommand in both formats.  The exit code, stderr and the
 report (JSON without its ``timing`` block, or the text rendering) must
 match the files under ``golden/`` byte for byte.  Beside it, a table of
-malformed check entries pins the exact ``ConfigError`` text.
+malformed check entries, and of documents past the input limits, pins the
+exact ``ConfigError`` text.
 
 Regenerate the golden files with ``PYTHONPATH=src python
 tests/test_golden.py`` only when a report change is intended.
@@ -225,6 +226,10 @@ ERRORS = [
      "checks[0].expect[1]: no point at coordinate 6"),
 ]
 
+def _table_space(smetric):
+    return {"kind": "finite", "points": ["p", "q"], "smetric": smetric}
+
+
 _DISCONTINUITY = {"check": "discontinuity", "u": 4, "sequences": [[4, 4]]}
 
 
@@ -294,6 +299,31 @@ ERRORS += [
     ("fixed_circle bad expectation",
      _doc({"check": "fixed_circle", "x0": 4, "expect_disc_fixed": 1}),
      "checks[0].expect_disc_fixed: must be a boolean"),
+    # the universe and its tables
+    ("point neither number nor string",
+     _doc({"check": "axioms"}, space={**BASE["space"], "points": [0, True]}),
+     "space.points[1]: must be a number or string"),
+    ("table S-metric unknown label",
+     _doc({"check": "axioms"}, space=_table_space(
+         {"kind": "table", "entries": [["p", "p", "p", 0], ["p", "r", "q", 1]]})),
+     "space.smetric.entries[1]: unknown point label 'r'"),
+    ("table S-metric missing entry",
+     _doc({"check": "axioms"}, space=_table_space(
+         {"kind": "table", "entries": [["p", "p", "p", 0], ["q", "q", "q", 0]]})),
+     "space.smetric.entries: missing entry for (p, p, q)"),
+    ("table metric unknown label",
+     _doc({"check": "axioms"}, space=_table_space(
+         {"kind": "generated", "metric": {
+             "kind": "table", "entries": [["p", "q", 1], ["q", "r", 1]]}})),
+     "space.smetric.metric.entries[1]: unknown point label 'r'"),
+    # limits of the document itself
+    ("tolerance too large for a float",
+     _doc({"check": "axioms"}, tolerance=Fraction("1e400")),
+     "tolerance: is too large for a float"),
+    ("formula nested too deep",
+     _doc({"check": "axioms"},
+          map={"kind": "formula", "expr": "(" * 100 + "x" + ")" * 100}),
+     "map.expr: nested deeper than 100 levels at offset 99"),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import identity_mapping
+from conftest import CountingMapping, identity_mapping
 
 from smetriclab import (
     ContractionParams,
@@ -156,6 +156,21 @@ def test_limit_criterion_flags_the_jump(drop_space, drop_map, drop_params):
     assert verdict.overall_limsup == above.estimate
     assert verdict.classification == "discontinuous_at_u"
     assert verdict.note == ""
+
+
+def test_limit_criterion_maps_u_once(drop_space, drop_map, drop_params):
+    counting = CountingMapping(drop_map)
+    discontinuity_criterion(
+        drop_space,
+        counting,
+        drop_params,
+        1,
+        [approach(+1), approach(-1)],
+        limit_tol=Fraction(1, 100),
+        conv_tol=Fraction(1, 50),
+        tail_start=200,
+    )
+    assert counting.calls == 1 + 250 + 250  # u once, then each tail point
 
 
 def test_limit_criterion_requires_a_fixed_center(
