@@ -143,10 +143,6 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
 
     tolerance = number(doc.get("tolerance", DEFAULT_TOL), "tolerance")
     _require(tolerance > 0, "tolerance", "must be positive")
-    try:
-        float(tolerance)  # the echo reports it as a float
-    except OverflowError:
-        raise ConfigError("tolerance", "is too large for a float") from None
 
     _require("space" in doc, "space", "is required")
     space = _build_space(doc["space"])
@@ -185,6 +181,10 @@ def number(value: object, path: str, declared: object = None) -> Fraction:
     """An exact JSON number; also the check-table reader of one."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ConfigError(path, "must be a number")
+    try:
+        float(value)  # the echo reports every number as a float
+    except OverflowError:
+        raise ConfigError(path, "is too large for a float") from None
     return to_fraction(value)
 
 
@@ -477,6 +477,7 @@ def positive_int(raw: object, path: str, declared: Declared) -> int:
         isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1,
         path, "must be a positive integer",
     )
+    number(raw, path)  # the echo reports it as a float
     return raw
 
 

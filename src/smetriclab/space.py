@@ -15,13 +15,21 @@ The two defining laws checked here, over every sampled triple/quadruple:
 
 All checks take a strictness margin ``tol``: a strict inequality must
 clear its bound by at least ``tol`` to count as satisfied.
+
+The exhaustive sweeps evaluate each value of S (or d) once and compare
+exact integers over one common denominator of the values and ``tol``.
+Per outer tuple, the least right-hand side over the inner index certifies
+it at once; only tuples that fail it are scanned, reporting exact values.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from .expr import Formula
 from .numeric import DEFAULT_TOL, format_decimal, to_fraction
@@ -294,6 +302,12 @@ class AxiomReport:
         return not self.s1_violations and not self.s2_violations
 
 
+def _scaled(values: list[Fraction]) -> list[int]:
+    """Exact ``values`` as integers over one common denominator."""
+    den = math.lcm(*{v.denominator for v in values})
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
 def check_axioms(
     space: Space,
     sample: list[object] | None = None,
@@ -303,35 +317,36 @@ def check_axioms(
 
     S1 demands S = 0 on diagonal triples and S >= tol off the diagonal,
     which also rejects negative values.  S2 is tested over all ordered
-    quadruples with additive slack tol.
+    quadruples with additive slack tol.  S is evaluated once per triple,
+    in ``itertools.product`` order; S2 is certified per triple over all a.
     """
     tol = to_fraction(tol)
     pts = space.sampled(sample)
-    cache: dict[tuple[int, int, int], Fraction] = {}
-
-    def s(i: int, j: int, k: int) -> Fraction:
-        key = (i, j, k)
-        if key not in cache:
-            cache[key] = space.smetric.triple(pts[i], pts[j], pts[k])
-        return cache[key]
-
     n = len(pts)
-    s1: list[tuple[tuple[Point, Point, Point], Fraction]] = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        v = s(i, j, k)
-        diagonal = i == j == k
-        if diagonal and abs(v) > tol:
-            s1.append(((pts[i], pts[j], pts[k]), v))
-        elif not diagonal and v < tol:
-            s1.append(((pts[i], pts[j], pts[k]), v))
+    triples = list(itertools.product(range(n), repeat=3))
+    values = [space.smetric.triple(pts[i], pts[j], pts[k]) for i, j, k in triples]
+    t, *scaled = _scaled([tol, *values])
 
+    s1 = [
+        ((pts[i], pts[j], pts[k]), v)
+        for (i, j, k), v, w in zip(triples, values, scaled)
+        if (abs(w) > t if i == j == k else w < t)
+    ]
+
+    start = [(i * n + i) * n for i in range(n)]  # of the values S(i, i, .)
+    rows, exact = ([v[at:at + n] for at in start] for v in (scaled, values))
     s2: list[tuple[tuple[Point, Point, Point, Point], Fraction, Fraction]] = []
-    for i, j, k, a in itertools.product(range(n), repeat=4):
-        lhs = s(i, j, k)
-        rhs = s(i, i, a) + s(j, j, a) + s(k, k, a)
-        if lhs > rhs + tol:
-            s2.append(((pts[i], pts[j], pts[k], pts[a]), lhs, rhs))
-
+    for i, j in itertools.product(range(n), repeat=2):
+        ij = list(map(add, rows[i], rows[j]))
+        base = (i * n + j) * n
+        for k, rk in enumerate(rows):
+            bound = scaled[base + k] - t
+            if bound > min(map(add, ij, rk)):
+                s2 += [
+                    ((pts[i], pts[j], pts[k], pts[a]), values[base + k],
+                     exact[i][a] + exact[j][a] + exact[k][a])
+                    for a, rhs in enumerate(map(add, ij, rk)) if bound > rhs
+                ]
     return AxiomReport(s1, s2, n**3, n**4)
 
 
@@ -364,7 +379,8 @@ def s_from_metric(
 
     Raises :class:`MetricAxiomError` naming the first witness when the
     table or formula is not actually a metric.  For table metrics the
-    sample defaults to every label in the table.
+    sample defaults to every label in the table.  Each distance is
+    evaluated once, and the triangle is certified per pair over all z.
     """
     tol = to_fraction(tol)
     if points is None:
@@ -375,7 +391,7 @@ def s_from_metric(
     else:
         pts = [as_point(p) for p in points]
 
-    d = metric.distance
+    d = functools.cache(metric.distance)
     for x in pts:
         if abs(d(x, x)) > tol:
             raise MetricAxiomError(
@@ -391,11 +407,17 @@ def s_from_metric(
             raise MetricAxiomError(
                 f"asymmetry: d({x.label}, {y.label}) != d({y.label}, {x.label})"
             )
-    for x, y, z in itertools.product(pts, repeat=3):
-        if d(x, z) > d(x, y) + d(y, z) + tol:
+    n = len(pts)
+    t, *scaled = _scaled([tol, *(d(x, y) for x in pts for y in pts)])
+    rows = [scaled[i * n:(i + 1) * n] for i in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        # d(x, z) - d(y, z) <= d(x, y) + tol for every z at once
+        bound = rows[i][j] + t
+        if max(map(sub, rows[i], rows[j])) > bound:
+            k = next(k for k in range(n) if rows[i][k] - rows[j][k] > bound)
             raise MetricAxiomError(
                 f"triangle inequality fails at "
-                f"({x.label}, {y.label}, {z.label})"
+                f"({pts[i].label}, {pts[j].label}, {pts[k].label})"
             )
     return GeneratedSMetric(metric)
 
@@ -415,27 +437,24 @@ def check_triangle(
     sample: list[object] | None = None,
     tol: object = DEFAULT_TOL,
 ) -> TriangleReport:
-    """Test the induced distance for the triangle inequality on triples."""
+    """Test the induced distance for the triangle inequality on triples,
+    certified per pair (x, y) over all z, with each S(x, x, y) evaluated once."""
     tol = to_fraction(tol)
     pts = space.sampled(sample)
-    pair: dict[tuple[int, int], Fraction] = {}
-
-    def ds(i: int, j: int) -> Fraction:
-        key = (i, j) if i <= j else (j, i)
-        if key not in pair:
-            a, b = pts[key[0]], pts[key[1]]
-            pair[key] = space.smetric.triple(a, a, b) + space.smetric.triple(
-                b, b, a
-            )
-        return pair[key]
-
     n = len(pts)
+    s = functools.cache(space.smetric.triple)  # first calls in pair order
+    dist = [[s(x, x, y) + s(y, y, x) for y in pts] for x in pts]
+    t, *scaled = _scaled([tol, *itertools.chain.from_iterable(dist)])
+    rows = [scaled[i * n:(i + 1) * n] for i in range(n)]
     bad = []
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = ds(i, j)
-        rhs = ds(i, k) + ds(k, j)
-        if lhs > rhs + tol:
-            bad.append(((pts[i], pts[j], pts[k]), lhs, rhs))
+    for i, j in itertools.product(range(n), repeat=2):
+        bound = rows[i][j] - t
+        if bound > min(map(add, rows[i], rows[j])):
+            bad += [
+                ((pts[i], pts[j], pts[k]), dist[i][j], dist[i][k] + dist[k][j])
+                for k, rhs in enumerate(map(add, rows[i], rows[j]))
+                if bound > rhs
+            ]
     return TriangleReport(bad, n**3)
 
 
@@ -457,31 +476,29 @@ def generating_metric_check(
     reconstructs that candidate and compares it against S on every ordered
     triple of the sample.  Triples with three distinct entries are scanned
     first (in sample order) so the reported witness is an informative one;
-    degenerate triples are still checked afterwards.
+    degenerate triples are still checked afterwards.  S is evaluated once
+    per triple, in product order; pairs (x, y) are certified over all z.
     """
     tol = to_fraction(tol)
     pts = space.sampled(sample)
     n = len(pts)
-    half: dict[tuple[int, int], Fraction] = {}
-
-    def candidate(i: int, j: int) -> Fraction:
-        if (i, j) not in half:
-            half[(i, j)] = space.smetric.triple(pts[i], pts[i], pts[j]) / 2
-        return half[(i, j)]
-
-    everything = itertools.product(range(n), repeat=3)
-    distinct, degenerate = [], []
-    for i, j, k in everything:
-        (distinct if len({i, j, k}) == 3 else degenerate).append((i, j, k))
-
-    for i, j, k in distinct + degenerate:
-        actual = space.smetric.triple(pts[i], pts[j], pts[k])
-        expected = candidate(i, k) + candidate(j, k)
-        if abs(actual - expected) > tol:
-            return GeneratedCheck(
-                False, ((pts[i], pts[j], pts[k]), actual, expected), n**3
-            )
-    return GeneratedCheck(True, None, n**3)
+    values = [space.smetric.triple(*xyz) for xyz in itertools.product(pts, repeat=3)]
+    t, *scaled = _scaled([tol, *values])
+    # twice the gap S(x, y, z) - d(x, z) - d(y, z) against twice tol
+    start = [(i * n + i) * n for i in range(n)]  # of the values S(i, i, .)
+    rows = [scaled[at:at + n] for at in start]
+    bad = []
+    for i, j in itertools.product(range(n), repeat=2):
+        actual = scaled[(i * n + j) * n:(i * n + j + 1) * n]
+        gaps = list(map(sub, map(add, actual, actual), map(add, rows[i], rows[j])))
+        if max(map(abs, gaps)) > 2 * t:
+            bad += [(i, j, k) for k, gap in enumerate(gaps) if abs(gap) > 2 * t]
+    if not bad:
+        return GeneratedCheck(True, None, n**3)
+    i, j, k = min(bad, key=lambda triple: len(set(triple)) < 3)
+    candidate = values[start[i] + k] / 2 + values[start[j] + k] / 2
+    witness = ((pts[i], pts[j], pts[k]), values[(i * n + j) * n + k], candidate)
+    return GeneratedCheck(False, witness, n**3)
 
 
 def s_converges(

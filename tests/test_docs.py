@@ -1,4 +1,5 @@
-"""The README's check lists stay in step with the check table."""
+"""The README's check lists stay in step with the check table, and its
+Python examples run against the public API."""
 
 import re
 from pathlib import Path
@@ -35,6 +36,13 @@ def test_every_check_has_an_options_entry():
         for name in _names(bullet.split(":", 1)[0])
     ]
     assert sorted(listed) == sorted(CHECK_NAMES)
+
+
+def test_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_every_family_line_lists_its_checks():

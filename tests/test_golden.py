@@ -4,7 +4,8 @@ Every bundled fixture, plus the documents under ``golden/inputs``, goes
 through every subcommand in both formats.  The exit code, stderr and the
 report (JSON without its ``timing`` block, or the text rendering) must
 match the files under ``golden/`` byte for byte.  Beside it, a table of
-malformed check entries, and of documents past the input limits, pins the
+malformed check entries, and of documents past the input limits (among
+them every kind of number too large for the echo's floats), pins the
 exact ``ConfigError`` text.
 
 Regenerate the golden files with ``PYTHONPATH=src python
@@ -324,6 +325,36 @@ ERRORS += [
      _doc({"check": "axioms"},
           map={"kind": "formula", "expr": "(" * 100 + "x" + ")" * 100}),
      "map.expr: nested deeper than 100 levels at offset 99"),
+    # every number the echo reports as a float must fit in one
+    ("table S-metric entry too large for a float",
+     _doc({"check": "axioms"}, space=_table_space(
+         {"kind": "table", "entries": [["p", "p", "p", 0],
+                                       ["p", "p", "q", Fraction("1e400")]]})),
+     "space.smetric.entries[1]: is too large for a float"),
+    ("table metric entry too large for a float",
+     _doc({"check": "axioms"}, space=_table_space(
+         {"kind": "generated", "metric": {
+             "kind": "table", "entries": [["p", "q", Fraction("1e400")]]}})),
+     "space.smetric.metric.entries[0]: is too large for a float"),
+    ("grid bound too large for a float",
+     _doc({"check": "axioms"}, space={
+         "kind": "real_grid", "lo": 0, "hi": Fraction("1e400"),
+         "step": Fraction("1e399"), "smetric": BASE["space"]["smetric"]}),
+     "space.hi: is too large for a float"),
+    ("grid step too large for a float",
+     _doc({"check": "axioms"}, space={
+         "kind": "real_grid", "lo": 0, "hi": 1,
+         "step": Fraction("1e400"), "smetric": BASE["space"]["smetric"]}),
+     "space.step: is too large for a float"),
+    ("check option too large for a float",
+     _doc({"check": "fixed_circle", "x0": 4, "tol_circle": Fraction("1e400")}),
+     "checks[0].tol_circle: is too large for a float"),
+    ("integer option too large for a float",
+     _doc({"check": "solve", "x0": 0, "max_iter": 10**400}),
+     "checks[0].max_iter: is too large for a float"),
+    ("sequence value too large for a float",
+     _doc(_discontinuity(sequences=[[4, Fraction("-1e400")]])),
+     "checks[0].sequences[0][1]: is too large for a float"),
 ]
 
 

@@ -1,5 +1,9 @@
 """Point universes, S-metric axioms, and the generated-metric machinery."""
 
+import contextlib
+import io
+import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,17 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_metric, sum_abs_smetric
+from conftest import CountingSMetric, closure_metric, sum_abs_smetric
 
 from smetriclab import (
+    DEFAULT_TOL,
+    AxiomReport,
     Formula,
     FormulaMetric,
     FormulaSMetric,
+    GeneratedCheck,
+    GeneratedSMetric,
     MetricAxiomError,
     Point,
+    SMetric,
     Space,
+    SpaceError,
     TableMetric,
     TableSMetric,
+    TriangleReport,
     UnknownPointError,
     UnsupportedSpaceError,
     as_point,
@@ -28,6 +39,8 @@ from smetriclab import (
     s_converges,
     s_from_metric,
 )
+from smetriclab import cli
+from smetriclab.numeric import format_decimal, to_fraction
 
 
 def test_as_point_labels():
@@ -251,3 +264,317 @@ def test_closure_metrics_generate_axiom_clean_spaces(seed, size):
     assert check_axioms(space).passed
     assert check_symmetry(space) == []
     assert generating_metric_check(space).generated
+
+
+# The Fraction loops that the integer kernels replaced, kept as the oracle
+# the kernels are tested against.
+
+
+def reference_axioms(space, sample=None, tol=DEFAULT_TOL):
+    tol = to_fraction(tol)
+    pts = space.sampled(sample)
+    cache = {}
+
+    def s(i, j, k):
+        key = (i, j, k)
+        if key not in cache:
+            cache[key] = space.smetric.triple(pts[i], pts[j], pts[k])
+        return cache[key]
+
+    n = len(pts)
+    s1 = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        v = s(i, j, k)
+        diagonal = i == j == k
+        if diagonal and abs(v) > tol:
+            s1.append(((pts[i], pts[j], pts[k]), v))
+        elif not diagonal and v < tol:
+            s1.append(((pts[i], pts[j], pts[k]), v))
+
+    s2 = []
+    for i, j, k, a in itertools.product(range(n), repeat=4):
+        lhs = s(i, j, k)
+        rhs = s(i, i, a) + s(j, j, a) + s(k, k, a)
+        if lhs > rhs + tol:
+            s2.append(((pts[i], pts[j], pts[k], pts[a]), lhs, rhs))
+
+    return AxiomReport(s1, s2, n**3, n**4)
+
+
+def reference_triangle(space, sample=None, tol=DEFAULT_TOL):
+    tol = to_fraction(tol)
+    pts = space.sampled(sample)
+    pair = {}
+
+    def ds(i, j):
+        key = (i, j) if i <= j else (j, i)
+        if key not in pair:
+            a, b = pts[key[0]], pts[key[1]]
+            pair[key] = space.smetric.triple(a, a, b) + space.smetric.triple(
+                b, b, a
+            )
+        return pair[key]
+
+    n = len(pts)
+    bad = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = ds(i, j)
+        rhs = ds(i, k) + ds(k, j)
+        if lhs > rhs + tol:
+            bad.append(((pts[i], pts[j], pts[k]), lhs, rhs))
+    return TriangleReport(bad, n**3)
+
+
+def reference_generated(space, sample=None, tol=DEFAULT_TOL):
+    tol = to_fraction(tol)
+    pts = space.sampled(sample)
+    n = len(pts)
+    half = {}
+
+    def candidate(i, j):
+        if (i, j) not in half:
+            half[(i, j)] = space.smetric.triple(pts[i], pts[i], pts[j]) / 2
+        return half[(i, j)]
+
+    everything = itertools.product(range(n), repeat=3)
+    distinct, degenerate = [], []
+    for i, j, k in everything:
+        (distinct if len({i, j, k}) == 3 else degenerate).append((i, j, k))
+
+    for i, j, k in distinct + degenerate:
+        actual = space.smetric.triple(pts[i], pts[j], pts[k])
+        expected = candidate(i, k) + candidate(j, k)
+        if abs(actual - expected) > tol:
+            return GeneratedCheck(
+                False, ((pts[i], pts[j], pts[k]), actual, expected), n**3
+            )
+    return GeneratedCheck(True, None, n**3)
+
+
+def reference_s_from_metric(metric, points=None, tol=DEFAULT_TOL):
+    tol = to_fraction(tol)
+    if points is None:
+        labels = sorted({x for pair in metric.entries for x in pair})
+        pts = [Point(lbl) for lbl in labels]
+    else:
+        pts = [as_point(p) for p in points]
+
+    d = metric.distance
+    for x in pts:
+        if abs(d(x, x)) > tol:
+            raise MetricAxiomError(
+                f"d({x.label}, {x.label}) = {format_decimal(d(x, x))}, not 0"
+            )
+    for x, y in itertools.permutations(pts, 2):
+        if d(x, y) < tol:
+            raise MetricAxiomError(
+                f"d({x.label}, {y.label}) = {format_decimal(d(x, y))} "
+                "is not strictly positive"
+            )
+        if abs(d(x, y) - d(y, x)) > tol:
+            raise MetricAxiomError(
+                f"asymmetry: d({x.label}, {y.label}) != d({y.label}, {x.label})"
+            )
+    for x, y, z in itertools.product(pts, repeat=3):
+        if d(x, z) > d(x, y) + d(y, z) + tol:
+            raise MetricAxiomError(
+                f"triangle inequality fails at "
+                f"({x.label}, {y.label}, {z.label})"
+            )
+    return GeneratedSMetric(metric)
+
+
+class RecordingSMetric(SMetric):
+    """An S-metric that records the label triples it is evaluated on."""
+
+    def __init__(self, base):
+        self.base, self.calls = base, []
+
+    def triple(self, x, y, z):
+        self.calls.append((x.label, y.label, z.label))
+        return self.base.triple(x, y, z)
+
+
+FRACTIONS = st.builds(
+    Fraction, st.integers(-4, 12), st.sampled_from((1, 2, 3, 4, 6, 7, 10))
+)
+POSITIVE = st.builds(Fraction, st.integers(1, 12), st.sampled_from((1, 2, 3, 5)))
+TOLERANCES = st.sampled_from(
+    (Fraction(0), Fraction(1, 10**9), Fraction(1, 3), Fraction(-1, 10**9),
+     Fraction(-2))
+)
+FORMULAS = (
+    "abs(x - z) + abs(y - z)",
+    "abs(x - z) + abs(x + z - 2*y)",
+    "max(abs(x - z), abs(y - z)) / 3",
+    "abs(x - y) / 7 + abs(y - z) / 2 + abs(z - x)",
+    "(x - z) * (y - z) + 1/10",
+)
+
+
+@st.composite
+def smetrics(draw, labels):
+    """A random table S, a generated S (perhaps with one entry changed),
+    or, on numeric labels, a formula S."""
+    kinds = ["table", "generated"]
+    if all(isinstance(label, Fraction) for label in labels):
+        kinds.append("formula")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "formula":
+        formula = Formula.parse(draw(st.sampled_from(FORMULAS)), ("x", "y", "z"))
+        return FormulaSMetric(formula)
+    names = [as_point(label).label for label in labels]
+    triples = list(itertools.product(names, repeat=3))
+    if kind == "table":
+        return TableSMetric({t: draw(FRACTIONS) for t in triples})
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    d = closure_metric(rng, names).entries  # no diagonal for one point
+    entries = {
+        (x, y, z): d.get((x, z), 0) + d.get((y, z), 0) for x, y, z in triples
+    }
+    if draw(st.booleans()):
+        entries[draw(st.sampled_from(triples))] = draw(FRACTIONS)
+    return TableSMetric(entries)
+
+
+@st.composite
+def sampled_spaces(draw):
+    """A space of one to four points and a sample of it: None, or up to
+    five of its points in any order, repeats allowed."""
+    if draw(st.booleans()):
+        labels = draw(st.lists(FRACTIONS, min_size=1, max_size=4, unique=True))
+    else:
+        labels = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
+    space = Space.finite(labels, draw(smetrics(labels)))
+    sample = draw(st.none() | st.lists(
+        st.sampled_from([p.label for p in space.points]), min_size=1, max_size=5
+    ))
+    return space, sample
+
+
+def _exactly(value):
+    """``value`` with every number tagged by its type, so that equal
+    values of different types do not compare equal."""
+    return value, repr(value)
+
+
+def _outcome(call):
+    try:
+        return _exactly(call())
+    except SpaceError as e:  # a failed axiom, or a table missing an entry
+        return f"{type(e).__name__}: {e}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_spaces(), TOLERANCES)
+def test_sweeps_match_the_fraction_loops(space_and_sample, tol):
+    space, sample = space_and_sample
+    for kernel, reference in (
+        (check_axioms, reference_axioms),
+        (check_triangle, reference_triangle),
+        (generating_metric_check, reference_generated),
+    ):
+        assert _exactly(kernel(space, sample, tol)) == _exactly(
+            reference(space, sample, tol)
+        ), kernel.__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_spaces(), TOLERANCES)
+def test_sweeps_evaluate_s_in_the_order_of_the_fraction_loops(
+    space_and_sample, tol
+):
+    # an S that raises on some triple therefore aborts at the same triple
+    space, sample = space_and_sample
+    for kernel, reference in (
+        (check_axioms, reference_axioms),
+        (check_triangle, reference_triangle),
+    ):
+        new, old = RecordingSMetric(space.smetric), RecordingSMetric(space.smetric)
+        kernel(Space("finite", space.points, new), sample, tol)
+        reference(Space("finite", space.points, old), sample, tol)
+        assert list(dict.fromkeys(new.calls)) == list(dict.fromkeys(old.calls))
+
+
+@st.composite
+def metrics(draw):
+    """A formula metric with its points, or a table metric: symmetric
+    positive weights, with or without the shortest-path closure that makes
+    them a metric, and perhaps with a few entries changed."""
+    if draw(st.booleans()):
+        points = draw(st.lists(FRACTIONS, min_size=1, max_size=4, unique=True))
+        expr = draw(st.sampled_from(
+            ("abs(x - y)", "abs(x - y) / 3 + 1/2", "(x - y) * (x - y)",
+             "x - y", "max(x, y) - min(x, y)")
+        ))
+        return FormulaMetric(Formula.parse(expr, ("x", "y"))), points
+    labels = [f"p{i}" for i in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        entries = dict(closure_metric(rng, labels).entries)
+    else:
+        entries = {
+            pair: draw(POSITIVE) for pair in itertools.combinations(labels, 2)
+        }
+    pairs = list(itertools.product(labels, repeat=2))
+    for pair in draw(st.lists(st.sampled_from(pairs), max_size=2)):
+        entries[pair] = draw(FRACTIONS)
+    entries.setdefault((labels[0], labels[-1]), Fraction(0))
+    return TableMetric(entries), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(metrics(), TOLERANCES)
+def test_metric_validation_matches_the_fraction_loops(metric_and_points, tol):
+    metric, points = metric_and_points
+    new = _outcome(lambda: s_from_metric(metric, points, tol))
+    old = _outcome(lambda: reference_s_from_metric(metric, points, tol))
+    if isinstance(old, str):
+        assert new == old
+    else:
+        assert type(new[0]) is GeneratedSMetric and new[0].metric is metric
+
+
+@pytest.mark.parametrize(
+    ("kernel", "evaluations"),
+    [
+        (check_axioms, lambda n: n**3),
+        (generating_metric_check, lambda n: n**3),
+        (check_triangle, lambda n: n**2),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_sweeps_evaluate_each_s_value_once(four_space, kernel, evaluations, n):
+    counting = CountingSMetric(four_space.smetric)
+    space = Space("finite", four_space.points, counting)
+    kernel(space, [p.label for p in four_space.points[:n]])
+    assert counting.calls == evaluations(n)
+
+
+# S divides by zero on the triple (1, 1, 1) only: the base-3 digits of
+# x, y, z identify each triple of {0, 1, 2}
+_RAISING_S = "abs(x - z) + abs(y - z) + 0 / (x + 3*y + 9*z - 13)"
+
+
+@pytest.mark.parametrize("check", ["axioms", "triangle", "generated"])
+def test_sweeps_abort_when_s_raises(tmp_path, check):
+    doc = {
+        "space": {
+            "kind": "finite",
+            "points": [0, 1, 2],
+            "smetric": {"kind": "formula", "expr": _RAISING_S},
+        },
+        "checks": [{"check": check}],
+    }
+    path = tmp_path / "raising.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["run", "--input", str(path)])
+    assert code == 2
+    assert json.loads(out.getvalue())["checks"] == [{
+        "check": check,
+        "label": check,
+        "verdict": "aborted",
+        "error": "ExprEvalError: division by zero",
+    }]
