@@ -72,15 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _grid_subsample(spec: ExperimentSpec) -> list[str] | None:
-    """Labels of an evenly strided subsample of a large universe."""
+    """Labels of ``_SAMPLE_CAP`` evenly spaced points of a larger universe,
+    both ends included."""
     points = spec.space.points
-    if len(points) <= _SAMPLE_CAP:
+    last = len(points) - 1
+    if last < _SAMPLE_CAP:
         return None
-    stride = max(1, (len(points) - 1) // (_SAMPLE_CAP - 1))
-    sample = list(points[::stride])
-    if sample[-1] != points[-1]:
-        sample.append(points[-1])
-    return [p.label for p in sample]
+    return [points[i * last // (_SAMPLE_CAP - 1)].label for i in range(_SAMPLE_CAP)]
 
 
 def _synthesize(spec: ExperimentSpec, command: str) -> list[CheckSpec]:

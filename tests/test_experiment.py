@@ -18,7 +18,7 @@ from smetriclab import (
     render_text,
     run,
 )
-from smetriclab import runner as runner_module
+from smetriclab import cli, runner as runner_module
 
 from conftest import SUM_ABS, run_cli
 
@@ -333,3 +333,14 @@ def test_cli_family_and_output_options(tmp_path):
     bad_tol = run_cli("run", "--input", path, "--tolerance", "-1")
     assert bad_tol.returncode == 2
     assert "tolerance must be positive" in bad_tol.stderr
+
+
+@pytest.mark.parametrize("nodes", [25, 46, 47, 201, 2001])
+def test_synthesized_sweeps_keep_24_grid_nodes_with_both_ends(nodes):
+    doc = band_doc(space={
+        "kind": "real_grid", "lo": 0, "hi": nodes - 1, "step": 1,
+        "smetric": {"kind": "formula", "expr": SUM_ABS},
+    })
+    sample = cli._grid_subsample(build_experiment(doc))
+    assert len(sample) == len(set(sample)) == 24
+    assert (sample[0], sample[-1]) == ("0", str(nodes - 1))
