@@ -31,6 +31,7 @@ from .experiment import (
     build_check,
     load_experiment,
 )
+from .numeric import LiteralBoundError, read_number
 from .runner import CHECK_FAMILIES, RunReport, render_text, run
 
 _SAMPLE_CAP = 24  # synthesized sweeps subsample larger universes
@@ -38,7 +39,12 @@ _SAMPLE_CAP = 24  # synthesized sweeps subsample larger universes
 
 def _tolerance_arg(text: str) -> Fraction:
     try:
-        value = Fraction(text)
+        value = read_number(text)
+        float(value)  # the report states the tolerance as a float
+    except LiteralBoundError as e:
+        raise argparse.ArgumentTypeError(f"tolerance {e}") from None
+    except OverflowError:
+        raise argparse.ArgumentTypeError("tolerance is too large for a float") from None
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if value <= 0:

@@ -22,11 +22,10 @@ from pathlib import Path
 from .contraction import ContractionParams, GaugeSpec
 from .expr import ExprError, Formula
 from .mapping import FormulaMapping, Mapping, TableMapping
-from .numeric import DEFAULT_TOL, to_fraction
+from .numeric import DEFAULT_TOL, read_number, to_fraction
 from .space import (
     FormulaMetric,
     FormulaSMetric,
-    GeneratedSMetric,
     GridBoundError,
     Metric,
     MetricAxiomError,
@@ -64,16 +63,6 @@ class SequenceSpec:
             return list(self.values)
         assert self.expr is not None
         return [self.expr(n) for n in range(self.n_from, self.n_to + 1)]
-
-    def describe(self) -> dict:
-        if self.values is not None:
-            return {"values": [float(v) for v in self.values]}
-        assert self.expr is not None
-        return {
-            "expr": self.expr.pretty(),
-            "n_from": self.n_from,
-            "n_to": self.n_to,
-        }
 
 
 @dataclass
@@ -117,7 +106,7 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     try:
         doc = json.loads(
             text,
-            parse_float=Fraction,
+            parse_float=_parse_decimal,
             parse_constant=_reject_constant,
         )
     except ValueError as e:
@@ -127,17 +116,23 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     return build_experiment(doc, default_name=path.stem)
 
 
+def _parse_decimal(text: str) -> object:
+    """A decimal's exact value, or the error its field's reader reports."""
+    try:
+        return read_number(text)
+    except ValueError as e:
+        return e
+
+
 def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite number {name!r} is not allowed")
 
 
 def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentSpec:
     """Validate a parsed document and assemble the runnable spec."""
-    known = {"name", "tolerance", "space", "map", "params", "gauge", "checks"}
-    for key in doc:
-        if key not in known:
-            raise ConfigError(key, "unknown field")
-
+    _known_fields(
+        doc, "", "name", "tolerance", "space", "map", "params", "gauge", "checks"
+    )
     name = doc.get("name", default_name)
     _require(isinstance(name, str) and name, "name", "must be a nonempty string")
 
@@ -168,7 +163,7 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
     ]
     _disambiguate_labels(checks)
 
-    echo = _echo(name, tolerance, declared, checks)
+    echo = _exact({"name": name, "tolerance": tolerance, **doc})
     digest = hashlib.sha256(
         json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -179,33 +174,29 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
 
 def number(value: object, path: str, declared: object = None) -> Fraction:
     """An exact JSON number; also the check-table reader of one."""
+    if isinstance(value, ValueError):  # a decimal the parser could not read
+        raise ConfigError(path, str(value))
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ConfigError(path, "must be a number")
     try:
-        float(value)  # the echo reports every number as a float
+        float(value)  # evidence and the report's tolerance are floats
     except OverflowError:
         raise ConfigError(path, "is too large for a float") from None
     return to_fraction(value)
 
 
 def _build_space(node: object) -> Space:
-    _require(isinstance(node, dict), "space", "must be an object")
-    kind = node.get("kind")
-    _require(
-        kind in ("finite", "real_grid"), "space.kind",
-        "must be 'finite' or 'real_grid'",
-    )
+    kind = _kind(node, "space", _SPACES, "must be 'finite' or 'real_grid'")
     _require("smetric" in node, "space.smetric", "is required")
 
     if kind == "finite":
         pts = node.get("points")
         if not isinstance(pts, list) or not pts:
             raise ConfigError("space.points", "must be a nonempty list")
-        points = []
-        for i, p in enumerate(pts):
-            if isinstance(p, bool) or not isinstance(p, (str, int, Fraction)):
-                raise ConfigError(f"space.points[{i}]", "must be a number or string")
-            points.append(p if isinstance(p, str) else to_fraction(p))
+        points = [
+            _point_literal(p, f"space.points[{i}]", "must be a number or string")
+            for i, p in enumerate(pts)
+        ]
         smetric = _build_smetric(node["smetric"], points, kind)
         try:
             space = Space.finite(points, smetric)
@@ -230,20 +221,18 @@ def _build_space(node: object) -> Space:
     return space
 
 
-def _build_smetric(node: object, points: list | None, kind: str) -> SMetric:
+def _build_smetric(node: object, points: list, kind: str) -> SMetric:
     path = "space.smetric"
-    _require(isinstance(node, dict), path, "must be an object")
-    skind = node.get("kind")
+    skind = _kind(node, path, _SMETRICS, "must be 'formula', 'table', or 'generated'")
     if skind == "formula":
         formula = _formula(node.get("expr"), ("x", "y", "z"), f"{path}.expr")
-        if points is not None and any(isinstance(p, str) for p in points):
+        if any(isinstance(p, str) for p in points):
             raise ConfigError(
                 "space.points", "a formula S-metric needs numeric points"
             )
         return FormulaSMetric(formula)
     if skind == "table":
         _require(kind == "finite", path, "a table S-metric needs a finite space")
-        assert points is not None
         table = _table(node.get("entries"), path, 3, points)
         for triple in itertools.product(map(_label_of, points), repeat=3):
             if triple not in table:
@@ -251,35 +240,26 @@ def _build_smetric(node: object, points: list | None, kind: str) -> SMetric:
                     f"{path}.entries", f"missing entry for ({', '.join(triple)})"
                 )
         return TableSMetric(table)
-    if skind == "generated":
-        metric = _build_metric(node.get("metric"), f"{path}.metric", points, kind)
-        sample = points if points is not None else None
-        try:
-            return s_from_metric(metric, sample)
-        except (MetricAxiomError, ValueError) as e:
-            raise ConfigError(f"{path}.metric", str(e)) from None
-    raise ConfigError(
-        f"{path}.kind", "must be 'formula', 'table', or 'generated'"
-    )
+    metric = _build_metric(node.get("metric"), f"{path}.metric", points, kind)
+    try:
+        return s_from_metric(metric, points)
+    except (MetricAxiomError, ExprError, ValueError) as e:
+        raise ConfigError(f"{path}.metric", str(e)) from None
 
 
 def _build_metric(
-    node: object, path: str, points: list | None, kind: str
+    node: object, path: str, points: list, kind: str
 ) -> Metric:
-    _require(isinstance(node, dict), path, "must be an object")
-    mkind = node.get("kind")
+    mkind = _kind(node, path, _FORMULA_OR_TABLE, "must be 'formula' or 'table'")
     if mkind == "formula":
         formula = _formula(node.get("expr"), ("x", "y"), f"{path}.expr")
-        if points is not None and any(isinstance(p, str) for p in points):
+        if any(isinstance(p, str) for p in points):
             raise ConfigError(
                 "space.points", "a formula metric needs numeric points"
             )
         return FormulaMetric(formula)
-    if mkind == "table":
-        _require(kind == "finite", path, "a table metric needs a finite space")
-        assert points is not None
-        return TableMetric(_table(node.get("entries"), path, 2, points))
-    raise ConfigError(f"{path}.kind", "must be 'formula' or 'table'")
+    _require(kind == "finite", path, "a table metric needs a finite space")
+    return TableMetric(_table(node.get("entries"), path, 2, points))
 
 
 def _label_of(p: object) -> str:
@@ -307,11 +287,15 @@ def _table(node: object, path: str, arity: int, points: list) -> dict:
     return dict(rows)
 
 
-def _point_literal(ref: object, path: str) -> object:
+def _point_literal(
+    ref: object, path: str, message: str = "point references must be numbers or strings"
+) -> object:
     if isinstance(ref, str):
         return ref
+    if isinstance(ref, ValueError):
+        raise ConfigError(path, str(ref))
     if isinstance(ref, bool) or not isinstance(ref, (int, Fraction)):
-        raise ConfigError(path, "point references must be numbers or strings")
+        raise ConfigError(path, message)
     return to_fraction(ref)
 
 
@@ -324,40 +308,35 @@ def _formula(text: object, variables: tuple[str, ...], path: str) -> Formula:
 
 
 def _build_mapping(node: object, space: Space) -> Mapping:
-    _require(isinstance(node, dict), "map", "must be an object")
-    kind = node.get("kind")
+    kind = _kind(node, "map", _FORMULA_OR_TABLE, "must be 'formula' or 'table'")
     if kind == "formula":
         formula = _formula(node.get("expr"), ("x",), "map.expr")
         if any(p.value is None for p in space.points):
             raise ConfigError("map.expr", "a formula map needs numeric points")
         return FormulaMapping(formula)
-    if kind == "table":
-        entries = node.get("entries")
-        if not isinstance(entries, dict) or not entries:
-            raise ConfigError("map.entries", "must be a nonempty object")
-        for src, dst in entries.items():
-            if src not in space:
-                raise ConfigError(
-                    "map.entries", f"unknown point label {src!r}"
-                )
-            if not isinstance(dst, str) or dst not in space:
-                raise ConfigError(
-                    "map.entries", f"image of {src!r} is not a universe label"
-                )
-        missing = [p.label for p in space.points if p.label not in entries]
-        if missing:
+    entries = node.get("entries")
+    if not isinstance(entries, dict) or not entries:
+        raise ConfigError("map.entries", "must be a nonempty object")
+    for src, dst in entries.items():
+        if src not in space:
             raise ConfigError(
-                "map.entries", f"no entry for point {missing[0]!r}"
+                "map.entries", f"unknown point label {src!r}"
             )
-        return TableMapping(entries)
-    raise ConfigError("map.kind", "must be 'formula' or 'table'")
+        if not isinstance(dst, str) or dst not in space:
+            raise ConfigError(
+                "map.entries", f"image of {src!r} is not a universe label"
+            )
+    missing = [p.label for p in space.points if p.label not in entries]
+    if missing:
+        raise ConfigError(
+            "map.entries", f"no entry for point {missing[0]!r}"
+        )
+    return TableMapping(entries)
 
 
 def _build_params(node: object) -> ContractionParams:
     _require(isinstance(node, dict), "params", "must be an object")
-    for key in node:
-        if key not in ("a", "b", "c"):
-            raise ConfigError(f"params.{key}", "unknown field")
+    _known_fields(node, "params", "a", "b", "c")
     try:
         return ContractionParams(
             number(node.get("a", 0), "params.a"),
@@ -370,9 +349,7 @@ def _build_params(node: object) -> ContractionParams:
 
 def _build_gauge(node: object) -> GaugeSpec:
     _require(isinstance(node, dict), "gauge", "must be an object")
-    for key in node:
-        if key not in ("phi", "delta"):
-            raise ConfigError(f"gauge.{key}", "unknown field")
+    _known_fields(node, "gauge", "phi", "delta")
     phi = delta = None
     if "phi" in node:
         phi = _formula(node["phi"], ("t",), "gauge.phi")
@@ -386,6 +363,32 @@ def _require(condition: object, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
+def _known_fields(node: dict, path: str, *known: str, noun: str = "field") -> None:
+    """Reject the first key of the object at ``path`` not in ``known``."""
+    for key in node:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key, f"unknown {noun}")
+
+
+def _kind(node: object, path: str, fields: dict, message: str) -> str:
+    """The ``kind`` of the object at ``path``, one of ``fields``, whose
+    other keys must be among the fields that kind reads."""
+    _require(isinstance(node, dict), path, "must be an object")
+    kind = node.get("kind")
+    _require(isinstance(kind, str) and kind in fields, f"{path}.kind", message)
+    _known_fields(node, path, "kind", *fields[kind])
+    return kind
+
+
+#: The fields each kind of space, S-metric, metric or map reads.
+_SPACES = {
+    "finite": ("smetric", "points"),
+    "real_grid": ("smetric", "lo", "hi", "step"),
+}
+_FORMULA_OR_TABLE = {"formula": ("expr",), "table": ("entries",)}
+_SMETRICS = {**_FORMULA_OR_TABLE, "generated": ("metric",)}
+
+
 def build_check(entry: object, path: str, declared: Declared) -> CheckSpec:
     """Validate one check entry against its row of the check table."""
     from .runner import CHECKS  # the table sits with the execute functions
@@ -397,9 +400,7 @@ def build_check(entry: object, path: str, declared: Declared) -> CheckSpec:
         f"unknown check {name!r}",
     )
     check = CHECKS[name]
-    for key in entry:
-        if key != "check" and key not in check.options:
-            raise ConfigError(f"{path}.{key}", "unknown option")
+    _known_fields(entry, path, "check", *check.options, noun="option")
     for part in check.needs:
         _require(_NEEDS[part](declared), path, f"{name} needs {part}")
     options = {
@@ -477,7 +478,7 @@ def positive_int(raw: object, path: str, declared: Declared) -> int:
         isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1,
         path, "must be a positive integer",
     )
-    number(raw, path)  # the echo reports it as a float
+    number(raw, path)  # held to float range like every other number
     return raw
 
 
@@ -519,8 +520,10 @@ def sequence(node: object, path: str, declared: Declared) -> SequenceSpec:
         )
     if isinstance(node, dict):
         if "values" in node:
+            _known_fields(node, path, "values")
             values = list_of(number)(node["values"], f"{path}.values", declared)
             return SequenceSpec(values=values)
+        _known_fields(node, path, "expr", "n_from", "n_to")
         formula = _formula(node.get("expr"), ("n",), f"{path}.expr")
         n_from = node.get("n_from", 1)
         n_to = node.get("n_to")
@@ -543,52 +546,22 @@ def _disambiguate_labels(checks: list[CheckSpec]) -> None:
             check.label = f"{check.label}#{count + 1}"
 
 
-def _echo(
-    name: str, tolerance: Fraction, declared: Declared, checks: list[CheckSpec]
-) -> dict:
-    """JSON-ready resolved configuration (defaults applied, forms canonical)."""
-    space, params, gauge = declared.space, declared.params, declared.gauge
-    out: dict = {"name": name, "tolerance": float(tolerance)}
-
-    snode: dict = {"kind": space.kind}
-    if space.kind == "finite":
-        snode["points"] = [p.label for p in space.points]
-    else:
-        snode.update({k: float(getattr(space, k) or 0) for k in ("lo", "hi", "step")})
-    snode["smetric"] = _describe_smetric(space.smetric)
-    out["space"] = snode
-
-    if declared.mapping is not None:
-        out["map"] = _describe_mapping(declared.mapping)
-    if params is not None:
-        out["params"] = {k: float(getattr(params, k)) for k in ("a", "b", "c")}
-    if gauge is not None:
-        out["gauge"] = {
-            key: formula.pretty()
-            for key, formula in (("phi", gauge.phi), ("delta", gauge.delta))
-            if formula is not None
-        }
-
-    # integer options (max_iter, m, ...) are echoed as floats
-    out["checks"] = [
-        {
-            "check": c.name,
-            "label": c.label,
-            **{
-                key: float(value) if type(value) is int else describe(value)
-                for key, value in c.options.items()
-                if value is not None
-            },
-        }
-        for c in checks
-    ]
-    return out
+def _exact(node: object) -> object:
+    """A validated document as given, each decimal written as {num, den}:
+    no numeric field takes an object, so equal echoes mean equal documents."""
+    if isinstance(node, Fraction):
+        return {"num": node.numerator, "den": node.denominator}
+    if isinstance(node, dict):
+        return {key: _exact(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_exact(value) for value in node]
+    return node
 
 
 def describe(value: object) -> object:
     """JSON-ready form of a check option or evidence value.
 
-    Points become their labels and rationals floats; containers are
+    Points become their labels and rationals floats; lists and tuples are
     converted element by element; anything else (ints, bools, strings,
     None) is kept as is.
     """
@@ -598,45 +571,6 @@ def describe(value: object) -> object:
         return value.numerator / value.denominator
     if kind is Point:
         return value.label
-    if kind is dict:
-        return {key: describe(v) for key, v in value.items()}
     if kind is list or kind is tuple:
         return [describe(v) for v in value]
-    if kind is SequenceSpec:
-        return value.describe()
     return value
-
-
-def _describe_smetric(smetric: SMetric) -> dict:
-    if isinstance(smetric, FormulaSMetric):
-        return {"kind": "formula", "expr": smetric.formula.pretty()}
-    if isinstance(smetric, TableSMetric):
-        return {
-            "kind": "table",
-            "entries": [
-                [x, y, z, float(v)]
-                for (x, y, z), v in sorted(smetric.entries.items())
-            ],
-        }
-    if isinstance(smetric, GeneratedSMetric):
-        metric = smetric.metric
-        if isinstance(metric, FormulaMetric):
-            inner: dict = {"kind": "formula", "expr": metric.formula.pretty()}
-        else:
-            assert isinstance(metric, TableMetric)
-            inner = {
-                "kind": "table",
-                "entries": [
-                    [x, y, float(v)]
-                    for (x, y), v in sorted(metric.entries.items())
-                ],
-            }
-        return {"kind": "generated", "metric": inner}
-    raise TypeError(f"cannot describe {smetric!r}")
-
-
-def _describe_mapping(mapping: Mapping) -> dict:
-    if isinstance(mapping, FormulaMapping):
-        return {"kind": "formula", "expr": mapping.formula.pretty()}
-    assert isinstance(mapping, TableMapping)
-    return {"kind": "table", "entries": dict(sorted(mapping.entries.items()))}

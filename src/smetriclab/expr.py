@@ -16,7 +16,9 @@ Functions are ``abs`` (one argument) and ``min``/``max`` (two or more).
 Comparisons exist only as piecewise conditions and are evaluated exactly
 over rationals, with no tolerance: ``x <= 1`` at the boundary takes the
 branch as written.  Numeric literals are decimal ("2", "0.75", "1e-9") and
-become exact fractions.  Division by zero is always an evaluation error.
+become exact fractions; a literal longer than ``MAX_LITERAL_DIGITS``
+written out is a syntax error.  Division by zero is always an evaluation
+error.
 
 A formula nests at most ``MAX_DEPTH`` (100) levels deep, counting the
 whole formula as one, both in its text (parentheses, argument lists and
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping
 
-from .numeric import format_decimal, to_fraction
+from .numeric import format_decimal, read_number, to_fraction
 
 
 class ExprError(Exception):
@@ -210,7 +212,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "number":
             self.advance()
-            return Num(Fraction(tok.text))
+            try:
+                return Num(read_number(tok.text))
+            except ValueError as e:
+                raise ExprSyntaxError(f"number {e}", tok.pos) from None
         if tok.kind == "name":
             self.advance()
             if tok.text == "piecewise":

@@ -15,20 +15,48 @@ from fractions import Fraction
 #: Default strictness margin for inequality checks.
 DEFAULT_TOL = Fraction(1, 10**9)
 
+#: Most digits a number literal may have when written out: its mantissa's
+#: digits plus its exponent's magnitude (1e400 has 401).
+MAX_LITERAL_DIGITS = 1000
+
+
+class LiteralBoundError(ValueError):
+    """A number literal longer than ``MAX_LITERAL_DIGITS`` written out."""
+
+
+def read_number(text: str) -> Fraction:
+    """The exact value of a number literal such as "0.01" or "1e-9".
+
+    Past the bound it raises LiteralBoundError before building any integer,
+    so "1e99999999" fails at once; text that is not a number raises
+    ValueError (ZeroDivisionError for "1/0").
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    magnitude = exponent.strip().lstrip("+-").lstrip("0")
+    if (
+        len(magnitude) > len(str(MAX_LITERAL_DIGITS))
+        or sum(map(str.isdigit, mantissa)) + int(magnitude or 0)
+        > MAX_LITERAL_DIGITS
+    ):
+        raise LiteralBoundError(
+            f"has more than {MAX_LITERAL_DIGITS} digits when written out"
+        )
+    return Fraction(text)
+
 
 def to_fraction(x: object) -> Fraction:
     """Coerce a number to an exact Fraction.
 
-    Ints and Fractions pass through.  Strings are parsed as exact decimals
-    ("0.75" -> 3/4).  Floats convert via their exact binary value, so pass
-    decimal strings (or go through the JSON loader) when the literal
-    decimal matters.
+    Ints and Fractions pass through.  Strings are read as exact decimals
+    by :func:`read_number` ("0.75" -> 3/4).  Floats convert via their
+    exact binary value, so pass decimal strings (or go through the JSON
+    loader) when the literal decimal matters.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, str):
+        return read_number(x)
+    if isinstance(x, (int, float)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 

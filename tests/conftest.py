@@ -78,12 +78,14 @@ def closure_metric(rng, labels):
     )
 
 
-def run_cli(*args):
-    """Invoke the installed CLI in a subprocess and capture everything."""
+def run_cli(*args, timeout=None):
+    """Invoke the installed CLI in a subprocess and capture everything;
+    past ``timeout`` seconds the call raises instead of hanging."""
     return subprocess.run(
         [sys.executable, "-m", "smetriclab", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 

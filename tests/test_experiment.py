@@ -151,12 +151,23 @@ def test_nonfinite_numbers_are_rejected(tmp_path):
         load_experiment(tmp_path / "missing.json")
 
 
+HUGE = "1e99999999"  # 10**99999999 would take minutes to build
+TOO_LONG = "has more than 1000 digits when written out"
+
+
 @pytest.mark.parametrize(
     ("field", "raw", "message"),
     [
         ("tolerance", "1e400", "tolerance: is too large for a float"),
         ("map", json.dumps({"kind": "formula", "expr": "(" * 250 + "x" + ")" * 250}),
          "map.expr: nested deeper than 100 levels at offset 99"),
+        ("tolerance", HUGE, f"tolerance: {TOO_LONG}"),
+        ("space", json.dumps({**BAND_DOC["space"], "points": [0, "@"]}).replace(
+            '"@"', HUGE), f"space.points[1]: {TOO_LONG}"),
+        ("map", json.dumps({"kind": "formula", "expr": f"x + {HUGE}"}),
+         f"map.expr: number {TOO_LONG} at offset 4"),
+        ("map", json.dumps({"kind": "formula", "expr": "x + " + "9" * 4301}),
+         f"map.expr: number {TOO_LONG} at offset 4"),
     ],
 )
 def test_cli_rejects_inputs_past_the_limits(tmp_path, field, raw, message):
@@ -164,16 +175,30 @@ def test_cli_rejects_inputs_past_the_limits(tmp_path, field, raw, message):
     doc[field] = "@"
     path = tmp_path / "limits.json"
     path.write_text(json.dumps(doc).replace('"@"', raw))
-    result = run_cli("run", "--input", str(path))
+    result = run_cli("run", "--input", str(path), timeout=30)
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    ("tolerance", "message"),
+    [
+        (HUGE, f"tolerance {TOO_LONG}"),
+        ("1e400", "tolerance is too large for a float"),
+    ],
+)
+def test_cli_tolerance_past_the_limits_is_an_argument_error(tolerance, message):
+    path = str(fixture_path("example_2_2.json"))
+    result = run_cli("run", "--input", path, "--tolerance", tolerance, timeout=30)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"error: argument --tolerance: {message}\n")
+
+
 def test_sequence_specs_expand_exactly():
     listed = SequenceSpec(values=[Fraction(1), Fraction(1, 2)])
     assert listed.expand() == [1, Fraction(1, 2)]
-    assert listed.describe() == {"values": [1.0, 0.5]}
     ramp = SequenceSpec(
         expr=Formula.parse("1/n", ("n",)), n_from=2, n_to=5
     )
@@ -183,7 +208,6 @@ def test_sequence_specs_expand_exactly():
         Fraction(1, 4),
         Fraction(1, 5),
     ]
-    assert ramp.describe() == {"expr": "1/n", "n_from": 2, "n_to": 5}
 
 
 def test_duplicate_check_labels_get_numbered():
@@ -209,7 +233,7 @@ def test_empty_checks_give_an_echo_only_pass():
     assert outcome.status == "pass"
     assert outcome.exit_code == 0
     assert outcome.report["checks"] == []
-    assert outcome.report["config"]["space"]["points"] == ["0", "2", "4", "8"]
+    assert outcome.report["config"]["space"]["points"] == [0, 2, 4, 8]
 
 
 def test_digest_tracks_the_resolved_config():
@@ -218,6 +242,54 @@ def test_digest_tracks_the_resolved_config():
     moved = build_experiment(band_doc(tolerance=Fraction(1, 2)))
     assert first.digest == again.digest
     assert first.digest != moved.digest
+
+
+def test_digest_tells_apart_steps_that_floats_would_merge():
+    def grid(step):
+        return build_experiment(band_doc(space={
+            "kind": "real_grid", "lo": 0, "hi": 1, "step": Fraction(step),
+            "smetric": {"kind": "formula", "expr": SUM_ABS},
+        }))
+
+    coarse, fine = grid("0.1"), grid("0.10000000000000000001")
+    assert (len(coarse.space), len(fine.space)) == (11, 10)
+    assert coarse.digest != fine.digest
+
+
+def test_digest_tells_a_numeric_point_from_its_label():
+    def single(point):
+        return build_experiment({"space": {
+            "kind": "finite", "points": [point],
+            "smetric": {"kind": "table", "entries": [["0.5", "0.5", "0.5", 0]]},
+        }})
+
+    numeric, labelled = single(Fraction(1, 2)), single("0.5")
+    assert numeric.space.points[0].value == Fraction(1, 2)
+    assert labelled.space.points[0].value is None
+    assert numeric.digest != labelled.digest
+
+
+def _decimals_read_back(node):
+    if isinstance(node, dict):
+        if node.keys() == {"num", "den"}:
+            return Fraction(node["num"], node["den"])
+        return {key: _decimals_read_back(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_decimals_read_back(value) for value in node]
+    return node
+
+
+@pytest.mark.parametrize(
+    "name", ["discontinuity_0_2", "example_2_2", "example_2_2_corrected", "example_3_3"]
+)
+def test_config_echoes_every_decimal_exactly(name):
+    path = fixture_path(f"{name}.json")
+    doc = json.loads(path.read_text(), parse_float=Fraction)
+    config = load_experiment(path).echo  # the report's "config"
+    assert _decimals_read_back(config) == {
+        "name": name, "tolerance": DEFAULT_TOL, **doc
+    }
+    assert json.loads(json.dumps(config)) == config
 
 
 def test_run_filters_by_check_name():

@@ -5,8 +5,8 @@ through every subcommand in both formats.  The exit code, stderr and the
 report (JSON without its ``timing`` block, or the text rendering) must
 match the files under ``golden/`` byte for byte.  Beside it, a table of
 malformed check entries, and of documents past the input limits (among
-them every kind of number too large for the echo's floats), pins the
-exact ``ConfigError`` text.
+them every kind of number too large for the floats of evidence and of
+the report's tolerance), pins the exact ``ConfigError`` text.
 
 Regenerate the golden files with ``PYTHONPATH=src python
 tests/test_golden.py`` only when a report change is intended.
@@ -317,6 +317,39 @@ ERRORS += [
          {"kind": "generated", "metric": {
              "kind": "table", "entries": [["p", "q", 1], ["q", "r", 1]]}})),
      "space.smetric.metric.entries[1]: unknown point label 'r'"),
+    ("generated formula metric that raises",
+     _doc({"check": "axioms"}, space={
+         "kind": "finite", "points": [0, 1, 2], "smetric": {
+             "kind": "generated", "metric": {
+                 "kind": "formula", "expr": "abs(x - y) / (x - 1)"}}}),
+     "space.smetric.metric: division by zero"),
+    # every object of the document names its fields
+    ("finite space unknown field",
+     _doc({"check": "axioms"}, space={**BASE["space"], "step": 1}),
+     "space.step: unknown field"),
+    ("grid space unknown field",
+     _doc({"check": "axioms"}, space={
+         "kind": "real_grid", "lo": 0, "hi": 1, "step": 1, "points": [0],
+         "smetric": BASE["space"]["smetric"]}),
+     "space.points: unknown field"),
+    ("S-metric unknown field",
+     _doc({"check": "axioms"}, space={**BASE["space"], "smetric": {
+         **BASE["space"]["smetric"], "entries": []}}),
+     "space.smetric.entries: unknown field"),
+    ("metric unknown field",
+     _doc({"check": "axioms"}, space={**BASE["space"], "smetric": {
+         "kind": "generated", "metric": {
+             "kind": "formula", "expr": "abs(x - y)", "weight": 2}}}),
+     "space.smetric.metric.weight: unknown field"),
+    ("map unknown field",
+     _doc({"check": "axioms"}, map={**BASE["map"], "entries": {}}),
+     "map.entries: unknown field"),
+    ("value sequence unknown field",
+     _doc(_discontinuity(sequences=[{"values": [4], "expr": "4"}])),
+     "checks[0].sequences[0].expr: unknown field"),
+    ("formula sequence unknown field",
+     _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 2, "step": 1}])),
+     "checks[0].sequences[0].step: unknown field"),
     # limits of the document itself
     ("tolerance too large for a float",
      _doc({"check": "axioms"}, tolerance=Fraction("1e400")),
@@ -325,7 +358,8 @@ ERRORS += [
      _doc({"check": "axioms"},
           map={"kind": "formula", "expr": "(" * 100 + "x" + ")" * 100}),
      "map.expr: nested deeper than 100 levels at offset 99"),
-    # every number the echo reports as a float must fit in one
+    # every number read must fit in a float, as evidence and the report's
+    # tolerance are floats
     ("table S-metric entry too large for a float",
      _doc({"check": "axioms"}, space=_table_space(
          {"kind": "table", "entries": [["p", "p", "p", 0],

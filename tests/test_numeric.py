@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from smetriclab import DEFAULT_TOL, format_decimal, to_fraction
+from smetriclab.numeric import LiteralBoundError, read_number
 
 
 def test_default_margin_is_exact():
@@ -51,3 +52,27 @@ def test_to_fraction_rejects_non_numbers():
 )
 def test_format_decimal(q, text):
     assert format_decimal(q) == text
+
+
+@pytest.mark.parametrize(
+    ("text", "expected"),
+    [
+        ("0.01", Fraction(1, 100)),
+        ("-2.5E+2", Fraction(-250)),
+        ("1e400", Fraction(10**400)),
+        ("1e-999", Fraction(1, 10**999)),  # 1 + 999 digits: at the bound
+        ("9" * 1000, Fraction(10**1000 - 1)),
+        ("1/3", Fraction(1, 3)),
+    ],
+)
+def test_read_number_is_exact_within_the_bound(text, expected):
+    assert read_number(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["1e-1000", "1e99999999", "1e" + "9" * 5000, "9" * 1001, "0." + "1" * 1000]
+)
+def test_read_number_rejects_literals_past_the_bound(text):
+    for reader in (read_number, to_fraction):
+        with pytest.raises(LiteralBoundError, match="more than 1000 digits"):
+            reader(text)
