@@ -292,7 +292,7 @@ def _point_literal(
 ) -> object:
     if isinstance(ref, str):
         return ref
-    if isinstance(ref, ValueError):
+    if isinstance(ref, ValueError):  # a decimal the parser could not read
         raise ConfigError(path, str(ref))
     if isinstance(ref, bool) or not isinstance(ref, (int, Fraction)):
         raise ConfigError(path, message)

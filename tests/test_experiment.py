@@ -151,7 +151,7 @@ def test_nonfinite_numbers_are_rejected(tmp_path):
         load_experiment(tmp_path / "missing.json")
 
 
-HUGE = "1e99999999"  # 10**99999999 would take minutes to build
+HUGE = "1e99999999"  # 10**99999999 is far too slow to build
 TOO_LONG = "has more than 1000 digits when written out"
 
 

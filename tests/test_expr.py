@@ -119,7 +119,6 @@ def test_evaluate(text, env, value):
         ("piecewise(x : 1, else : 2)", 12),
         ("piecewise(else : 2)", 0),
         ("bogus + 1", 0),
-        ("x + 1e99999999", 4),
         ("x * " + "9" * 4301, 4),
     ],
 )
