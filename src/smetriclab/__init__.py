@@ -49,7 +49,7 @@ from .mapping import (
     is_fixed,
 )
 from .numeric import DEFAULT_TOL, format_decimal, to_fraction
-from .runner import CHECK_FAMILIES, CHECK_NAMES, render_text, run
+from .runner import CHECK_FAMILIES, render_text, run
 from .solver import (
     discontinuity_criterion,
     fix_set,
@@ -77,7 +77,6 @@ from .space import (
     check_symmetry,
     check_triangle,
     generating_metric_check,
-    s_converges,
     s_from_metric,
 )
 from .version import __version__

@@ -109,20 +109,15 @@ def verify_zamfirescu_x0(
 
 
 @dataclass
-class FixedVerdict:
-    circle_fixed: bool
-    disc_fixed: bool
-    nonfixed_witnesses: list[Point]
-
-
-@dataclass
 class CircleReport:
     rho: Fraction
     circle_points: list[Point]
     disc_points: list[Point]
     zamfirescu_violations: list[tuple[Point, Fraction, Fraction]]
     hypothesis_violations: list[tuple[Point, Fraction]]
-    fixed_verdict: FixedVerdict
+    circle_fixed: bool
+    disc_fixed: bool
+    nonfixed_witnesses: list[Point]
     inconsistent: bool
     tol_circle: Fraction
 
@@ -176,14 +171,10 @@ def check_fixed_circle(
         (r.point, r.image_dist) for r in disc if r.image_dist > limit
     ]
     nonfixed = [r.point for r in disc if r.moved > tol]
-    verdict = FixedVerdict(
-        circle_fixed=all(r.moved <= tol for r in circle),
-        disc_fixed=not nonfixed,
-        nonfixed_witnesses=nonfixed,
-    )
+    circle_fixed = all(r.moved <= tol for r in circle)
     hyp_ok_on_circle = all(r.image_dist <= limit for r in circle)
     inconsistent = not zam and (
-        (hyp_ok_on_circle and not verdict.circle_fixed)
+        (hyp_ok_on_circle and not circle_fixed)
         or (not hypothesis_violations and bool(nonfixed))
     )
     return CircleReport(
@@ -192,7 +183,9 @@ def check_fixed_circle(
         disc_points=[r.point for r in disc],
         zamfirescu_violations=zam,
         hypothesis_violations=hypothesis_violations,
-        fixed_verdict=verdict,
+        circle_fixed=circle_fixed,
+        disc_fixed=not nonfixed,
+        nonfixed_witnesses=nonfixed,
         inconsistent=inconsistent,
         tol_circle=margin,
     )

@@ -17,7 +17,6 @@ configuration was invalid or evaluation aborted.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -33,8 +32,7 @@ from .experiment import (
 )
 from .numeric import LiteralBoundError, read_number
 from .runner import CHECK_FAMILIES, RunReport, render_text, run
-
-_SAMPLE_CAP = 24  # synthesized sweeps subsample larger universes
+from .space import SUBSAMPLE_NODES, subsample
 
 
 def _tolerance_arg(text: str) -> Fraction:
@@ -77,30 +75,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _grid_subsample(spec: ExperimentSpec) -> list[str] | None:
-    """Labels of ``_SAMPLE_CAP`` evenly spaced points of a larger universe,
-    both ends included."""
-    points = spec.space.points
-    last = len(points) - 1
-    if last < _SAMPLE_CAP:
-        return None
-    return [points[i * last // (_SAMPLE_CAP - 1)].label for i in range(_SAMPLE_CAP)]
-
-
 def _synthesize(spec: ExperimentSpec, command: str) -> list[CheckSpec]:
-    """Default checks of a family, read like declared check entries."""
-    sample = _grid_subsample(spec)
+    """Default checks of a family, read like declared check entries; a
+    larger universe is swept on its subsample."""
+    points, given = spec.space.points, {}
+    if len(points) > SUBSAMPLE_NODES:
+        given["sample"] = [points[i].label for i in subsample(len(points))]
     if command == "axioms":
-        given = {} if sample is None else {"sample": sample}
         entries = [{"check": "axioms", **given}, {"check": "symmetry", **given}]
     elif command == "verify":
         if spec.mapping is None or spec.params is None:
             raise ConfigError(
                 "checks", "verify needs a map and params in the experiment"
             )
-        given = {}
-        if sample is not None:
-            given["pairs"] = [list(p) for p in itertools.product(sample, repeat=2)]
         has_phi = spec.gauge is not None and spec.gauge.phi is not None
         entries = [
             {"check": "xi"},

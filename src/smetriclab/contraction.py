@@ -33,7 +33,7 @@ from fractions import Fraction
 from .expr import Formula
 from .mapping import Mapping
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Point, Space
+from .space import Space
 
 _HALF = Fraction(1, 2)
 _ZERO = Fraction(0)
@@ -130,19 +130,6 @@ def verify_phi_gauge(
     return bad
 
 
-@dataclass(frozen=True)
-class PairVerdict:
-    """One failed comparison, with everything needed to reproduce it."""
-
-    x: Point
-    y: Point
-    m_value: Fraction
-    s_t_value: Fraction
-    ok: bool
-    context: str
-    eps: Fraction | None = None
-
-
 def _pair_rows(space, mapping, pairs, params):
     """(x, y, reference, S(Tx, Tx, Ty)) per pair, in sample order.
 
@@ -173,13 +160,14 @@ def verify_condition_i(
     pairs: list[tuple[object, object]] | None = None,
     mode: str = "full",
     tol: object = DEFAULT_TOL,
-) -> list[PairVerdict]:
+) -> list[tuple]:
     """Check the pointwise bound (i) over a pair sample.
 
     Modes: "full" compares S(Tx, Tx, Ty) against phi(M(x, y)); "simple"
     against phi(S(x, x, y)); "strict" against M(x, y) itself with margin
     tol, skipping pairs where M(x, y) <= tol (nothing is claimed there).
-    Returns the violating pairs in sample order.
+    Returns the (x, y, reference, S(Tx, Tx, Ty)) rows of the violating
+    pairs, in sample order.
     """
     if mode not in ("full", "simple", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -198,9 +186,7 @@ def verify_condition_i(
         else:
             bound = ref - 2 * tol  # s_t <= M - tol, checked with slack
         if s_t > bound + tol:
-            violations.append(
-                PairVerdict(px, py, ref, s_t, False, f"condition_i[{mode}]")
-            )
+            violations.append((px, py, ref, s_t))
     return violations
 
 
@@ -236,14 +222,15 @@ def condition_ii_probe(
     pairs: list[tuple[object, object]] | None = None,
     eps_values: list[object] | None = None,
     tol: object = DEFAULT_TOL,
-) -> tuple[list[Fraction], list[PairVerdict]]:
+) -> tuple[list[Fraction], list[tuple]]:
     """Check the window condition (ii) over the eps probe grid.
 
     For each probe eps the window is (eps, eps + delta(eps)), membership
     exact; every pair whose M value falls inside must have
     S(Tx, Tx, Ty) <= eps + tol.  A probe with delta(eps) <= 0 is a
-    configuration error.  Returns the probe grid and the violations,
-    ordered by eps, then by pair position.
+    configuration error.  Returns the probe grid and the violations as
+    (x, y, eps, M(x, y), S(Tx, Tx, Ty)), ordered by eps, then by pair
+    position.
     """
     if gauge.delta is None:
         raise ValueError("condition (ii) needs a delta gauge")
@@ -260,8 +247,6 @@ def condition_ii_probe(
         upper, cap = eps + width, eps + tol
         for px, py, m, s_t in rows:
             if eps < m < upper and s_t > cap:
-                violations.append(
-                    PairVerdict(px, py, m, s_t, False, "condition_ii", eps)
-                )
+                violations.append((px, py, eps, m, s_t))
     return grid, violations
 

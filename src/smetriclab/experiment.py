@@ -38,6 +38,7 @@ from .space import (
     as_point,
     grid_steps,
     s_from_metric,
+    subsample,
 )
 
 class ConfigError(Exception):
@@ -106,22 +107,31 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     try:
         doc = json.loads(
             text,
-            parse_float=_parse_decimal,
+            parse_float=_parse_number,
+            parse_int=_parse_number,
             parse_constant=_reject_constant,
         )
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # RecursionError: deep nesting
         raise ConfigError(str(path), f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "top level must be an object")
     return build_experiment(doc, default_name=path.stem)
 
 
-def _parse_decimal(text: str) -> object:
-    """A decimal's exact value, or the error its field's reader reports."""
+def _parse_number(text: str) -> object:
+    """A literal's exact value, an int when written as one, or the error
+    its field's reader reports."""
     try:
-        return read_number(text)
+        value = read_number(text)
     except ValueError as e:
         return e
+    return int(value) if text.lstrip("-").isdigit() else value
+
+
+def _unread(raw: object, path: str) -> None:
+    """Report a literal the parser could not read, where a field reads it."""
+    if isinstance(raw, ValueError):
+        raise ConfigError(path, str(raw))
 
 
 def _reject_constant(name: str) -> None:
@@ -174,8 +184,7 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
 
 def number(value: object, path: str, declared: object = None) -> Fraction:
     """An exact JSON number; also the check-table reader of one."""
-    if isinstance(value, ValueError):  # a decimal the parser could not read
-        raise ConfigError(path, str(value))
+    _unread(value, path)
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ConfigError(path, "must be a number")
     try:
@@ -212,10 +221,9 @@ def _build_space(node: object) -> Space:
             count = grid_steps(lo, hi, step)
         except GridBoundError as e:
             raise ConfigError(f"space.{e.bound}", e.reason) from None
-        # validate a generated metric on a thin, evenly spaced subsample;
-        # the full grid would make the triangle sweep cubic in 10^3+ points
-        stride = max(1, count // 24)
-        probe = [lo + i * step for i in range(0, count + 1, stride)]
+        # validate a generated metric on the grid's subsample; the full
+        # grid would make the triangle sweep cubic in 10^3+ points
+        probe = [lo + i * step for i in subsample(count + 1)]
         smetric = _build_smetric(node["smetric"], probe, kind)
         space = Space.real_grid(lo, hi, step, smetric)
     return space
@@ -292,8 +300,7 @@ def _point_literal(
 ) -> object:
     if isinstance(ref, str):
         return ref
-    if isinstance(ref, ValueError):  # a decimal the parser could not read
-        raise ConfigError(path, str(ref))
+    _unread(ref, path)
     if isinstance(ref, bool) or not isinstance(ref, (int, Fraction)):
         raise ConfigError(path, message)
     return to_fraction(ref)
@@ -474,6 +481,7 @@ def pair(raw: object, path: str, declared: Declared) -> tuple[Point, Point]:
 
 
 def positive_int(raw: object, path: str, declared: Declared) -> int:
+    _unread(raw, path)
     _require(
         isinstance(raw, int) and not isinstance(raw, bool) and raw >= 1,
         path, "must be a positive integer",
@@ -528,6 +536,7 @@ def sequence(node: object, path: str, declared: Declared) -> SequenceSpec:
         n_from = node.get("n_from", 1)
         n_to = node.get("n_to")
         for key, value in (("n_from", n_from), ("n_to", n_to)):
+            _unread(value, f"{path}.{key}")
             _require(
                 isinstance(value, int) and not isinstance(value, bool),
                 f"{path}.{key}", "must be an integer",

@@ -343,11 +343,7 @@ def _run_condition_i(spec, options, tol):
     return not violations, {
         "mode": options["mode"],
         "pairs_checked": checked,
-        "violations": [
-            {"x": describe(v.x), "y": describe(v.y),
-             "m": describe(v.m_value), "s_t": describe(v.s_t_value)}
-            for v in violations
-        ],
+        "violations": _rows(("x", "y", "m", "s_t"), violations),
     }
 
 
@@ -372,11 +368,7 @@ def _run_condition_ii(spec, options, tol):
     return not violations, {
         "pairs_checked": checked,
         "eps_grid": describe(grid),
-        "violations": [  # the hot path: one row per violated window
-            {"x": describe(v.x), "y": describe(v.y), "eps": describe(v.eps),
-             "m": describe(v.m_value), "s_t": describe(v.s_t_value)}
-            for v in violations
-        ],
+        "violations": _rows(("x", "y", "eps", "m", "s_t"), violations),
     }
 
 
@@ -530,7 +522,6 @@ def _run_fixed_circle(spec, options, tol):
         spec.space, spec.mapping, options["a"], options["b"],
         options["x0"], options["sample"], tol, options["tol_circle"],
     )
-    fixed = report.fixed_verdict
     details = {
         **_center(options),
         "rho": describe(report.rho),
@@ -544,15 +535,13 @@ def _run_fixed_circle(spec, options, tol):
             ("x", "s_t_x0"), report.hypothesis_violations
         ),
         "hypotheses_hold": report.hypotheses_hold,
-        **_fields(fixed, ("circle_fixed", "disc_fixed", "nonfixed_witnesses")),
+        **_fields(report, ("circle_fixed", "disc_fixed", "nonfixed_witnesses")),
         "inconsistent": report.inconsistent,
     }
-    circle_ok = _meets(options, "expect_circle_fixed", fixed.circle_fixed, details)
-    disc_ok = _meets(options, "expect_disc_fixed", fixed.disc_fixed, details)
+    circle_ok = _meets(options, "expect_circle_fixed", report.circle_fixed, details)
+    disc_ok = _meets(options, "expect_disc_fixed", report.disc_fixed, details)
     return not report.inconsistent and circle_ok and disc_ok, details
 
-
-CHECK_NAMES = tuple(CHECKS)
 
 #: Which subcommand runs which checks.
 CHECK_FAMILIES = {

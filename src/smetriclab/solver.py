@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from statistics import mean
 
 from .contraction import ContractionParams, _m_value
 from .mapping import Mapping, MappingRangeError, PowerMapping, is_fixed
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Point, Space, s_converges
+from .space import Point, Space
 
 
 @dataclass
@@ -189,8 +188,9 @@ def discontinuity_criterion(
     so instead of claiming continuity the verdict carries the note
     "no nontrivial approach sequences".
 
-    Sequences must converge to u under ``conv_tol`` (default: limit_tol)
-    past ``tail_start``; a sequence that does not is rejected by index.
+    Sequences must converge to u: S(x_n, x_n, u) <= ``conv_tol`` (default:
+    limit_tol) from index ``tail_start`` (default: halfway) on; a sequence
+    that does not is rejected by index.
     ``u`` itself must be fixed within ``tol``.
     """
     tol = to_fraction(tol)
@@ -208,7 +208,8 @@ def discontinuity_criterion(
         seq = [space.coerce(x) for x in raw_seq]
         if not seq:
             raise ValueError(f"sequence {index} is empty")
-        if not s_converges(space, seq, target, conv, tail_start):
+        start = len(seq) // 2 if tail_start is None else tail_start
+        if any(s(x, x, target) > conv for x in seq[start:]):
             raise ValueError(f"sequence {index} does not converge to u")
         w = window if window is not None else max(1, len(seq) // 4)
         tail = seq[-w:]
@@ -217,7 +218,7 @@ def discontinuity_criterion(
             _m_value(s, params, x, target, mapping.apply(space, x), image)
             for x in tail
         ]
-        estimate = Fraction(mean(values))
+        estimate = sum(values) / len(values)
         spread = max(values) - min(values)
         per_sequence.append(
             SequenceLimit(

@@ -176,6 +176,20 @@ def grid_steps(lo: Fraction, hi: Fraction, step: Fraction) -> int:
     return span.numerator // span.denominator
 
 
+#: Nodes of a larger grid's subsample: the nodes a generated metric is
+#: validated on, and the sample of the command line's synthesized sweeps.
+SUBSAMPLE_NODES = 24
+
+
+def subsample(count: int) -> range | list[int]:
+    """Indices of ``SUBSAMPLE_NODES`` evenly spaced items out of ``count``,
+    both ends included; every index when there are no more than that."""
+    last = count - 1
+    if last < SUBSAMPLE_NODES:
+        return range(count)
+    return [i * last // (SUBSAMPLE_NODES - 1) for i in range(SUBSAMPLE_NODES)]
+
+
 def _coordinate(p: Point) -> Fraction:
     if p.value is None:
         raise UnknownPointError(f"point {p.label!r} has no numeric coordinate")
@@ -500,24 +514,3 @@ def generating_metric_check(
     witness = ((pts[i], pts[j], pts[k]), values[(i * n + j) * n + k], candidate)
     return GeneratedCheck(False, witness, n**3)
 
-
-def s_converges(
-    space: Space,
-    seq: list[object],
-    u: object,
-    tol: object,
-    tail_start: int | None = None,
-) -> bool:
-    """True when the tail of ``seq`` stays within ``tol`` of ``u``.
-
-    Convergence in S means S(x_n, x_n, u) -> 0; here the whole tail from
-    ``tail_start`` (default: halfway) must satisfy S(x_n, x_n, u) <= tol.
-    """
-    tol = to_fraction(tol)
-    pts = [space.coerce(p) for p in seq]
-    target = space.coerce(u)
-    if tail_start is None:
-        tail_start = len(pts) // 2
-    return all(
-        space.smetric.triple(p, p, target) <= tol for p in pts[tail_start:]
-    )

@@ -85,8 +85,8 @@ def test_band_instance_circle_report(four_space, four_map):
     assert [p.label for p in report.disc_points] == ["2", "4"]
     assert len(report.zamfirescu_violations) == 3
     assert not report.hypotheses_hold
-    assert report.fixed_verdict.circle_fixed is False
-    assert report.fixed_verdict.disc_fixed is False
+    assert report.circle_fixed is False
+    assert report.disc_fixed is False
     # the theorem is not contradicted: its hypotheses already failed
     assert report.inconsistent is False
 
@@ -102,8 +102,8 @@ def test_line_instance_circle_report(line_space, tail_shift_map):
     assert report.zamfirescu_violations == []
     assert report.hypothesis_violations == []
     assert report.hypotheses_hold
-    assert report.fixed_verdict.circle_fixed is True
-    assert report.fixed_verdict.disc_fixed is True
+    assert report.circle_fixed is True
+    assert report.disc_fixed is True
     assert report.inconsistent is False
 
 
@@ -133,8 +133,8 @@ def test_moved_circle_point_under_clean_hypotheses_is_inconsistent():
     assert [p.label for p in report.circle_points] == ["u"]
     assert [p.label for p in report.disc_points] == ["o", "u", "v"]
     assert report.hypotheses_hold
-    assert report.fixed_verdict.circle_fixed is False
-    assert [p.label for p in report.fixed_verdict.nonfixed_witnesses] == [
+    assert report.circle_fixed is False
+    assert [p.label for p in report.nonfixed_witnesses] == [
         "u",
         "v",
     ]

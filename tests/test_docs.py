@@ -4,7 +4,8 @@ Python examples run against the public API."""
 import re
 from pathlib import Path
 
-from smetriclab import CHECK_FAMILIES, CHECK_NAMES
+from smetriclab import CHECK_FAMILIES
+from smetriclab.runner import CHECKS
 
 README = (Path(__file__).parent.parent / "README.md").read_text()
 
@@ -35,7 +36,7 @@ def test_every_check_has_an_options_entry():
         for bullet in _bullets("Check names and their main options:")
         for name in _names(bullet.split(":", 1)[0])
     ]
-    assert sorted(listed) == sorted(CHECK_NAMES)
+    assert sorted(listed) == sorted(CHECKS)
 
 
 def test_python_examples_run():

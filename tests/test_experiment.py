@@ -1,10 +1,14 @@
 """Experiment schema validation, execution semantics, and the CLI."""
 
+import contextlib
 import copy
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smetriclab import (
     ConfigError,
@@ -151,8 +155,27 @@ def test_nonfinite_numbers_are_rejected(tmp_path):
         load_experiment(tmp_path / "missing.json")
 
 
+def test_deeply_nested_json_is_invalid_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"space": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert cli.main(["run", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON: ")
+
+
 HUGE = "1e99999999"  # 10**99999999 is far too slow to build
 TOO_LONG = "has more than 1000 digits when written out"
+DIGITS_1001 = "1" + "0" * 1000
+# past Python's 4300-digit limit for int(); written into the file text
+# directly, as str() of such an int fails too
+DIGITS_5000 = "9" * 5000
+
+
+def _with_point(raw):
+    return json.dumps({**BAND_DOC["space"], "points": [0, "@"]}).replace('"@"', raw)
+
+
+def _with_check(entry, raw):
+    return json.dumps([entry]).replace('"@"', raw)
 
 
 @pytest.mark.parametrize(
@@ -162,8 +185,19 @@ TOO_LONG = "has more than 1000 digits when written out"
         ("map", json.dumps({"kind": "formula", "expr": "(" * 250 + "x" + ")" * 250}),
          "map.expr: nested deeper than 100 levels at offset 99"),
         ("tolerance", HUGE, f"tolerance: {TOO_LONG}"),
-        ("space", json.dumps({**BAND_DOC["space"], "points": [0, "@"]}).replace(
-            '"@"', HUGE), f"space.points[1]: {TOO_LONG}"),
+        ("space", _with_point(HUGE), f"space.points[1]: {TOO_LONG}"),
+        pytest.param("space", _with_point(DIGITS_1001),
+                     f"space.points[1]: {TOO_LONG}", id="1001-digit point"),
+        pytest.param("space", _with_point(DIGITS_5000),
+                     f"space.points[1]: {TOO_LONG}", id="5000-digit point"),
+        pytest.param(
+            "checks", _with_check({"check": "solve", "x0": 0, "max_iter": "@"},
+                                  DIGITS_1001),
+            f"checks[0].max_iter: {TOO_LONG}", id="1001-digit max_iter"),
+        pytest.param(
+            "checks", _with_check({"check": "discontinuity", "u": 4, "sequences": [
+                {"expr": "4", "n_to": "@"}]}, DIGITS_1001),
+            f"checks[0].sequences[0].n_to: {TOO_LONG}", id="1001-digit n_to"),
         ("map", json.dumps({"kind": "formula", "expr": f"x + {HUGE}"}),
          f"map.expr: number {TOO_LONG} at offset 4"),
         ("map", json.dumps({"kind": "formula", "expr": "x + " + "9" * 4301}),
@@ -179,6 +213,15 @@ def test_cli_rejects_inputs_past_the_limits(tmp_path, field, raw, message):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr == f"error: {message}\n"
+
+
+def test_a_1000_digit_integer_point_still_loads(tmp_path):
+    path = tmp_path / "long.json"
+    doc = json.dumps(band_doc(), default=float)
+    path.write_text(doc.replace("[0, 2, 4, 8]", f"[0, 2, 4, {'9' * 1000}]"))
+    spec = load_experiment(path)
+    assert spec.space.points[3].value == 10**1000 - 1
+    assert spec.echo["space"]["points"][3] == 10**1000 - 1  # an int, as given
 
 
 @pytest.mark.parametrize(
@@ -413,6 +456,57 @@ def test_synthesized_sweeps_keep_24_grid_nodes_with_both_ends(nodes):
         "kind": "real_grid", "lo": 0, "hi": nodes - 1, "step": 1,
         "smetric": {"kind": "formula", "expr": SUM_ABS},
     })
-    sample = cli._grid_subsample(build_experiment(doc))
+    axioms = cli._synthesize(build_experiment(doc), "axioms")[0]
+    sample = [p.label for p in axioms.options["sample"]]
     assert len(sample) == len(set(sample)) == 24
     assert (sample[0], sample[-1]) == ("0", str(nodes - 1))
+
+
+def _formula_text(variables):
+    """Formula text for one slot: grammar-shaped over the slot's
+    variables, or arbitrary text."""
+    atoms = st.sampled_from([*variables, "0", "1", "2", "0.5", "1e-9", "-3"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from((" + ", " - ", " * ", " / ")), inner)
+            .map("".join),
+            inner.map("abs({})".format),
+            inner.map("-({})".format),
+            st.tuples(inner, inner).map(lambda p: "min({}, {})".format(*p)),
+            st.tuples(inner, st.sampled_from(("<", "<=", ">", ">=")), inner,
+                      inner, inner)
+            .map(lambda p: "piecewise({} {} {} : {}, else : {})".format(*p)),
+        )
+
+    return st.one_of(st.recursive(atoms, extend, max_leaves=8), st.text(max_size=20))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    s=_formula_text("xyz"), image=_formula_text("x"), phi=_formula_text("t"),
+    delta=_formula_text(["eps"]), term=_formula_text("n"),
+)
+def test_every_command_exits_0_1_or_2_on_any_formula_text(
+    tmp_path_factory, s, image, phi, delta, term
+):
+    doc = {
+        "space": {"kind": "finite", "points": [0, 1, 2],
+                  "smetric": {"kind": "formula", "expr": s}},
+        "map": {"kind": "formula", "expr": image},
+        "params": {"a": 0.5},
+        "gauge": {"phi": phi, "delta": delta},
+        "checks": [
+            {"check": "solve", "x0": 0},
+            {"check": "discontinuity", "u": 1,
+             "sequences": [{"expr": term, "n_to": 8}]},
+            {"check": "fixed_circle", "x0": 1},
+        ],
+    }
+    path = tmp_path_factory.getbasetemp() / "formula_slots.json"
+    path.write_text(json.dumps(doc))
+    for command in ("axioms", "verify", "solve", "circle", "run"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = cli.main([command, "--input", str(path)])
+        assert code in (0, 1, 2), (command, out.getvalue())

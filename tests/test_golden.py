@@ -317,6 +317,12 @@ ERRORS += [
          {"kind": "generated", "metric": {
              "kind": "table", "entries": [["p", "q", 1], ["q", "r", 1]]}})),
      "space.smetric.metric.entries[1]: unknown point label 'r'"),
+    ("generated metric wrong only at the grid's last node",
+     _doc({"check": "axioms"}, space={
+         "kind": "real_grid", "lo": 0, "hi": 49, "step": 1, "smetric": {
+             "kind": "generated", "metric": {"kind": "formula", "expr":
+                 "abs(x - y) * piecewise(x > 48 : 0, y > 48 : 0, else : 1)"}}}),
+     "space.smetric.metric: d(0, 49) = 0 is not strictly positive"),
     ("generated formula metric that raises",
      _doc({"check": "axioms"}, space={
          "kind": "finite", "points": [0, 1, 2], "smetric": {

@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingSMetric, closure_metric, sum_abs_smetric
+from conftest import (
+    CountingSMetric, closure_metric, identity_mapping, sum_abs_smetric,
+)
 
 from smetriclab import (
     DEFAULT_TOL,
     AxiomReport,
+    ContractionParams,
     Formula,
     FormulaMetric,
     FormulaSMetric,
@@ -35,8 +38,8 @@ from smetriclab import (
     check_axioms,
     check_symmetry,
     check_triangle,
+    discontinuity_criterion,
     generating_metric_check,
-    s_converges,
     s_from_metric,
 )
 from smetriclab import cli
@@ -250,9 +253,23 @@ def test_triangle_violation_is_reported():
 def test_tail_convergence_surrogates():
     space = Space.real_grid(0, 2, Fraction(1, 100), sum_abs_smetric())
     seq = [1 + Fraction(1, n) for n in range(1, 201)]
-    assert s_converges(space, seq, 1, Fraction(1, 50))
-    assert not s_converges(space, seq, 1, Fraction(1, 200))
-    assert s_converges(space, seq, 1, Fraction(1, 100), tail_start=199)
+
+    def converges(conv_tol, tail_start=None):
+        """Whether the discontinuity criterion admits ``seq`` towards 1:
+        S(x_n, x_n, 1) <= conv_tol on the whole tail."""
+        try:
+            discontinuity_criterion(
+                space, identity_mapping(), ContractionParams(0, 0, 0), 1, [seq],
+                conv_tol=conv_tol, tail_start=tail_start,
+            )
+        except ValueError as e:
+            assert str(e) == "sequence 0 does not converge to u"
+            return False
+        return True
+
+    assert converges(Fraction(1, 50))
+    assert not converges(Fraction(1, 200))
+    assert converges(Fraction(1, 100), tail_start=199)
 
 
 @settings(max_examples=40, deadline=None)
