@@ -30,7 +30,7 @@ FIXTURES = (
     "example_2_2_corrected",
     "example_3_3",
 )
-EXTRA = ("aborted", "evidence", "overflow", "swap")
+EXTRA = ("aborted", "evidence", "overflow", "snap", "swap", "table")
 COMMANDS = ("axioms", "verify", "solve", "circle", "run")
 FORMATS = ("json", "text")
 CASES = [
