@@ -69,7 +69,6 @@ from .space import (
     SpaceError,
     TableMetric,
     TableSMetric,
-    TriangleReport,
     UnknownPointError,
     UnsupportedSpaceError,
     as_point,

@@ -25,7 +25,6 @@ from pathlib import Path
 from .experiment import (
     CheckSpec,
     ConfigError,
-    Declared,
     ExperimentSpec,
     build_check,
     load_experiment,
@@ -106,18 +105,19 @@ def _synthesize(spec: ExperimentSpec, command: str) -> list[CheckSpec]:
             "no circle checks are declared; add a zamfirescu or fixed_circle "
             "check naming its center",
         )
-    declared = Declared(spec.space, spec.mapping, spec.params, spec.gauge)
-    return [build_check(entry, "checks", declared) for entry in entries]
+    return [build_check(entry, "checks", spec) for entry in entries]
 
 
 def _execute(args: argparse.Namespace) -> RunReport:
     spec = load_experiment(args.input)
-    if args.command == "run":
-        return run(spec, tolerance=args.tolerance)
-    family = CHECK_FAMILIES[args.command]
-    if not any(c.name in family for c in spec.checks):
-        spec.checks = _synthesize(spec, args.command)
-    return run(spec, only=family, tolerance=args.tolerance)
+    if args.command != "run":
+        family = CHECK_FAMILIES[args.command]
+        spec.checks = [c for c in spec.checks if c.name in family]
+        if not spec.checks:
+            spec.checks = _synthesize(spec, args.command)
+    if args.tolerance is not None:
+        spec.tolerance = args.tolerance
+    return run(spec)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -74,19 +74,6 @@ class CheckSpec:
 
 
 @dataclass
-class ExperimentSpec:
-    name: str
-    tolerance: Fraction
-    space: Space
-    mapping: Mapping | None
-    params: ContractionParams | None
-    gauge: GaugeSpec | None
-    checks: list[CheckSpec]
-    echo: dict
-    digest: str
-
-
-@dataclass(frozen=True)
 class Declared:
     """What an experiment declares besides its checks: the parts check
     entries are read and validated against."""
@@ -95,6 +82,15 @@ class Declared:
     mapping: Mapping | None
     params: ContractionParams | None
     gauge: GaugeSpec | None
+
+
+@dataclass
+class ExperimentSpec(Declared):
+    name: str
+    tolerance: Fraction
+    checks: list[CheckSpec]
+    echo: dict
+    digest: str
 
 
 def load_experiment(path: str | Path) -> ExperimentSpec:
@@ -178,7 +174,7 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
         json.dumps(echo, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     return ExperimentSpec(
-        name, tolerance, space, mapping, params, gauge, checks, echo, digest
+        space, mapping, params, gauge, name, tolerance, checks, echo, digest
     )
 
 

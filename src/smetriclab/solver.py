@@ -14,13 +14,14 @@ snapping can never invent a fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .contraction import ContractionParams, _m_value
 from .mapping import Mapping, MappingRangeError, PowerMapping, is_fixed
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Point, Space
+from .space import Point, Space, UnknownPointError
 
 
 @dataclass
@@ -86,14 +87,19 @@ def picard(
 
 
 def _land(space: Space, origin: Point, image: Point) -> Point:
-    """Force an orbit step back onto the universe, or fail loudly."""
-    if image in space:
+    """Force an orbit step back onto the universe, or fail loudly.
+
+    A grid image lands on its nearest node, the lower one on a tie.
+    """
+    try:
         return space.resolve(image)
+    except UnknownPointError:
+        pass
     if space.kind == "real_grid" and image.value is not None:
-        nearest, gap = space.nearest(image.value)
-        assert space.step is not None
-        if gap < space.step:
-            return nearest
+        offset = (image.value - space.points[0].value) / space.step
+        i = min(max(math.ceil(offset - Fraction(1, 2)), 0), len(space) - 1)
+        if abs(image.value - space.points[i].value) < space.step:
+            return space.points[i]
         raise MappingRangeError(
             f"image {image.label} of {origin.label} leaves the grid"
         )

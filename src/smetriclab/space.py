@@ -210,15 +210,11 @@ class Space:
         kind: str,
         points: tuple[Point, ...],
         smetric: SMetric,
-        lo: Fraction | None = None,
-        hi: Fraction | None = None,
         step: Fraction | None = None,
     ):
         self.kind = kind
         self.points = points
         self.smetric = smetric
-        self.lo = lo
-        self.hi = hi
         self.step = step
         self._by_label = {p.label: p for p in points}
         if len(self._by_label) != len(points):
@@ -238,7 +234,7 @@ class Space:
             as_point(lo_f + i * step_f)
             for i in range(grid_steps(lo_f, hi_f, step_f) + 1)
         )
-        return cls("real_grid", points, smetric, lo_f, hi_f, step_f)
+        return cls("real_grid", points, smetric, step_f)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -284,20 +280,6 @@ class Space:
     def s(self, x: object, y: object, z: object) -> Fraction:
         """S(x, y, z) for universe points, labels, or raw coordinates."""
         return self.smetric.triple(self.coerce(x), self.coerce(y), self.coerce(z))
-
-    def nearest(self, value: Fraction) -> tuple[Point, Fraction]:
-        """Closest grid point to ``value`` and the distance to it."""
-        if self.kind != "real_grid":
-            raise UnsupportedSpaceError("nearest() needs a real_grid space")
-        assert self.lo is not None and self.step is not None
-        offset = (value - self.lo) / self.step
-        i = offset.numerator // offset.denominator
-        if offset - i > Fraction(1, 2):
-            i += 1
-        i = min(max(i, 0), len(self.points) - 1)
-        point = self.points[i]
-        assert point.value is not None
-        return point, abs(value - point.value)
 
 
 @dataclass
@@ -368,8 +350,8 @@ def check_symmetry(
     space: Space,
     sample: list[object] | None = None,
     tol: object = DEFAULT_TOL,
-) -> list[tuple[tuple[Point, Point], Fraction, Fraction]]:
-    """Pairs where S(x, x, y) and S(y, y, x) disagree beyond tol.
+) -> list[tuple[Point, Point, Fraction, Fraction]]:
+    """Pairs (x, y) where S(x, x, y) and S(y, y, x) disagree beyond tol.
 
     Any space satisfying S1 and S2 has none; this probes that directly.
     """
@@ -380,31 +362,23 @@ def check_symmetry(
         forward = space.smetric.triple(x, x, y)
         backward = space.smetric.triple(y, y, x)
         if abs(forward - backward) > tol:
-            bad.append(((x, y), forward, backward))
+            bad.append((x, y, forward, backward))
     return bad
 
 
 def s_from_metric(
     metric: Metric,
-    points: list[object] | None = None,
+    points: list[object],
     tol: object = DEFAULT_TOL,
 ) -> GeneratedSMetric:
     """Validate ``metric`` on ``points`` and wrap it as an S-metric.
 
     Raises :class:`MetricAxiomError` naming the first witness when the
-    table or formula is not actually a metric.  For table metrics the
-    sample defaults to every label in the table.  Each distance is
+    table or formula is not actually a metric.  Each distance is
     evaluated once, and the triangle is certified per pair over all z.
     """
     tol = to_fraction(tol)
-    if points is None:
-        if not isinstance(metric, TableMetric):
-            raise ValueError("points are required for a formula metric")
-        labels = sorted({x for pair in metric.entries for x in pair})
-        pts = [Point(lbl) for lbl in labels]
-    else:
-        pts = [as_point(p) for p in points]
-
+    pts = [as_point(p) for p in points]
     d = functools.cache(metric.distance)
     for x in pts:
         if abs(d(x, x)) > tol:
@@ -436,23 +410,14 @@ def s_from_metric(
     return GeneratedSMetric(metric)
 
 
-@dataclass
-class TriangleReport:
-    violations: list[tuple[tuple[Point, Point, Point], Fraction, Fraction]]
-    triples_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def check_triangle(
     space: Space,
     sample: list[object] | None = None,
     tol: object = DEFAULT_TOL,
-) -> TriangleReport:
-    """Test the induced distance for the triangle inequality on triples,
-    certified per pair (x, y) over all z, with each S(x, x, y) evaluated once."""
+) -> list[tuple[tuple[Point, Point, Point], Fraction, Fraction]]:
+    """Triples (x, y, z) where the induced distance breaks the triangle
+    inequality beyond tol, with its two sides; certified per pair (x, y)
+    over all z, with each S(x, x, y) evaluated once."""
     tol = to_fraction(tol)
     pts = space.sampled(sample)
     n = len(pts)
@@ -469,7 +434,7 @@ def check_triangle(
                 for k, rhs in enumerate(map(add, rows[i], rows[j]))
                 if bound > rhs
             ]
-    return TriangleReport(bad, n**3)
+    return bad
 
 
 @dataclass

@@ -83,6 +83,26 @@ def test_near_images_snap_to_the_grid():
     assert trace.outcome.steps == 3
 
 
+def test_images_past_the_grid_ends_snap_within_a_step():
+    space = Space.real_grid(0, 1, Fraction(1, 4), sum_abs_smetric())
+    for expr, x0, orbit in (
+        ("x + 0.2", "0.5", ["0.5", "0.75", "1", "1"]),
+        ("x - 0.2", "0.5", ["0.5", "0.25", "0", "0"]),
+    ):
+        push = FormulaMapping(Formula.parse(expr, ("x",)))
+        trace = picard(space, push, x0)
+        # 1.2 and -0.2 land on the ends, which the raw map does not fix
+        assert labels(trace) == orbit
+        assert trace.outcome.status == "cycle_detected"
+
+
+def test_finite_universe_images_never_snap():
+    space = Space.finite([0, 1], sum_abs_smetric())
+    nudge = FormulaMapping(Formula.parse("x + 0.1", ("x",)))
+    with pytest.raises(MappingRangeError, match="outside the universe"):
+        picard(space, nudge, 0)
+
+
 def test_snapping_cannot_invent_a_fixed_point():
     space = Space.real_grid(0, 5, 1, sum_abs_smetric())
     creep = FormulaMapping(Formula.parse("x + 0.4", ("x",)))

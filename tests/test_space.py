@@ -31,9 +31,7 @@ from smetriclab import (
     SpaceError,
     TableMetric,
     TableSMetric,
-    TriangleReport,
     UnknownPointError,
-    UnsupportedSpaceError,
     as_point,
     check_axioms,
     check_symmetry,
@@ -82,15 +80,9 @@ def test_grid_generation():
 
 def test_grid_nearest_and_coerce():
     space = Space.real_grid(0, 1, Fraction(1, 4), sum_abs_smetric())
-    point, gap = space.nearest(Fraction(3, 10))
-    assert (point.label, gap) == ("0.25", Fraction(1, 20))
-    point, gap = space.nearest(Fraction(6, 5))
-    assert (point.label, gap) == ("1", Fraction(1, 5))
     loose = space.coerce(Fraction(9, 8))
     assert loose.value == Fraction(9, 8)
     assert loose.label not in space
-    with pytest.raises(UnsupportedSpaceError):
-        Space.finite([0], sum_abs_smetric()).nearest(Fraction(1))
 
 
 def test_eval_s_accepts_raw_coordinates(four_space):
@@ -125,7 +117,7 @@ def test_axioms_catch_s2_and_symmetry_breaks():
     quads = {tuple(p.label for p in q) for q, _, _ in report.s2_violations}
     assert ("p", "p", "q", "p") in quads
     bad = check_symmetry(space)
-    assert [(x.label, y.label) for (x, y), _, _ in bad] == [("p", "q")]
+    assert [(x.label, y.label) for x, y, _, _ in bad] == [("p", "q")]
 
 
 def test_axioms_catch_negative_and_nonzero_diagonal():
@@ -171,21 +163,16 @@ def test_axioms_catch_negative_and_nonzero_diagonal():
     ],
 )
 def test_s_from_metric_rejects_bad_tables(entries, fragment):
+    labels = sorted({x for pair in entries for x in pair})
     with pytest.raises(MetricAxiomError, match=fragment):
-        s_from_metric(TableMetric(entries))
-
-
-def test_s_from_metric_formula_needs_points():
-    metric = FormulaMetric(Formula.parse("abs(x - y)", ("x", "y")))
-    with pytest.raises(ValueError, match="points"):
-        s_from_metric(metric)
+        s_from_metric(TableMetric(entries), labels)
 
 
 def test_generated_smetric_round_trip():
     rng = random.Random(7)
     labels = ["a", "b", "c", "d", "e"]
     metric = closure_metric(rng, labels)
-    space = Space.finite(labels, s_from_metric(metric))
+    space = Space.finite(labels, s_from_metric(metric, labels))
     assert check_axioms(space).passed
     assert check_symmetry(space) == []
     check = generating_metric_check(space)
@@ -216,11 +203,9 @@ def test_bent_formula_is_not_generated():
 def test_induced_distance_symmetric_with_zero_diagonal(four_space):
     # a negative margin reports every triple, with lhs the induced
     # distance S(x, x, y) + S(y, y, x) of its first two points
-    report = check_triangle(four_space, tol=-1000)
-    assert len(report.violations) == report.triples_checked == 64
-    induced = {
-        (x.label, y.label): lhs for (x, y, _), lhs, _ in report.violations
-    }
+    violations = check_triangle(four_space, tol=-1000)
+    assert len(violations) == 64
+    induced = {(x.label, y.label): lhs for (x, y, _), lhs, _ in violations}
     for p in four_space.points:
         assert induced[p.label, p.label] == 0
         for q in four_space.points:
@@ -229,9 +214,7 @@ def test_induced_distance_symmetric_with_zero_diagonal(four_space):
 
 
 def test_triangle_holds_for_sum_abs(four_space):
-    report = check_triangle(four_space)
-    assert report.passed
-    assert report.triples_checked == 64
+    assert check_triangle(four_space) == []
 
 
 def test_triangle_violation_is_reported():
@@ -244,9 +227,9 @@ def test_triangle_violation_is_reported():
     for x, y in (("p", "r"), ("r", "p")):
         entries[(x, x, y)] = Fraction(9)
     space = Space.finite(["p", "q", "r"], TableSMetric(entries))
-    report = check_triangle(space)
-    assert not report.passed
-    labels = {tuple(p.label for p in t) for t, _, _ in report.violations}
+    violations = check_triangle(space)
+    assert violations
+    labels = {tuple(p.label for p in t) for t, _, _ in violations}
     assert ("p", "r", "q") in labels
 
 
@@ -277,7 +260,8 @@ def test_tail_convergence_surrogates():
 def test_closure_metrics_generate_axiom_clean_spaces(seed, size):
     rng = random.Random(seed)
     labels = [f"p{i}" for i in range(size)]
-    space = Space.finite(labels, s_from_metric(closure_metric(rng, labels)))
+    metric = closure_metric(rng, labels)
+    space = Space.finite(labels, s_from_metric(metric, labels))
     assert check_axioms(space).passed
     assert check_symmetry(space) == []
     assert generating_metric_check(space).generated
@@ -339,7 +323,7 @@ def reference_triangle(space, sample=None, tol=DEFAULT_TOL):
         rhs = ds(i, k) + ds(k, j)
         if lhs > rhs + tol:
             bad.append(((pts[i], pts[j], pts[k]), lhs, rhs))
-    return TriangleReport(bad, n**3)
+    return bad
 
 
 def reference_generated(space, sample=None, tol=DEFAULT_TOL):
@@ -368,13 +352,9 @@ def reference_generated(space, sample=None, tol=DEFAULT_TOL):
     return GeneratedCheck(True, None, n**3)
 
 
-def reference_s_from_metric(metric, points=None, tol=DEFAULT_TOL):
+def reference_s_from_metric(metric, points, tol=DEFAULT_TOL):
     tol = to_fraction(tol)
-    if points is None:
-        labels = sorted({x for pair in metric.entries for x in pair})
-        pts = [Point(lbl) for lbl in labels]
-    else:
-        pts = [as_point(p) for p in points]
+    pts = [as_point(p) for p in points]
 
     d = metric.distance
     for x in pts:
@@ -537,7 +517,7 @@ def metrics(draw):
     for pair in draw(st.lists(st.sampled_from(pairs), max_size=2)):
         entries[pair] = draw(FRACTIONS)
     entries.setdefault((labels[0], labels[-1]), Fraction(0))
-    return TableMetric(entries), None
+    return TableMetric(entries), labels
 
 
 @settings(max_examples=300, deadline=None)
