@@ -41,6 +41,14 @@ from .space import (
     subsample,
 )
 
+#: Caps checked as a document is read: grid nodes, formula sequence terms,
+#: and map applications of a ``solve_power`` orbit (m per step, for at most
+#: len(universe) + 1 steps before it cycles or converges).
+MAX_GRID_NODES = 100_000
+MAX_SEQUENCE_TERMS = 100_000
+MAX_POWER_APPLICATIONS = 1_000_000
+
+
 class ConfigError(Exception):
     """Invalid experiment file; the message names the JSON path."""
 
@@ -217,6 +225,10 @@ def _build_space(node: object) -> Space:
             count = grid_steps(lo, hi, step)
         except GridBoundError as e:
             raise ConfigError(f"space.{e.bound}", e.reason) from None
+        _require(
+            count < MAX_GRID_NODES, "space.step",
+            f"gives {count + 1} grid nodes, over the cap of {MAX_GRID_NODES}",
+        )
         # validate a generated metric on the grid's subsample; the full
         # grid would make the triangle sweep cubic in 10^3+ points
         probe = [lo + i * step for i in subsample(count + 1)]
@@ -486,6 +498,18 @@ def positive_int(raw: object, path: str, declared: Declared) -> int:
     return raw
 
 
+def power(raw: object, path: str, declared: Declared) -> int:
+    """The m of ``solve_power``, held to ``MAX_POWER_APPLICATIONS``."""
+    m = positive_int(raw, path, declared)
+    work = m * (len(declared.space) + 1)
+    _require(
+        work <= MAX_POWER_APPLICATIONS, path,
+        f"gives up to {work} map applications, "
+        f"over the cap of {MAX_POWER_APPLICATIONS}",
+    )
+    return m
+
+
 def boolean(raw: object, path: str, declared: Declared) -> bool:
     _require(isinstance(raw, bool), path, "must be a boolean")
     return raw
@@ -538,6 +562,11 @@ def sequence(node: object, path: str, declared: Declared) -> SequenceSpec:
                 f"{path}.{key}", "must be an integer",
             )
         _require(n_from <= n_to, f"{path}.n_to", "must be at least n_from")
+        terms = n_to - n_from + 1
+        _require(
+            terms <= MAX_SEQUENCE_TERMS, f"{path}.n_to",
+            f"gives {terms} terms, over the cap of {MAX_SEQUENCE_TERMS}",
+        )
         return SequenceSpec(expr=formula, n_from=n_from, n_to=n_to)
     raise ConfigError(path, "must be a list of values or an object")
 

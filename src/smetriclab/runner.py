@@ -44,6 +44,7 @@ from .experiment import (
     pair,
     point,
     positive_int,
+    power,
     sequence,
 )
 from .expr import ExprError
@@ -402,7 +403,7 @@ def _run_solve(spec, options, tol):
 
 
 @_check(
-    "solve_power", "solve", {**_ITERATION, "m": positive_int}, _power_summary,
+    "solve_power", "solve", {**_ITERATION, "m": power}, _power_summary,
     needs=("a map",), label="solve_power[m={m}, x0={x0.label}]",
 )
 def _run_solve_power(spec, options, tol):

@@ -512,3 +512,45 @@ def test_every_command_exits_0_1_or_2_on_any_formula_text(
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             code = cli.main([command, "--input", str(path)])
         assert code in (0, 1, 2), (command, out.getvalue())
+
+
+def _integer_option(past_cap):
+    """Small values, a value past the option's cap, and integers of 1,000
+    and 1,001 digits.  Values just under a cap are slow by design; the
+    golden error table holds those."""
+    return st.one_of(
+        st.integers(-3, 100), st.sampled_from((past_cap, 10**999, 10**1000))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # past the caps on three points: m * (3 + 1) map applications, and
+    # n_to - n_from + 1 terms; max_iter, tail_start and window have none
+    m=_integer_option(250_001), max_iter=_integer_option(10**6),
+    n_from=_integer_option(200_000), n_to=_integer_option(200_000),
+    tail_start=_integer_option(10**6), window=_integer_option(10**6),
+)
+def test_every_command_exits_0_1_or_2_on_any_integer_option(
+    tmp_path_factory, m, max_iter, n_from, n_to, tail_start, window
+):
+    doc = {
+        "space": {"kind": "finite", "points": [0, 1, 2],
+                  "smetric": {"kind": "formula", "expr": SUM_ABS}},
+        "map": {"kind": "formula", "expr": "piecewise(x < 1 : x + 1, else : 1)"},
+        "params": {"a": 0.5},
+        "checks": [
+            {"check": "solve", "x0": 0, "max_iter": max_iter},
+            {"check": "solve_power", "x0": 0, "m": m, "max_iter": max_iter},
+            {"check": "discontinuity", "u": 1, "conv_tol": 10,
+             "sequences": [{"expr": "1 + 1/n", "n_from": n_from, "n_to": n_to}],
+             "tail_start": tail_start, "window": window},
+        ],
+    }
+    path = tmp_path_factory.getbasetemp() / "integer_options.json"
+    path.write_text(json.dumps(doc))
+    for command in ("axioms", "verify", "solve", "circle", "run"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = cli.main([command, "--input", str(path)])
+        assert code in (0, 1, 2), (command, out.getvalue())

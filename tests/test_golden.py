@@ -364,6 +364,19 @@ ERRORS += [
      _doc({"check": "axioms"},
           map={"kind": "formula", "expr": "(" * 100 + "x" + ")" * 100}),
      "map.expr: nested deeper than 100 levels at offset 99"),
+    # the work a document asks for, one past each cap
+    ("grid one node past the cap",
+     _doc({"check": "axioms"}, space={
+         "kind": "real_grid", "lo": 0, "hi": 100_000, "step": 1,
+         "smetric": BASE["space"]["smetric"]}),
+     "space.step: gives 100001 grid nodes, over the cap of 100000"),
+    ("sequence one term past the cap",
+     _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 100_001}])),
+     "checks[0].sequences[0].n_to: gives 100001 terms, over the cap of 100000"),
+    ("solve_power m one past the cap",
+     _doc({"check": "solve_power", "x0": 0, "m": 200_001}),
+     "checks[0].m: gives up to 1000005 map applications, "
+     "over the cap of 1000000"),
     # every number read must fit in a float, as evidence and the report's
     # tolerance are floats
     ("table S-metric entry too large for a float",
@@ -406,6 +419,21 @@ def test_check_errors_keep_their_text(doc, message):
     with pytest.raises(ConfigError) as excinfo:
         build_experiment(doc)
     assert str(excinfo.value) == message
+
+
+AT_THE_CAPS = {
+    "grid": _doc({"check": "axioms"}, space={
+        "kind": "real_grid", "lo": 0, "hi": 99_999, "step": 1,
+        "smetric": BASE["space"]["smetric"]}),
+    "sequence": _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 100_000}])),
+    # 200,000 applications per step, for up to 4 + 1 steps on 4 points
+    "solve_power": _doc({"check": "solve_power", "x0": 0, "m": 200_000}),
+}
+
+
+@pytest.mark.parametrize("doc", AT_THE_CAPS.values(), ids=AT_THE_CAPS)
+def test_documents_at_each_cap_still_load(doc):
+    build_experiment(doc)
 
 
 def _regenerate():
