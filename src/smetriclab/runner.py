@@ -74,14 +74,13 @@ class RunReport:
 
 def run(spec: ExperimentSpec) -> RunReport:
     """Execute the experiment's checks at the experiment's tolerance."""
-    tol = spec.tolerance
     started = time.perf_counter()
     records = []
     counts = {"pass": 0, "fail": 0, "unsupported": 0, "aborted": 0}
     for check in spec.checks:
         try:
             passed, details = CHECKS[check.name].execute(
-                spec, check.options, tol
+                spec, check.options, spec.tolerance
             )
             verdict = "pass" if passed else "fail"
         except UnsupportedSpaceError as e:
@@ -108,7 +107,7 @@ def run(spec: ExperimentSpec) -> RunReport:
     report = {
         "tool": {"name": "smetriclab", "version": __version__},
         "experiment": {"name": spec.name, "hash": spec.digest},
-        "tolerance": float(tol),
+        "tolerance": float(spec.tolerance),
         "config": spec.echo,
         "checks": records,
         "summary": {

@@ -379,6 +379,7 @@ def s_from_metric(
     """
     tol = to_fraction(tol)
     pts = [as_point(p) for p in points]
+
     d = functools.cache(metric.distance)
     for x in pts:
         if abs(d(x, x)) > tol:
