@@ -30,7 +30,10 @@ FIXTURES = (
     "example_2_2_corrected",
     "example_3_3",
 )
-EXTRA = ("aborted", "evidence", "overflow", "snap", "swap", "table")
+EXTRA = (
+    "aborted", "evidence", "lattice", "lattice_fallback", "lattice_thirds",
+    "overflow", "snap", "swap", "table",
+)
 COMMANDS = ("axioms", "verify", "solve", "circle", "run")
 FORMATS = ("json", "text")
 CASES = [
@@ -297,6 +300,11 @@ ERRORS += [
     ("fixed_circle bad tol_circle",
      _doc({"check": "fixed_circle", "x0": 4, "tol_circle": "wide"}),
      "checks[0].tol_circle: must be a number"),
+    ("fixed_circle center off the grid",
+     _doc({"check": "fixed_circle", "x0": Fraction("0.05")}, space={
+         "kind": "real_grid", "lo": 0, "hi": 1, "step": Fraction("0.1"),
+         "smetric": BASE["space"]["smetric"]}),
+     "checks[0].x0: no point at coordinate 0.05"),
     ("fixed_circle bad expectation",
      _doc({"check": "fixed_circle", "x0": 4, "expect_disc_fixed": 1}),
      "checks[0].expect_disc_fixed: must be a boolean"),
