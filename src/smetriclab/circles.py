@@ -23,18 +23,56 @@ One pass over the sample evaluates each of these values at most once
 per point.  On a grid, membership has its own margin: half the steepest
 slope of S(., ., x0) between neighbouring sample coordinates, times the
 step.  Finite universes use the plain margin tol.
+
+When T and S are formulas that compile over ints on the lattice of the
+sample, the center and their images, values are ints over one denominator,
+compared with integer cuts; otherwise Fractions, read in the same order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator
 
 from .contraction import ContractionParams
-from .mapping import Mapping
+from .mapping import Mapping, on_lattice
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Point, Space
+from .space import FormulaSMetric, Point, Space
+
+
+@dataclass
+class _Reading:
+    """How one call reads its points, their images and S: on a lattice, as
+    ints ``scale`` times the coordinates, and S as ``den`` times its value;
+    else as they are, T applied in order as ``images`` is read."""
+
+    points: list
+    images: Iterator
+    s: Callable  # (x, y, z) -> S(x, y, z) times den
+    den: int = 1
+    scale: int | None = None
+
+    def cut(self, t: Fraction):
+        """What a value is compared with where its exact value meets t."""
+        return t if self.scale is None else math.floor(t * self.den)
+
+    def exact(self, value, weight=1) -> Fraction:
+        return Fraction(value, self.den * weight)
+
+
+def _read(space, mapping, points):
+    smetric = space.smetric
+    if isinstance(smetric, FormulaSMetric):
+        lattice = on_lattice(mapping, points)
+        compiled = lattice and smetric.formula.scaled(lattice[0])
+        if compiled:
+            scale, xs, images = lattice
+            return _Reading(xs, iter(images), *compiled, scale)
+    images = (mapping.apply(space, p) for p in points)
+    return _Reading(points, images, lambda xyz: smetric.triple(*xyz))
 
 
 @dataclass(slots=True)
@@ -42,48 +80,53 @@ class _Row:
     """One sampled point and the values the verdicts read."""
 
     point: Point
-    image: Point  # Tx
-    moved: Fraction  # S(Tx, Tx, x)
-    dist: Fraction | None = None  # S(x, x, x0)
-    image_dist: Fraction | None = None  # S(Tx, Tx, x0)
+    image: object  # Tx
+    moved: object  # S(Tx, Tx, x)
+    dist: object = None  # S(x, x, x0)
+    image_dist: object = None  # S(Tx, Tx, x0)
 
 
 def _rows(space, mapping, a, b, center, pts, tol, every_dist):
-    """The row of each sampled point, in sample order, and the
-    (point, lhs, rhs) violations of the x0-bound.
+    """How the call reads its values, the row of each sampled point, in
+    sample order, and the (point, lhs, rhs) violations of the x0-bound.
 
     A point that moves gets every term of the x0-bound; S(x, x, x0) is
     taken on the others only when ``every_dist`` asks for it.
     """
     weights = ContractionParams(a, b, 0)  # checks a and b
-    s = space.smetric.triple
-    t_center = mapping.apply(space, center)
     half_b = weights.b / 2
+    read = _read(space, mapping, [center, *pts])
+    s, (c, *xs), tc = read.s, read.points, next(read.images)
+    # the x0-bound times w, so that a and b/2 become integers
+    w = math.lcm(weights.a.denominator, half_b.denominator)
+    wa, wb = int(weights.a * w), int(half_b * w)
+    moves, slack = read.cut(tol), read.cut(tol * w)
     rows, violations = [], []
-    for p in pts:
-        image = mapping.apply(space, p)
-        row = _Row(p, image, s(image, image, p))
-        if every_dist or row.moved > tol:
-            row.dist = s(p, p, center)
-        if row.moved > tol:
-            back = s(t_center, t_center, p)
-            row.image_dist = s(image, image, center)
-            bound = max(weights.a * row.dist, half_b * (back + row.image_dist))
-            if row.moved > bound + tol:
-                violations.append((p, row.moved, bound))
+    for p, x, image in zip(pts, xs, read.images):
+        row = _Row(p, image, s((image, image, x)))
+        if every_dist or row.moved > moves:
+            row.dist = s((x, x, c))
+        if row.moved > moves:
+            back = s((tc, tc, x))
+            row.image_dist = s((image, image, c))
+            bound = max(wa * row.dist, wb * (back + row.image_dist))
+            if row.moved * w > bound + slack:
+                violations.append((p, read.exact(row.moved), read.exact(bound, w)))
         rows.append(row)
-    return rows, violations
+    return read, rows, violations
 
 
-def _grid_margin(space, rows, tol):
+def _grid_margin(space, read, rows, tol):
     """Half the steepest slope of S(., ., x0) between neighbouring sample
     coordinates, times the grid step; never below tol."""
-    by_value = sorted({r.point.value: r.dist for r in rows}.items())
-    slopes = [
-        abs(d1 - d0) / (c1 - c0)
-        for (c0, d0), (c1, d1) in itertools.pairwise(by_value)
-    ]
-    return max(tol, max(slopes, default=0) * (space.step / 2))
+    xs = read.points[1:] if read.scale else [r.point.value for r in rows]
+    by_value = sorted(dict(zip(xs, (r.dist for r in rows))).items())
+    rise, run = 0, 1
+    for (c0, d0), (c1, d1) in itertools.pairwise(by_value):
+        if abs(d1 - d0) * run > rise * (c1 - c0):
+            rise, run = abs(d1 - d0), c1 - c0
+    slope = read.exact(rise * (read.scale or 1), run)
+    return max(tol, slope * (space.step / 2))
 
 
 def verify_zamfirescu_x0(
@@ -101,7 +144,7 @@ def verify_zamfirescu_x0(
     lhs = S(Tx, Tx, x) exceeds rhs + tol.
     """
     tol = to_fraction(tol)
-    _, violations = _rows(
+    _, _, violations = _rows(
         space, mapping, a, b, space.resolve(x0), space.sampled(sample), tol,
         every_dist=False,
     )
@@ -148,37 +191,39 @@ def check_fixed_circle(
     """
     tol = to_fraction(tol)
     center = space.resolve(x0)
-    rows, zam = _rows(
+    read, rows, zam = _rows(
         space, mapping, a, b, center, space.sampled(sample), tol,
         every_dist=True,
     )
-    radius = min((r.moved for r in rows if r.moved > tol), default=Fraction(0))
+    moves = read.cut(tol)
+    radius = min((r.moved for r in rows if r.moved > moves), default=0)
     if tol_circle is not None:
         margin = to_fraction(tol_circle)
     elif space.kind == "real_grid":
-        margin = _grid_margin(space, rows, tol)
+        margin = _grid_margin(space, read, rows, tol)
     else:
         margin = tol
-    circle = [r for r in rows if abs(r.dist - radius) <= margin]
-    reach, limit = radius + margin, radius + tol
+    width = read.cut(margin)
+    circle = [r for r in rows if abs(r.dist - radius) <= width]
+    reach, limit = radius + width, radius + moves
     disc = [r for r in rows if r.dist <= reach]
 
-    s = space.smetric.triple
+    s, c = read.s, read.points[0]
     for r in disc:
         if r.image_dist is None:
-            r.image_dist = s(r.image, r.image, center)
+            r.image_dist = s((r.image, r.image, c))
     hypothesis_violations = [
-        (r.point, r.image_dist) for r in disc if r.image_dist > limit
+        (r.point, read.exact(r.image_dist)) for r in disc if r.image_dist > limit
     ]
-    nonfixed = [r.point for r in disc if r.moved > tol]
-    circle_fixed = all(r.moved <= tol for r in circle)
+    nonfixed = [r.point for r in disc if r.moved > moves]
+    circle_fixed = all(r.moved <= moves for r in circle)
     hyp_ok_on_circle = all(r.image_dist <= limit for r in circle)
     inconsistent = not zam and (
         (hyp_ok_on_circle and not circle_fixed)
         or (not hypothesis_violations and bool(nonfixed))
     )
     return CircleReport(
-        rho=radius,
+        rho=read.exact(radius),
         circle_points=[r.point for r in circle],
         disc_points=[r.point for r in disc],
         zamfirescu_violations=zam,

@@ -25,10 +25,13 @@ whole formula as one, both in its text (parentheses, argument lists and
 unary minus) and in its tree (``1 + 2 + 3`` is three levels); deeper input
 is a syntax error, so no recursion over it exhausts Python's stack.
 :class:`Formula` compiles its tree once into closures over exact fractions.
+:meth:`Formula.scaled` compiles it again, on first use at each input scale,
+into closures over integers, unless it divides by a variable or by 0.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
@@ -296,7 +299,7 @@ def parse(text: str, variables: Iterator[str] | frozenset[str]) -> Expr:
 
 def evaluate(node: Expr, env: Mapping[str, Fraction]) -> Fraction:
     """Evaluate exactly over rationals.  Raises :class:`ExprEvalError`."""
-    return _compile(node, {n: i for i, n in enumerate(env)})(tuple(env.values()))
+    return _compile(node, {n: i for i, n in enumerate(env)})[0](tuple(env.values()))
 
 
 _OPERATORS = {
@@ -305,55 +308,79 @@ _OPERATORS = {
 }
 
 
-def _compile(node: Expr, index: Mapping[str, int]) -> Callable:
-    """``node`` as a closure over the tuple of values of the names in
-    ``index`` (name -> position).  Exact over rationals; division by zero
-    and a missing binding are raised when the closure is called."""
+def _compile(node: Expr, index: Mapping[str, int], scale: int | None = None):
+    """``node`` as (closure, den), the closure over the tuple of values of
+    the names in ``index`` (name -> position).  With no ``scale`` it is
+    exact over rationals, den is 1, and division by zero and a missing
+    binding are raised when it is called.  With a ``scale`` it maps the
+    values times ``scale``, as ints, to the value times den, an int.
+    Sums, extrema, piecewise values and comparisons take the lcm of their
+    operands' dens, products the product, and a nonzero constant divisor
+    folds into it; any other divisor or a missing binding raises at once."""
+
+    def sub(child):
+        return _compile(child, index, scale)
+
+    def common(*children):  # the children's closures over one den
+        parts = [sub(child) for child in children]
+        den = math.lcm(*(d for _, d in parts))
+        return [_times(f, den // d) for f, d in parts], den
+
     match node:
         case Num(value):
-            return lambda v: value
+            n = value if scale is None else value.numerator
+            return (lambda v: n), 1 if scale is None else value.denominator
         case Var(name) if name in index:
-            return operator.itemgetter(index[name])
-        case Var(name):
+            return operator.itemgetter(index[name]), scale or 1
+        case Var(name) if scale is None:
             def unbound(v):
                 raise ExprEvalError(f"missing binding for {name!r}")
-            return unbound
+            return unbound, 1
         case Neg(operand):
-            f = _compile(operand, index)
-            return lambda v: -f(v)
-        case BinOp("/", left, right):
-            f, g = _compile(left, index), _compile(right, index)
+            f, d = sub(operand)
+            return (lambda v: -f(v)), d
+        case BinOp("/", left, right) if scale is None:
+            (f, _), (g, _) = sub(left), sub(right)
 
             def divide(v):
                 denom = g(v)
                 if not denom:
                     raise ExprEvalError("division by zero")
                 return f(v) / denom
-            return divide
-        case BinOp("+" | "-" | "*" as op, left, right) | Comparison(
-            "<" | "<=" | ">" | ">=" as op, left, right
-        ):
+            return divide, 1
+        case BinOp("/", left, right):
+            r = 1 / _compile(right, {})[0](())  # raises unless a nonzero constant
+            f, d = sub(left)
+            return _times(f, r.numerator), d * r.denominator
+        case BinOp("*", left, right):
+            (f, df), (g, dg) = sub(left), sub(right)
+            return (lambda v: f(v) * g(v)), df * dg
+        case BinOp("+" | "-" as op, left, right) | Comparison(op, left, right):
             apply = _OPERATORS[op]
-            f, g = _compile(left, index), _compile(right, index)
-            return lambda v: apply(f(v), g(v))
+            (f, g), den = common(left, right)
+            return (lambda v: apply(f(v), g(v))), den
         case Call("abs", (arg,)):
-            f = _compile(arg, index)
-            return lambda v: abs(f(v))
+            f, d = sub(arg)
+            return (lambda v: abs(f(v))), d
         case Call("min" | "max" as func, args):
             pick = min if func == "min" else max
-            fs = [_compile(a, index) for a in args]
-            return lambda v: pick([f(v) for f in fs])
+            fs, den = common(*args)
+            return (lambda v: pick([f(v) for f in fs])), den
         case Piecewise(branches, otherwise):
-            tests = [(_compile(c, index), _compile(x, index)) for c, x in branches]
-            other = _compile(otherwise, index)
+            (other, *values), den = common(otherwise, *(x for _, x in branches))
+            tests = [(sub(c)[0], value) for (c, _), value in zip(branches, values)]
 
             def piecewise(v):
                 for holds, value in tests:
                     if holds(v):
                         return value(v)
                 return other(v)
-            return piecewise
+            return piecewise, den
     raise ExprEvalError(f"cannot evaluate node {node!r}")
+
+
+def _times(f: Callable, k: int) -> Callable:
+    return f if k == 1 else lambda v: f(v) * k
 
 
 _LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4
@@ -415,10 +442,11 @@ class Formula:
     ast: Expr
     variables: tuple[str, ...]
     compiled: Callable = field(init=False, repr=False, compare=False)
+    by_scale: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = {name: i for i, name in enumerate(self.variables)}
-        object.__setattr__(self, "compiled", _compile(self.ast, index))
+        object.__setattr__(self, "compiled", _compile(self.ast, index)[0])
 
     @classmethod
     def parse(cls, text: str, variables: tuple[str, ...]) -> "Formula":
@@ -430,6 +458,18 @@ class Formula:
                 f"expected {len(self.variables)} arguments, got {len(values)}"
             )
         return self.compiled(tuple(map(to_fraction, values)))
+
+    def scaled(self, scale: int) -> tuple[Callable, int] | None:
+        """(closure, den): the formula from its values times ``scale`` to
+        its value times den, over ints, compiled on first use at each
+        scale; None when it divides by a variable or by 0."""
+        if scale not in self.by_scale:
+            index = {name: i for i, name in enumerate(self.variables)}
+            try:
+                self.by_scale[scale] = _compile(self.ast, index, scale)
+            except (ExprEvalError, ZeroDivisionError):
+                self.by_scale[scale] = None
+        return self.by_scale[scale]
 
     def pretty(self) -> str:
         return pretty(self.ast)

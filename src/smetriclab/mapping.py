@@ -9,6 +9,8 @@ point otherwise; callers that need the orbit to stay inside the universe
 
 from __future__ import annotations
 
+import math
+
 from .expr import Formula
 from .space import Point, Space, SpaceError
 
@@ -69,3 +71,21 @@ def is_fixed(space: Space, mapping: Mapping, x: object) -> bool:
     """Exact test of T(x) = x; off-universe images simply compare unequal."""
     point = space.coerce(x)
     return mapping.apply(space, point) == point
+
+
+def on_lattice(mapping: Mapping, points: list[Point]) -> tuple | None:
+    """``(scale, xs, images)``: the points' coordinates and their images
+    under a formula map, as ints over the least scale that holds both
+    exactly; None for another map, a formula that divides by a variable or
+    by 0, or a point without a coordinate."""
+    if not isinstance(mapping, FormulaMapping) or any(p.value is None for p in points):
+        return None
+    scale = math.lcm(*(p.value.denominator for p in points))
+    compiled = mapping.formula.scaled(scale)
+    if compiled is None:
+        return None
+    image, den = compiled
+    lattice = math.lcm(scale, den)
+    up, image_up = lattice // scale, lattice // den
+    xs = [p.value.numerator * (scale // p.value.denominator) for p in points]
+    return lattice, [x * up for x in xs], [image((x,)) * image_up for x in xs]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contraction import ContractionParams, _m_value
-from .mapping import Mapping, MappingRangeError, PowerMapping, is_fixed
+from .mapping import Mapping, MappingRangeError, PowerMapping, is_fixed, on_lattice
 from .numeric import DEFAULT_TOL, to_fraction
 from .space import Point, Space, UnknownPointError
 
@@ -111,9 +111,12 @@ def _land(space: Space, origin: Point, image: Point) -> Point:
 def fix_set(space: Space, mapping: Mapping) -> list[Point]:
     """All universe points fixed by the map, in universe order.
 
-    The comparison T(x) = x is exact; images that leave the universe are
-    simply not fixed.
+    The comparison T(x) = x is exact, over integers when the map is a
+    formula that compiles on the universe's lattice; images that leave
+    the universe are simply not fixed.
     """
+    if lattice := on_lattice(mapping, space.points):
+        return [p for p, x, y in zip(space.points, *lattice[1:]) if x == y]
     return [p for p in space.points if is_fixed(space, mapping, p)]
 
 

@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from smetriclab import (
     ContractionParams,
@@ -25,6 +26,10 @@ from smetriclab import (
 )
 
 SUM_ABS = "abs(x - z) + abs(y - z)"
+
+# ``pytest --hypothesis-profile ci``: ten times the examples, no deadline;
+# a test's own ``max_examples`` still wins
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def sum_abs_smetric():
