@@ -199,7 +199,7 @@ def discontinuity_criterion(
 
     Sequences must converge to u: S(x_n, x_n, u) <= ``conv_tol`` (default:
     limit_tol) from index ``tail_start`` (default: halfway) on; a sequence
-    that does not is rejected by index.
+    that does not, or ends before that index, is rejected by index.
     ``u`` itself must be fixed within ``tol``.
     """
     tol = to_fraction(tol)
@@ -218,6 +218,8 @@ def discontinuity_criterion(
         if not seq:
             raise ValueError(f"sequence {index} is empty")
         start = len(seq) // 2 if tail_start is None else tail_start
+        if start >= len(seq):
+            raise ValueError(f"tail_start {start} is past the end of sequence {index}")
         if any(s(x, x, target) > conv for x in seq[start:]):
             raise ValueError(f"sequence {index} does not converge to u")
         w = window if window is not None else max(1, len(seq) // 4)

@@ -230,6 +230,11 @@ ERRORS = [
      "checks[0].expect[1]: no point at coordinate 6"),
 ]
 
+def _grid(hi, step=1, lo=0):
+    return {"kind": "real_grid", "lo": lo, "hi": hi, "step": step,
+            "smetric": BASE["space"]["smetric"]}
+
+
 def _table_space(smetric):
     return {"kind": "finite", "points": ["p", "q"], "smetric": smetric}
 
@@ -381,6 +386,13 @@ ERRORS += [
     ("sequence one term past the cap",
      _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 100_001}])),
      "checks[0].sequences[0].n_to: gives 100001 terms, over the cap of 100000"),
+    ("condition_i sweep one row past the pair cap",
+     _doc({"check": "condition_i", "mode": "strict"}, space=_grid(316)),
+     "checks[0]: sweeps 100489 pairs, over the cap of 100000"),
+    ("condition_ii sample one row past the pair cap",
+     _doc({"check": "condition_ii", "sample": list(range(317))},
+          space=_grid(400)),
+     "checks[0]: sweeps 100489 pairs, over the cap of 100000"),
     ("solve_power m one past the cap",
      _doc({"check": "solve_power", "x0": 0, "m": 200_001}),
      "checks[0].m: gives up to 1000005 map applications, "
@@ -436,6 +448,12 @@ AT_THE_CAPS = {
     "sequence": _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 100_000}])),
     # 200,000 applications per step, for up to 4 + 1 steps on 4 points
     "solve_power": _doc({"check": "solve_power", "x0": 0, "m": 200_000}),
+    # 316 * 316 = 99,856 pairs
+    "pairs": _doc({"check": "condition_ii"}, space=_grid(315)),
+    # the 201-node grid of 40,401 pairs
+    "scaled grid": _doc(
+        {"check": "condition_i"}, space=_grid(10, Fraction("0.1"), -10)
+    ),
 }
 
 

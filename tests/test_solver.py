@@ -1,5 +1,8 @@
 """Orbit iteration, fixed-point sets, powers, and the limit criterion."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from smetriclab import (
     MappingRangeError,
     Space,
     TableMapping,
+    cli,
     discontinuity_criterion,
     fix_set,
     picard,
@@ -218,6 +222,42 @@ def test_limit_criterion_rejects_stray_sequences(
         discontinuity_criterion(
             drop_space, drop_map, drop_params, 1, [[]]
         )
+
+
+def test_limit_criterion_rejects_a_tail_start_past_the_end(tmp_path):
+    """An empty tail would admit the sequence without a convergence test."""
+    space = Space.finite([0, 1, 2, 5], sum_abs_smetric())
+    jump = FormulaMapping(Formula.parse("piecewise(x < 2 : 1, else : 5)", ("x",)))
+    params = ContractionParams(Fraction(1, 2), 0, 0)
+    for start in (4, 10):
+        with pytest.raises(ValueError) as excinfo:
+            discontinuity_criterion(
+                space, jump, params, 1, [[1] * 12, [5, 5, 5, 5]], tail_start=start
+            )
+        assert str(excinfo.value) == (
+            f"tail_start {start} is past the end of sequence 1"
+        )
+    last = discontinuity_criterion(
+        space, jump, params, 1, [[5, 5, 5, 1]], tail_start=3
+    )
+    assert last.classification == "inconclusive"
+
+    doc = {
+        "space": {"kind": "finite", "points": [0, 1, 2, 5],
+                  "smetric": {"kind": "formula", "expr": "abs(x - z) + abs(y - z)"}},
+        "map": {"kind": "formula", "expr": "piecewise(x < 2 : 1, else : 5)"},
+        "params": {"a": 0.5},
+        "checks": [{"check": "discontinuity", "u": 1,
+                    "sequences": [[5, 5, 5, 5]], "tail_start": 10}],
+    }
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["solve", "--input", str(path), "--format", "text"])
+    assert code == 2
+    assert "[ABORTED] discontinuity[u=1]: ValueError: tail_start 10 is past " \
+        "the end of sequence 0" in out.getvalue()
 
 
 def test_limit_criterion_clears_the_identity(drop_space, drop_params):
