@@ -56,7 +56,7 @@ class _Reading:
     scale: int | None = None
 
     def cut(self, t: Fraction):
-        """What a value is compared with where its exact value meets t."""
+        """t for a read value v to meet in ``v > cut`` or ``v <= cut``."""
         return t if self.scale is None else math.floor(t * self.den)
 
     def exact(self, value, weight=1) -> Fraction:
