@@ -137,7 +137,7 @@ LITERALS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
 SCALES = st.sampled_from([1, 2, 3, 6, 10, 60])
 
 
-def _divisor(children):
+def _divisors():
     """Mostly nonzero literals; sometimes a constant expression, or 0."""
     constant = st.recursive(
         LITERALS.map(Num),
@@ -167,7 +167,7 @@ def scalable_formulas(draw):
             st.tuples(st.sampled_from(["+", "-", "*"]), children, children).map(
                 lambda t: BinOp(*t)
             ),
-            st.tuples(children, _divisor(children)).map(
+            st.tuples(children, _divisors()).map(
                 lambda t: BinOp("/", *t)
             ),
             children.map(lambda c: Call("abs", (c,))),
