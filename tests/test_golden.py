@@ -31,8 +31,8 @@ FIXTURES = (
     "example_3_3",
 )
 EXTRA = (
-    "aborted", "evidence", "lattice", "lattice_fallback", "lattice_thirds",
-    "overflow", "snap", "swap", "table",
+    "aborted", "evidence", "fix_set_default", "lattice", "lattice_fallback",
+    "lattice_thirds", "no_map", "overflow", "snap", "swap", "table",
 )
 COMMANDS = ("axioms", "verify", "solve", "circle", "run")
 FORMATS = ("json", "text")
@@ -239,6 +239,14 @@ def _table_space(smetric):
     return {"kind": "finite", "points": ["p", "q"], "smetric": smetric}
 
 
+_TABLE_METRIC = {"kind": "generated", "metric": {
+    "kind": "table", "entries": [["p", "q", 1]]}}
+
+
+def _table_map(entries):
+    return {"kind": "table", "entries": entries}
+
+
 _DISCONTINUITY = {"check": "discontinuity", "u": 4, "sequences": [[4, 4]]}
 
 
@@ -325,6 +333,39 @@ ERRORS += [
      _doc({"check": "axioms"}, space=_table_space(
          {"kind": "table", "entries": [["p", "p", "p", 0], ["q", "q", "q", 0]]})),
      "space.smetric.entries: missing entry for (p, p, q)"),
+    ("no points", _doc({"check": "axioms"}, space={**BASE["space"], "points": []}),
+     "space.points: must be a nonempty list"),
+    ("duplicate points",
+     _doc({"check": "axioms"}, space={**BASE["space"], "points": [1, 1]}),
+     "space.points: duplicate point labels in universe"),
+    ("formula S-metric on labels",
+     _doc({"check": "axioms"}, space=_table_space(BASE["space"]["smetric"])),
+     "space.points: a formula S-metric needs numeric points"),
+    ("formula metric on labels",
+     _doc({"check": "axioms"}, space=_table_space({
+         "kind": "generated", "metric": {"kind": "formula", "expr": "abs(x - y)"}})),
+     "space.points: a formula metric needs numeric points"),
+    ("formula map on labels",
+     _doc({"check": "axioms"}, space=_table_space(_TABLE_METRIC)),
+     "map.expr: a formula map needs numeric points"),
+    ("table map without entries",
+     _doc({"check": "axioms"}, space=_table_space(_TABLE_METRIC),
+          map=_table_map({})),
+     "map.entries: must be a nonempty object"),
+    ("table map unknown label",
+     _doc({"check": "axioms"}, space=_table_space(_TABLE_METRIC),
+          map=_table_map({"p": "q", "z": "p"})),
+     "map.entries: unknown point label 'z'"),
+    ("table map image off the universe",
+     _doc({"check": "axioms"}, space=_table_space(_TABLE_METRIC),
+          map=_table_map({"p": "r", "q": "p"})),
+     "map.entries: image of 'p' is not a universe label"),
+    ("table map missing entry",
+     _doc({"check": "axioms"}, space=_table_space(_TABLE_METRIC),
+          map=_table_map({"p": "q"})),
+     "map.entries: no entry for point 'q'"),
+    ("grid hi below lo", _doc({"check": "axioms"}, space=_grid(0, lo=1)),
+     "space.hi: must be at least lo"),
     ("table metric unknown label",
      _doc({"check": "axioms"}, space=_table_space(
          {"kind": "generated", "metric": {
@@ -439,6 +480,17 @@ def test_check_errors_keep_their_text(doc, message):
     with pytest.raises(ConfigError) as excinfo:
         build_experiment(doc)
     assert str(excinfo.value) == message
+
+
+def test_a_file_whose_top_level_is_not_an_object_exits_2(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--input", str(path)])
+    assert (code, err.getvalue()) == (
+        2, f"error: {path}: top level must be an object\n"
+    )
 
 
 AT_THE_CAPS = {
