@@ -70,7 +70,6 @@ from .space import (
     TableMetric,
     TableSMetric,
     UnknownPointError,
-    UnsupportedSpaceError,
     as_point,
     check_axioms,
     check_symmetry,

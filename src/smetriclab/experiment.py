@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,6 @@ from .space import (
     FormulaSMetric,
     GridBoundError,
     Metric,
-    MetricAxiomError,
     Point,
     SMetric,
     Space,
@@ -194,10 +194,8 @@ def number(value: object, path: str, declared: object = None) -> Fraction:
     _unread(value, path)
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ConfigError(path, "must be a number")
-    try:
+    with _at(path, "is too large for a float"):
         float(value)  # evidence and the report's tolerance are floats
-    except OverflowError:
-        raise ConfigError(path, "is too large for a float") from None
     return to_fraction(value)
 
 
@@ -214,10 +212,8 @@ def _build_space(node: object) -> Space:
             for i, p in enumerate(pts)
         ]
         smetric = _build_smetric(node["smetric"], points, kind)
-        try:
+        with _at("space.points"):
             space = Space.finite(points, smetric)
-        except ValueError as e:
-            raise ConfigError("space.points", str(e)) from None
     else:
         for key in ("lo", "hi", "step"):
             _require(key in node, f"space.{key}", "is required for a grid")
@@ -260,10 +256,8 @@ def _build_smetric(node: object, points: list, kind: str) -> SMetric:
                 )
         return TableSMetric(table)
     metric = _build_metric(node.get("metric"), f"{path}.metric", points, kind)
-    try:
+    with _at(f"{path}.metric"):
         return s_from_metric(metric, points)
-    except (MetricAxiomError, ExprError, ValueError) as e:
-        raise ConfigError(f"{path}.metric", str(e)) from None
 
 
 def _build_metric(
@@ -319,10 +313,8 @@ def _point_literal(
 
 def _formula(text: object, variables: tuple[str, ...], path: str) -> Formula:
     _require(isinstance(text, str), path, "must be an expression string")
-    try:
+    with _at(path):
         return Formula.parse(text, variables)
-    except ExprError as e:
-        raise ConfigError(path, str(e)) from None
 
 
 def _build_mapping(node: object, space: Space) -> Mapping:
@@ -355,14 +347,12 @@ def _build_mapping(node: object, space: Space) -> Mapping:
 def _build_params(node: object) -> ContractionParams:
     _require(isinstance(node, dict), "params", "must be an object")
     _known_fields(node, "params", "a", "b", "c")
-    try:
+    with _at("params"):
         return ContractionParams(
             number(node.get("a", 0), "params.a"),
             number(node.get("b", 0), "params.b"),
             number(node.get("c", 0), "params.c"),
         )
-    except ValueError as e:
-        raise ConfigError("params", str(e)) from None
 
 
 def _build_gauge(node: object) -> GaugeSpec:
@@ -379,6 +369,16 @@ def _build_gauge(node: object) -> GaugeSpec:
 def _require(condition: object, path: str, message: str) -> None:
     if not condition:
         raise ConfigError(path, message)
+
+
+@contextmanager
+def _at(path: str, message: str | None = None):
+    """Report what the block rejects as a bad value at ``path``, in
+    ``message`` or else in the words of the error."""
+    try:
+        yield
+    except (ExprError, SpaceError, ValueError, OverflowError) as e:
+        raise ConfigError(path, message or str(e)) from None
 
 
 def _known_fields(node: dict, path: str, *known: str, noun: str = "field") -> None:
@@ -484,10 +484,8 @@ def list_of(read, may_be_empty=False):
 def point(raw: object, path: str, declared: Declared) -> Point:
     _require(raw is not MISSING, path, "is required")
     literal = _point_literal(raw, path)
-    try:
+    with _at(path):
         return declared.space.resolve(literal)
-    except SpaceError as e:
-        raise ConfigError(path, str(e)) from None
 
 
 def pair(raw: object, path: str, declared: Declared) -> tuple[Point, Point]:

@@ -24,14 +24,12 @@ from typing import Callable
 
 from .circles import check_fixed_circle, verify_zamfirescu_x0
 from .contraction import (
-    GaugeDomainError,
     condition_ii_probe,
     verify_condition_i,
     verify_phi_gauge,
     xi,
 )
 from .experiment import (
-    ConfigError,
     ExperimentSpec,
     boolean,
     coefficient,
@@ -51,7 +49,6 @@ from .expr import ExprError
 from .solver import discontinuity_criterion, fix_set, picard, solve_power
 from .space import (
     SpaceError,
-    UnsupportedSpaceError,
     check_axioms,
     check_symmetry,
     check_triangle,
@@ -76,17 +73,15 @@ def run(spec: ExperimentSpec) -> RunReport:
     """Execute the experiment's checks at the experiment's tolerance."""
     started = time.perf_counter()
     records = []
-    counts = {"pass": 0, "fail": 0, "unsupported": 0, "aborted": 0}
+    counts = {"pass": 0, "fail": 0, "aborted": 0}
     for check in spec.checks:
         try:
             passed, details = CHECKS[check.name].execute(
                 spec, check.options, spec.tolerance
             )
             verdict = "pass" if passed else "fail"
-        except UnsupportedSpaceError as e:
-            verdict, details = "unsupported", {"reason": str(e)}
-        except (ExprError, SpaceError, GaugeDomainError, ConfigError,
-                ValueError, ZeroDivisionError, OverflowError) as e:
+        except (ExprError, SpaceError, ValueError, ZeroDivisionError,
+                OverflowError) as e:
             verdict, details = "aborted", {"error": f"{type(e).__name__}: {e}"}
         records.append(
             {"check": check.name, "label": check.label, "verdict": verdict,
@@ -99,7 +94,7 @@ def run(spec: ExperimentSpec) -> RunReport:
 
     if counts["aborted"]:
         status = "aborted"
-    elif counts["fail"] or counts["unsupported"]:
+    elif counts["fail"]:
         status = "fail"
     else:
         status = "pass"
@@ -114,7 +109,6 @@ def run(spec: ExperimentSpec) -> RunReport:
             "total": len(spec.checks),
             "passed": counts["pass"],
             "failed": counts["fail"],
-            "unsupported": counts["unsupported"],
             "aborted": counts["aborted"],
             "status": status,
         },
@@ -134,15 +128,14 @@ def render_text(report: dict) -> str:
         if verdict in ("pass", "fail"):
             check = CHECKS.get(record["check"])
             summary = check.summary(record) if check else ""
-        else:  # aborted or unsupported
-            summary = record.get("error", record.get("reason", ""))
+        else:
+            summary = record["error"]
         suffix = f": {summary}" if summary else ""
         lines.append(f"[{verdict.upper()}] {record['label']}{suffix}")
     s = report["summary"]
     lines.append(
         f"status: {s['status']} "
-        f"({s['passed']} passed, {s['failed']} failed, "
-        f"{s['unsupported']} unsupported, {s['aborted']} aborted)"
+        f"({s['passed']} passed, {s['failed']} failed, {s['aborted']} aborted)"
     )
     return "\n".join(lines) + "\n"
 

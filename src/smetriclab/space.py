@@ -47,10 +47,6 @@ class MetricAxiomError(SpaceError):
     """A claimed metric failed validation; the message names a witness."""
 
 
-class UnsupportedSpaceError(SpaceError):
-    """The operation requires a space kind other than the one given."""
-
-
 @dataclass(frozen=True)
 class Point:
     """A universe element: a label, plus its coordinate when numeric."""

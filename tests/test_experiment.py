@@ -15,14 +15,13 @@ from smetriclab import (
     DEFAULT_TOL,
     Formula,
     SequenceSpec,
-    UnsupportedSpaceError,
     build_experiment,
     fixture_path,
     load_experiment,
     render_text,
     run,
 )
-from smetriclab import cli, runner as runner_module
+from smetriclab import cli
 
 from conftest import SUM_ABS, run_cli
 
@@ -362,7 +361,7 @@ def test_full_run_reports_the_window_failure():
     assert len(failing[0]["violations"]) == 10
     text = render_text(outcome.report)
     assert "[FAIL] condition_ii: 10 violations; first pair (4, 8) at eps 3.0" in text
-    assert "status: fail (10 passed, 1 failed, 0 unsupported, 0 aborted)" in text
+    assert "status: fail (10 passed, 1 failed, 0 aborted)" in text
 
 
 def test_corrected_window_passes():
@@ -385,19 +384,6 @@ def test_evaluation_error_aborts_and_keeps_the_partial_report():
     assert "GaugeDomainError" in records[1]["error"]
     assert outcome.report["summary"]["total"] == 3
     assert "[ABORTED] condition_ii" in render_text(outcome.report)
-
-
-def test_unsupported_check_counts_as_failure(monkeypatch):
-    def refuse(params):
-        raise UnsupportedSpaceError("needs a space kind this one is not")
-
-    monkeypatch.setattr(runner_module, "xi", refuse)
-    outcome = run(build_experiment(band_doc(checks=[{"check": "xi"}])))
-    assert outcome.status == "fail"
-    assert outcome.exit_code == 1
-    record = outcome.report["checks"][0]
-    assert record["verdict"] == "unsupported"
-    assert "space kind" in record["reason"]
 
 
 def test_cli_exit_codes_follow_the_verdicts(tmp_path):
