@@ -41,13 +41,13 @@ from .space import (
     subsample,
 )
 
-#: Caps checked as a document is read: grid nodes, the pairs a condition
-#: (i) or (ii) entry sweeps when it lists none (its sample's or universe's
-#: points, squared), formula sequence terms, and map applications of a
-#: ``solve_power`` orbit (m per step, for at most len(universe) + 1 steps
-#: before it cycles or converges).
+#: Caps checked as a document is read: grid nodes, the pairs or triples a
+#: check entry sweeps when it lists no pairs (its sample's or universe's
+#: points, to the power its table entry gives), formula sequence terms, and
+#: map applications of a ``solve_power`` orbit (m per step, for at most
+#: len(universe) + 1 steps before it cycles or converges).
 MAX_GRID_NODES = 100_000
-MAX_PAIRS = 100_000
+MAX_SWEEP = 100_000
 MAX_SEQUENCE_TERMS = 100_000
 MAX_POWER_APPLICATIONS = 1_000_000
 
@@ -427,11 +427,12 @@ def build_check(entry: object, path: str, declared: Declared) -> CheckSpec:
     }
     for subject, part in check.option_needs(options):
         _require(_NEEDS[part](declared), path, f"{subject} needs {part}")
-    if "pairs" in options and options["pairs"] is None:
-        pairs = len(options["sample"] or declared.space) ** 2
+    if check.sweep and options.get("pairs") is None:
+        count = len(options["sample"] or declared.space) ** check.sweep
+        tuples = "pairs" if check.sweep == 2 else "triples"
         _require(
-            pairs <= MAX_PAIRS, path,
-            f"sweeps {pairs} pairs, over the cap of {MAX_PAIRS}",
+            count <= MAX_SWEEP, path,
+            f"sweeps {count} {tuples}, over the cap of {MAX_SWEEP}",
         )
     label = name if check.label is None else check.label.format(**options)
     return CheckSpec(name, label, options)

@@ -2,8 +2,8 @@
 
 ``CHECKS`` has one entry per check: its name and family, the options an
 experiment entry may give and how each is read, what the check needs
-from the experiment, its label, the function that executes it and its
-one-line text summary.  Each entry is made by the ``_check`` decorator on
+from the experiment, the power of its sample's size that it sweeps, its
+label, the function that executes it and its one-line text summary.  Each entry is made by the ``_check`` decorator on
 its execute function.  The loader, ``run``, ``render_text`` and the
 command line all read from the table.
 
@@ -156,6 +156,9 @@ class Check:
     needs: tuple[str, ...] = ()
     #: options -> (subject, need) pairs that the chosen options add
     option_needs: Callable[[dict], tuple] = lambda options: ()
+    #: k when the check sweeps every k-tuple of its sample, or else of the
+    #: universe, unless it lists its pairs; 0 when it sweeps none
+    sweep: int = 0
     #: ``str.format`` template over the options; None means the name
     label: str | None = None
 
@@ -223,6 +226,7 @@ def _meets(options, key, actual, details):
 @_check(
     "axioms", "axioms", _SAMPLE,
     lambda r: f"{len(r['s1_violations']) + len(r['s2_violations'])} violations",
+    sweep=3,
 )
 def _run_axioms(spec, options, tol):
     report = check_axioms(spec.space, options["sample"], tol)
@@ -236,7 +240,7 @@ def _run_axioms(spec, options, tol):
     }
 
 
-@_check("symmetry", "axioms", _SAMPLE, _violations)
+@_check("symmetry", "axioms", _SAMPLE, _violations, sweep=2)
 def _run_symmetry(spec, options, tol):
     bad = check_symmetry(spec.space, options["sample"], tol)
     return not bad, {
@@ -244,7 +248,7 @@ def _run_symmetry(spec, options, tol):
     }
 
 
-@_check("triangle", "axioms", _SAMPLE, _violations)
+@_check("triangle", "axioms", _SAMPLE, _violations, sweep=3)
 def _run_triangle(spec, options, tol):
     bad = check_triangle(spec.space, options["sample"], tol)
     return not bad, {
@@ -255,7 +259,7 @@ def _run_triangle(spec, options, tol):
 
 @_check(
     "generated", "axioms", {**_SAMPLE, "expect": optional(boolean)},
-    lambda r: "generated" if r["generated"] else "not generated",
+    lambda r: "generated" if r["generated"] else "not generated", sweep=3,
 )
 def _run_generated(spec, options, tol):
     report = generating_metric_check(spec.space, options["sample"], tol)
@@ -315,7 +319,7 @@ def _mode_needs(options):
         **_PAIRS,
     },
     _violations, needs=("a map", "params"), option_needs=_mode_needs,
-    label="condition_i[{mode}]",
+    label="condition_i[{mode}]", sweep=2,
 )
 def _run_condition_i(spec, options, tol):
     pairs, checked = _explicit_pairs(spec, options)
@@ -341,6 +345,7 @@ def _first_window_violation(record):
 @_check(
     "condition_ii", "verify", {"eps": optional(list_of(number)), **_PAIRS},
     _first_window_violation, needs=("a map", "params", "gauge.delta"),
+    sweep=2,
 )
 def _run_condition_ii(spec, options, tol):
     pairs, checked = _explicit_pairs(spec, options)

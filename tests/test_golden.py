@@ -377,6 +377,12 @@ ERRORS += [
              "kind": "generated", "metric": {"kind": "formula", "expr":
                  "abs(x - y) * piecewise(x > 48 : 0, y > 48 : 0, else : 1)"}}}),
      "space.smetric.metric: d(0, 49) = 0 is not strictly positive"),
+    ("generated table metric without an entry",
+     _doc({"check": "generated"}, space={
+         "kind": "finite", "points": ["p", "q", "r"], "smetric": {
+             "kind": "generated", "metric": {"kind": "table", "entries": [
+                 ["q", "r", 1], ["p", "r", 2]]}}}),
+     "space.smetric.metric: no metric entry for (p, q)"),
     ("generated formula metric that raises",
      _doc({"check": "axioms"}, space={
          "kind": "finite", "points": [0, 1, 2], "smetric": {
@@ -434,6 +440,21 @@ ERRORS += [
      _doc({"check": "condition_ii", "sample": list(range(317))},
           space=_grid(400)),
      "checks[0]: sweeps 100489 pairs, over the cap of 100000"),
+    ("symmetry sweep one row past the pair cap",
+     _doc({"check": "symmetry"}, space=_grid(316)),
+     "checks[0]: sweeps 100489 pairs, over the cap of 100000"),
+    ("axioms sweep one point past the triple cap",
+     _doc({"check": "axioms"}, space=_grid(46)),
+     "checks[0]: sweeps 103823 triples, over the cap of 100000"),
+    ("axioms sweep of a 1,001-node grid",
+     _doc({"check": "axioms"}, space=_grid(1000)),
+     "checks[0]: sweeps 1003003001 triples, over the cap of 100000"),
+    ("triangle sample one point past the triple cap",
+     _doc({"check": "triangle", "sample": list(range(47))}, space=_grid(100)),
+     "checks[0]: sweeps 103823 triples, over the cap of 100000"),
+    ("generated sweep one point past the triple cap",
+     _doc({"check": "generated"}, space=_grid(46)),
+     "checks[0]: sweeps 103823 triples, over the cap of 100000"),
     ("solve_power m one past the cap",
      _doc({"check": "solve_power", "x0": 0, "m": 200_001}),
      "checks[0].m: gives up to 1000005 map applications, "
@@ -494,7 +515,7 @@ def test_a_file_whose_top_level_is_not_an_object_exits_2(tmp_path):
 
 
 AT_THE_CAPS = {
-    "grid": _doc({"check": "axioms"}, space={
+    "grid": _doc({"check": "axioms", "sample": [0, 99_999]}, space={
         "kind": "real_grid", "lo": 0, "hi": 99_999, "step": 1,
         "smetric": BASE["space"]["smetric"]}),
     "sequence": _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 100_000}])),
@@ -502,6 +523,13 @@ AT_THE_CAPS = {
     "solve_power": _doc({"check": "solve_power", "x0": 0, "m": 200_000}),
     # 316 * 316 = 99,856 pairs
     "pairs": _doc({"check": "condition_ii"}, space=_grid(315)),
+    "symmetry": _doc({"check": "symmetry"}, space=_grid(315)),
+    # 46 ** 3 = 97,336 triples
+    "axioms": _doc({"check": "axioms"}, space=_grid(45)),
+    "triangle": _doc(
+        {"check": "triangle", "sample": list(range(46))}, space=_grid(100)
+    ),
+    "generated": _doc({"check": "generated"}, space=_grid(45)),
     # the 201-node grid of 40,401 pairs
     "scaled grid": _doc(
         {"check": "condition_i"}, space=_grid(10, Fraction("0.1"), -10)
