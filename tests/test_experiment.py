@@ -24,6 +24,8 @@ from smetriclab import (
 from smetriclab import cli
 
 from conftest import SUM_ABS, run_cli
+from test_golden import EXTRA as GOLDEN_EXTRA, FIXTURES as GOLDEN_FIXTURES
+from test_golden import _input as golden_input
 
 BAND_DOC = {
     "space": {
@@ -450,6 +452,14 @@ def test_synthesized_sweeps_keep_24_grid_nodes_with_both_ends(nodes):
     assert (sample[0], sample[-1]) == ("0", str(nodes - 1))
 
 
+def _every_command_exits_0_1_or_2(path):
+    for command in ("axioms", "verify", "solve", "circle", "run"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = cli.main([command, "--input", str(path)])
+        assert code in (0, 1, 2), (command, out.getvalue())
+
+
 def _formula_text(variables):
     """Formula text for one slot: grammar-shaped over the slot's
     variables, or arbitrary text."""
@@ -493,11 +503,7 @@ def test_every_command_exits_0_1_or_2_on_any_formula_text(
     }
     path = tmp_path_factory.getbasetemp() / "formula_slots.json"
     path.write_text(json.dumps(doc))
-    for command in ("axioms", "verify", "solve", "circle", "run"):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            code = cli.main([command, "--input", str(path)])
-        assert code in (0, 1, 2), (command, out.getvalue())
+    _every_command_exits_0_1_or_2(path)
 
 
 def _integer_option(past_cap):
@@ -535,8 +541,53 @@ def test_every_command_exits_0_1_or_2_on_any_integer_option(
     }
     path = tmp_path_factory.getbasetemp() / "integer_options.json"
     path.write_text(json.dumps(doc))
-    for command in ("axioms", "verify", "solve", "circle", "run"):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
-            code = cli.main([command, "--input", str(path)])
-        assert code in (0, 1, 2), (command, out.getvalue())
+    _every_command_exits_0_1_or_2(path)
+
+
+#: The golden inputs small enough to run every subcommand per example:
+#: those whose universe has at most 61 nodes.
+MUTATION_SEEDS = [
+    json.loads(path.read_text())
+    for path in map(golden_input, GOLDEN_FIXTURES + GOLDEN_EXTRA)
+    if len(load_experiment(path).space) <= 61
+]
+
+#: What a mutation puts in place of a subtree.
+MUTATION_POOL = (
+    None, True, False, 0, -1, 2, 0.5, "", "x", "p", [], {}, [0, 1],
+    {"kind": "formula"}, {"kind": "table", "entries": []},
+)
+
+
+def _subtrees(node, at=()):
+    """The key paths of every subtree below ``node``."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict)
+                           else enumerate(node)):
+            yield at + (key,)
+            yield from _subtrees(child, at + (key,))
+
+
+@settings(deadline=None)
+@given(seed=st.sampled_from(MUTATION_SEEDS), data=st.data())
+def test_every_command_exits_0_1_or_2_on_any_document_mutation(
+    tmp_path_factory, seed, data
+):
+    doc = copy.deepcopy(seed)
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        subtrees = list(_subtrees(doc))
+        if not subtrees:
+            break
+        *at, key = data.draw(st.sampled_from(subtrees), label="subtree")
+        parent = doc
+        for step in at:
+            parent = parent[step]
+        if data.draw(st.booleans(), label="delete"):
+            del parent[key]  # an object key or a list item
+        else:
+            parent[key] = copy.deepcopy(
+                data.draw(st.sampled_from(MUTATION_POOL), label="value")
+            )
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    _every_command_exits_0_1_or_2(path)
