@@ -3,16 +3,17 @@
 ``CHECKS`` has one entry per check: its name and family, the options an
 experiment entry may give and how each is read, what the check needs
 from the experiment, the power of its sample's size that it sweeps, its
-label, the function that executes it and its one-line text summary.  Each entry is made by the ``_check`` decorator on
-its execute function.  The loader, ``run``, ``render_text`` and the
-command line all read from the table.
+label, the function that executes it and its one-line text summary.
+Each entry is made by the ``_check`` decorator on its execute function.
+The loader, ``run``, ``render_text`` and the command line all read from
+the table.
 
 ``run`` executes the declared checks in order.  A failing check never
-stops the run; only an evaluation or configuration error does, in which
-case the partial report is kept and marked aborted.  Reports are plain
-dicts ready for ``json.dumps`` and are deterministic except for the
-top-level ``timing`` block: running the same experiment twice must give
-byte-identical output once that block is dropped.
+stops the run; only an evaluation error does, in which case the partial
+report is kept and marked aborted.  Reports are plain dicts ready for
+``json.dumps`` and are deterministic except for the top-level ``timing``
+block: running the same experiment twice must give byte-identical
+output once that block is dropped.
 """
 
 from __future__ import annotations
