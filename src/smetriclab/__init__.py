@@ -30,7 +30,6 @@ from .expr import (
     ExprEvalError,
     ExprSyntaxError,
     Formula,
-    evaluate,
     parse,
     pretty,
 )
@@ -46,7 +45,6 @@ from .mapping import (
     MappingRangeError,
     PowerMapping,
     TableMapping,
-    is_fixed,
 )
 from .numeric import DEFAULT_TOL, format_decimal, to_fraction
 from .runner import CHECK_FAMILIES, render_text, run

@@ -555,10 +555,6 @@ def sequence(node: object, path: str, declared: Declared) -> SequenceSpec:
             values=[number(v, f"{path}[{i}]") for i, v in enumerate(node)]
         )
     if isinstance(node, dict):
-        if "values" in node:
-            _known_fields(node, path, "values")
-            values = list_of(number)(node["values"], f"{path}.values", declared)
-            return SequenceSpec(values=values)
         _known_fields(node, path, "expr", "n_from", "n_to")
         formula = _formula(node.get("expr"), ("n",), f"{path}.expr")
         n_from = node.get("n_from", 1)

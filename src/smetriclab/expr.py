@@ -25,8 +25,8 @@ whole formula as one, both in its text (parentheses, argument lists and
 unary minus) and in its tree (``1 + 2 + 3`` is three levels); deeper input
 is a syntax error, so no recursion over it exhausts Python's stack.
 :class:`Formula` compiles its tree once into closures over exact fractions.
-:meth:`Formula.scaled` compiles it again, on first use at each input scale,
-into closures over integers, unless it divides by a variable or by 0.
+:meth:`Formula.scaled` compiles it again for one input scale into closures
+over integers, unless it divides by a variable or by 0.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class ExprSyntaxError(ExprError):
 
 
 class ExprEvalError(ExprError):
-    """Evaluation failure: division by zero or a missing binding."""
+    """Evaluation failure: division by zero or a node that cannot compile."""
 
 
 @dataclass(frozen=True)
@@ -297,11 +297,6 @@ def parse(text: str, variables: Iterator[str] | frozenset[str]) -> Expr:
     return _Parser(text, names).parse()
 
 
-def evaluate(node: Expr, env: Mapping[str, Fraction]) -> Fraction:
-    """Evaluate exactly over rationals.  Raises :class:`ExprEvalError`."""
-    return _compile(node, {n: i for i, n in enumerate(env)})[0](tuple(env.values()))
-
-
 _OPERATORS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
@@ -311,12 +306,12 @@ _OPERATORS = {
 def _compile(node: Expr, index: Mapping[str, int], scale: int | None = None):
     """``node`` as (closure, den), the closure over the tuple of values of
     the names in ``index`` (name -> position).  With no ``scale`` it is
-    exact over rationals, den is 1, and division by zero and a missing
-    binding are raised when it is called.  With a ``scale`` it maps the
-    values times ``scale``, as ints, to the value times den, an int.
-    Sums, extrema, piecewise values and comparisons take the lcm of their
-    operands' dens, products the product, and a nonzero constant divisor
-    folds into it; any other divisor or a missing binding raises at once."""
+    exact over rationals, den is 1, and division by zero is raised when it
+    is called.  With a ``scale`` it maps the values times ``scale``, as
+    ints, to the value times den, an int.  Sums, extrema, piecewise values
+    and comparisons take the lcm of their operands' dens, products the
+    product, and a nonzero constant divisor folds into it.  Any other
+    divisor, or a name missing from ``index``, raises at once."""
 
     def sub(child):
         return _compile(child, index, scale)
@@ -332,10 +327,6 @@ def _compile(node: Expr, index: Mapping[str, int], scale: int | None = None):
             return (lambda v: n), 1 if scale is None else value.denominator
         case Var(name) if name in index:
             return operator.itemgetter(index[name]), scale or 1
-        case Var(name) if scale is None:
-            def unbound(v):
-                raise ExprEvalError(f"missing binding for {name!r}")
-            return unbound, 1
         case Neg(operand):
             f, d = sub(operand)
             return (lambda v: -f(v)), d
@@ -442,7 +433,6 @@ class Formula:
     ast: Expr
     variables: tuple[str, ...]
     compiled: Callable = field(init=False, repr=False, compare=False)
-    by_scale: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = {name: i for i, name in enumerate(self.variables)}
@@ -461,15 +451,13 @@ class Formula:
 
     def scaled(self, scale: int) -> tuple[Callable, int] | None:
         """(closure, den): the formula from its values times ``scale`` to
-        its value times den, over ints, compiled on first use at each
-        scale; None when it divides by a variable or by 0."""
-        if scale not in self.by_scale:
-            index = {name: i for i, name in enumerate(self.variables)}
-            try:
-                self.by_scale[scale] = _compile(self.ast, index, scale)
-            except (ExprEvalError, ZeroDivisionError):
-                self.by_scale[scale] = None
-        return self.by_scale[scale]
+        its value times den, over ints, compiled anew on each call; None
+        when it divides by a variable or by 0."""
+        index = {name: i for i, name in enumerate(self.variables)}
+        try:
+            return _compile(self.ast, index, scale)
+        except (ExprEvalError, ZeroDivisionError):
+            return None
 
     def pretty(self) -> str:
         return pretty(self.ast)

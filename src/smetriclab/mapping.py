@@ -67,12 +67,6 @@ class PowerMapping(Mapping):
         return x
 
 
-def is_fixed(space: Space, mapping: Mapping, x: object) -> bool:
-    """Exact test of T(x) = x; off-universe images simply compare unequal."""
-    point = space.coerce(x)
-    return mapping.apply(space, point) == point
-
-
 def on_lattice(mapping: Mapping, points: list[Point]) -> tuple | None:
     """``(scale, xs, images)``: the points' coordinates and their images
     under a formula map, as ints over the least scale that holds both

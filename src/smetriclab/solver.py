@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contraction import ContractionParams, _m_value
-from .mapping import Mapping, MappingRangeError, PowerMapping, is_fixed, on_lattice
+from .mapping import Mapping, MappingRangeError, PowerMapping, on_lattice
 from .numeric import DEFAULT_TOL, to_fraction
 from .space import Point, Space, UnknownPointError
 
@@ -117,7 +117,7 @@ def fix_set(space: Space, mapping: Mapping) -> list[Point]:
     """
     if lattice := on_lattice(mapping, space.points):
         return [p for p, x, y in zip(space.points, *lattice[1:]) if x == y]
-    return [p for p in space.points if is_fixed(space, mapping, p)]
+    return [p for p in space.points if mapping.apply(space, p) == p]
 
 
 @dataclass

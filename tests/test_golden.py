@@ -271,10 +271,10 @@ ERRORS += [
      "checks[0].sequences[0]: must be a list of values or an object"),
     ("discontinuity empty values",
      _doc(_discontinuity(sequences=[{"values": []}])),
-     "checks[0].sequences[0].values: must be a nonempty list"),
+     "checks[0].sequences[0].values: unknown field"),
     ("discontinuity bad value",
-     _doc(_discontinuity(sequences=[{"values": [1, "a"]}])),
-     "checks[0].sequences[0].values[1]: must be a number"),
+     _doc(_discontinuity(sequences=[[1, "a"]])),
+     "checks[0].sequences[0][1]: must be a number"),
     ("discontinuity bad range",
      _doc(_discontinuity(sequences=[{"expr": "4", "n_from": 3, "n_to": 2}])),
      "checks[0].sequences[0].n_to: must be at least n_from"),
@@ -412,7 +412,7 @@ ERRORS += [
      "map.entries: unknown field"),
     ("value sequence unknown field",
      _doc(_discontinuity(sequences=[{"values": [4], "expr": "4"}])),
-     "checks[0].sequences[0].expr: unknown field"),
+     "checks[0].sequences[0].values: unknown field"),
     ("formula sequence unknown field",
      _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 2, "step": 1}])),
      "checks[0].sequences[0].step: unknown field"),

@@ -22,12 +22,12 @@ from smetriclab import (
     Space,
     check_fixed_circle,
     fix_set,
-    is_fixed,
     verify_zamfirescu_x0,
 )
 from smetriclab.circles import CircleReport
 from smetriclab.contraction import ContractionParams
 from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
+from smetriclab.mapping import on_lattice
 from smetriclab.numeric import DEFAULT_TOL, to_fraction
 
 
@@ -126,7 +126,7 @@ def reference_circle(
 
 
 def reference_fix_set(space, mapping):
-    return [p for p in space.points if is_fixed(space, mapping, p)]
+    return [p for p in space.points if mapping.apply(space, p) == p]
 
 
 # -- formulas ------------------------------------------------------------
@@ -249,12 +249,10 @@ def test_variable_or_zero_divisors_get_no_integer_closure(text, x, error):
         assert str(excinfo.value) == error
 
 
-def test_scaled_closures_are_compiled_lazily_once_per_scale():
-    formula = Formula.parse("x/2 + 1", ("x",))
-    assert formula.by_scale == {}
-    assert formula.scaled(10) is formula.scaled(10)
-    assert formula.scaled(10)[1] == 20
-    assert set(formula.by_scale) == {10}
+def test_scaled_closure_carries_its_den():
+    image, den = Formula.parse("x/2 + 1", ("x",)).scaled(10)
+    assert den == 20
+    assert image((30,)) == 50  # x = 3 maps to 5/2, times 20
 
 
 def test_kernels_keep_the_error_of_a_dividing_map():
@@ -379,8 +377,9 @@ def test_integer_circle_pass_matches_the_fraction_kernels(
     assert _exactly(fix_set(space, mapping)) == _exactly(
         reference_fix_set(space, mapping)
     )
-    # the integer pass ran: each formula compiled at some scale
-    assert space.smetric.formula.by_scale and mapping.formula.by_scale
+    # the integer pass ran: both formulas compile on the universe's lattice
+    lattice = on_lattice(mapping, space.points)
+    assert lattice and space.smetric.formula.scaled(lattice[0])
 
 
 @settings(deadline=None)

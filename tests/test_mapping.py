@@ -14,7 +14,6 @@ from smetriclab import (
     Space,
     TableMapping,
     TableSMetric,
-    is_fixed,
 )
 
 
@@ -63,9 +62,11 @@ def test_power_mapping_composes():
 
 def test_is_fixed_is_exact():
     space = Space.real_grid(0, 1, Fraction(1, 4), sum_abs_smetric())
-    assert is_fixed(space, identity_mapping(), Fraction(3, 4))
+    point = space.resolve(Fraction(3, 4))
+    assert identity_mapping().apply(space, point) == point
     shift = FormulaMapping(Formula.parse("x + 0.1", ("x",)))
-    assert not is_fixed(space, shift, Fraction(1, 2))
+    point = space.resolve(Fraction(1, 2))
+    assert shift.apply(space, point) != point
 
 
 def test_band_map_images(four_space, four_map):
