@@ -11,7 +11,8 @@ contraction conditions, a fixed-point scan); the circle family has no
 default because it needs a declared center.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
-configuration was invalid or evaluation aborted.
+configuration was invalid, evaluation aborted or the report could not be
+written.
 """
 
 from __future__ import annotations
@@ -133,7 +134,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         text = render_text(outcome.report)
     if args.output is not None:
-        args.output.write_text(text)
+        try:
+            args.output.write_text(text)
+        except OSError as e:
+            print(f"error: {args.output}: cannot write report: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return outcome.exit_code

@@ -43,8 +43,9 @@ from .space import (
 
 #: Caps checked as a document is read: grid nodes, the pairs or triples a
 #: check entry sweeps when it lists no pairs (its sample's or universe's
-#: points, to the power its table entry gives), formula sequence terms, and
-#: map applications of a ``solve_power`` orbit (m per step, for at most
+#: points, to the power its table entry gives), sequence terms (of one
+#: formula, and of all an entry's sequences together), and map
+#: applications of a ``solve_power`` orbit (m per step, for at most
 #: len(universe) + 1 steps before it cycles or converges).
 MAX_GRID_NODES = 100_000
 MAX_SWEEP = 100_000
@@ -496,6 +497,12 @@ def pair(raw: object, path: str, declared: Declared) -> tuple[Point, Point]:
     return point(raw[0], path, declared), point(raw[1], path, declared)
 
 
+def not_negative(raw: object, path: str, declared: Declared) -> Fraction:
+    value = number(raw, path)
+    _require(value >= 0, path, "must not be negative")
+    return value
+
+
 def positive_int(raw: object, path: str, declared: Declared) -> int:
     _unread(raw, path)
     _require(
@@ -573,6 +580,18 @@ def sequence(node: object, path: str, declared: Declared) -> SequenceSpec:
         )
         return SequenceSpec(expr=formula, n_from=n_from, n_to=n_to)
     raise ConfigError(path, "must be a list of values or an object")
+
+
+def sequences(raw: object, path: str, declared: Declared) -> list[SequenceSpec]:
+    """The approach sequences of one entry, held together to
+    ``MAX_SEQUENCE_TERMS`` terms, formula terms and values alike."""
+    specs = list_of(sequence)(raw, path, declared)
+    terms = sum(len(s.values or range(s.n_from, s.n_to + 1)) for s in specs)
+    _require(
+        terms <= MAX_SEQUENCE_TERMS, path,
+        f"gives {terms} terms, over the cap of {MAX_SEQUENCE_TERMS}",
+    )
+    return specs
 
 
 def _disambiguate_labels(checks: list[CheckSpec]) -> None:

@@ -37,6 +37,7 @@ from .experiment import (
     default,
     describe,
     list_of,
+    not_negative,
     number,
     one_of,
     optional,
@@ -44,7 +45,7 @@ from .experiment import (
     point,
     positive_int,
     power,
-    sequence,
+    sequences,
 )
 from .expr import ExprError
 from .solver import discontinuity_criterion, fix_set, picard, solve_power
@@ -186,7 +187,7 @@ _PAIRS = {"pairs": optional(list_of(pair)), **_SAMPLE}
 _ITERATION = {
     "x0": point,
     "max_iter": default(1000, positive_int),
-    "tol": optional(number),
+    "tol": optional(not_negative),
 }
 _CENTER = {
     "x0": point,
@@ -438,9 +439,9 @@ _CLASSIFICATIONS = ("continuous_at_u", "discontinuous_at_u", "inconclusive")
     "discontinuity", "solve",
     {
         "u": point,
-        "sequences": list_of(sequence),
-        "limit_tol": optional(number),
-        "conv_tol": optional(number),
+        "sequences": sequences,
+        "limit_tol": optional(not_negative),
+        "conv_tol": optional(not_negative),
         "tail_start": optional(positive_int),
         "window": optional(positive_int),
         "expect": optional(
@@ -498,7 +499,7 @@ def _run_zamfirescu(spec, options, tol):
     "fixed_circle", "circle",
     {
         **_CENTER,
-        "tol_circle": optional(number),
+        "tol_circle": optional(not_negative),
         "expect_circle_fixed": optional(boolean),
         "expect_disc_fixed": optional(boolean),
     },

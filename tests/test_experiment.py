@@ -440,6 +440,17 @@ def test_cli_family_and_output_options(tmp_path):
     assert "tolerance must be positive" in bad_tol.stderr
 
 
+def test_an_unwritable_output_exits_2_without_a_traceback(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    path = str(fixture_path("example_2_2.json"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--input", path, "--output", str(target)])
+    assert code == 2
+    assert err.getvalue().startswith(f"error: {target}: cannot write report: ")
+    assert not target.parent.exists()
+
+
 @pytest.mark.parametrize("nodes", [25, 46, 47, 201, 2001])
 def test_synthesized_sweeps_keep_24_grid_nodes_with_both_ends(nodes):
     doc = band_doc(space={

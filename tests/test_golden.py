@@ -204,6 +204,8 @@ ERRORS = [
      "checks[0].max_iter: must be a positive integer"),
     ("solve bad tol", _doc({"check": "solve", "x0": 0, "tol": "small"}),
      "checks[0].tol: must be a number"),
+    ("solve negative tol", _doc({"check": "solve", "x0": 0, "tol": -1}),
+     "checks[0].tol: must not be negative"),
     # solve_power
     ("solve_power unknown option",
      _doc({"check": "solve_power", "x0": 0, "m": 2, "u": 4}),
@@ -280,6 +282,10 @@ ERRORS += [
      "checks[0].sequences[0].n_to: must be at least n_from"),
     ("discontinuity bad limit_tol", _doc(_discontinuity(limit_tol=[1])),
      "checks[0].limit_tol: must be a number"),
+    ("discontinuity negative limit_tol", _doc(_discontinuity(limit_tol=-1)),
+     "checks[0].limit_tol: must not be negative"),
+    ("discontinuity negative conv_tol", _doc(_discontinuity(conv_tol=-1)),
+     "checks[0].conv_tol: must not be negative"),
     ("discontinuity bad window", _doc(_discontinuity(window=0)),
      "checks[0].window: must be a positive integer"),
     ("discontinuity bad expect", _doc(_discontinuity(expect="jumpy")),
@@ -313,6 +319,9 @@ ERRORS += [
     ("fixed_circle bad tol_circle",
      _doc({"check": "fixed_circle", "x0": 4, "tol_circle": "wide"}),
      "checks[0].tol_circle: must be a number"),
+    ("fixed_circle negative tol_circle",
+     _doc({"check": "fixed_circle", "x0": 4, "tol_circle": -1}),
+     "checks[0].tol_circle: must not be negative"),
     ("fixed_circle center off the grid",
      _doc({"check": "fixed_circle", "x0": Fraction("0.05")}, space={
          "kind": "real_grid", "lo": 0, "hi": 1, "step": Fraction("0.1"),
@@ -433,6 +442,9 @@ ERRORS += [
     ("sequence one term past the cap",
      _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 100_001}])),
      "checks[0].sequences[0].n_to: gives 100001 terms, over the cap of 100000"),
+    ("sequences past the cap together",
+     _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 100_000}] * 2)),
+     "checks[0].sequences: gives 200000 terms, over the cap of 100000"),
     ("condition_i sweep one row past the pair cap",
      _doc({"check": "condition_i", "mode": "strict"}, space=_grid(316)),
      "checks[0]: sweeps 100489 pairs, over the cap of 100000"),
@@ -519,6 +531,7 @@ AT_THE_CAPS = {
         "kind": "real_grid", "lo": 0, "hi": 99_999, "step": 1,
         "smetric": BASE["space"]["smetric"]}),
     "sequence": _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 100_000}])),
+    "sequences": _doc(_discontinuity(sequences=[{"expr": "4", "n_to": 50_000}] * 2)),
     # 200,000 applications per step, for up to 4 + 1 steps on 4 points
     "solve_power": _doc({"check": "solve_power", "x0": 0, "m": 200_000}),
     # 316 * 316 = 99,856 pairs
