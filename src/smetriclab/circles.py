@@ -32,47 +32,13 @@ compared with integer cuts; otherwise Fractions, read in the same order.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
 
 from .contraction import ContractionParams
-from .mapping import Mapping, on_lattice
+from .mapping import Mapping, _read
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import FormulaSMetric, Point, Space
-
-
-@dataclass
-class _Reading:
-    """How one call reads its points, their images and S: on a lattice, as
-    ints ``scale`` times the coordinates, and S as ``den`` times its value;
-    else as they are, T applied in order as ``images`` is read."""
-
-    points: list
-    images: Iterator
-    s: Callable  # (x, y, z) -> S(x, y, z) times den
-    den: int = 1
-    scale: int | None = None
-
-    def cut(self, t: Fraction):
-        """t for a read value v to meet in ``v > cut`` or ``v <= cut``."""
-        return t if self.scale is None else math.floor(t * self.den)
-
-    def exact(self, value, weight=1) -> Fraction:
-        return Fraction(value, self.den * weight)
-
-
-def _read(space, mapping, points):
-    smetric = space.smetric
-    if isinstance(smetric, FormulaSMetric):
-        lattice = on_lattice(mapping, points)
-        compiled = lattice and smetric.formula.scaled(lattice[0])
-        if compiled:
-            scale, xs, images = lattice
-            return _Reading(xs, iter(images), *compiled, scale)
-    images = (mapping.apply(space, p) for p in points)
-    return _Reading(points, images, lambda xyz: smetric.triple(*xyz))
+from .space import Point, Space, _scaled
 
 
 @dataclass(slots=True)
@@ -94,12 +60,10 @@ def _rows(space, mapping, a, b, center, pts, tol, every_dist):
     taken on the others only when ``every_dist`` asks for it.
     """
     weights = ContractionParams(a, b, 0)  # checks a and b
-    half_b = weights.b / 2
     read = _read(space, mapping, [center, *pts])
     s, (c, *xs), tc = read.s, read.points, next(read.images)
     # the x0-bound times w, so that a and b/2 become integers
-    w = math.lcm(weights.a.denominator, half_b.denominator)
-    wa, wb = int(weights.a * w), int(half_b * w)
+    w, wa, wb = _scaled([1, weights.a, weights.b / 2])
     moves, slack = read.cut(tol), read.cut(tol * w)
     rows, violations = [], []
     for p, x, image in zip(pts, xs, read.images):

@@ -16,7 +16,12 @@ pair sample:
        eps < M(x, y) < eps + delta(eps) implies S(Tx, Tx, Ty) <= eps.
 
 Window membership in (ii) is compared exactly; only the final inequality
-gets the additive tolerance.  The derived contraction factor
+gets the additive tolerance.  Both checks read one row per pair, M(x, y)
+and S(Tx, Tx, Ty) as ints over one denominator den: over ints when S and T
+are formulas that compile on the lattice of the pairs and their images,
+else over Fractions, then scaled.  A value v meets a bound t exactly when
+v <= floor(t * den).  (ii) sorts the rows by M once and bisects each
+probe's window.  The derived contraction factor
 
     xi = max(a, b / (2 - b), c / (2 - 2c))
 
@@ -26,14 +31,17 @@ decay of displacements along an orbit.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Formula
-from .mapping import Mapping
+from .mapping import Mapping, _read
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Space
+from .space import Space, _scaled
 
 _HALF = Fraction(1, 2)
 _ZERO = Fraction(0)
@@ -131,25 +139,48 @@ def verify_phi_gauge(
 
 
 def _pair_rows(space, mapping, pairs, params):
-    """(x, y, reference, S(Tx, Tx, Ty)) per pair, in sample order.
+    """Rows (x, y, reference, S(Tx, Tx, Ty)) per pair, in sample order,
+    the two values as ints over the returned den.
 
-    T is applied once to each point of a pair.  The reference is M(x, y)
-    under ``params``, or S(x, x, y) when ``params`` is None.
+    The reference is M(x, y) under ``params``, or S(x, x, y) when
+    ``params`` is None; a, b/2 and c/2 are folded into one integer
+    weight.  On a lattice the values are computed over ints; otherwise as
+    Fractions, T applied once to each point of a pair and S read in the
+    order of ``_m_value``, then scaled.
     """
     if pairs is None:
-        pairs = itertools.product(space.points, repeat=2)
+        points = list(space.points)
+        indices = itertools.product(range(len(points)), repeat=2)
     else:
         pairs = [(space.coerce(x), space.coerce(y)) for x, y in pairs]
-    s = space.smetric.triple
-    rows = []
-    for px, py in pairs:
-        tx, ty = mapping.apply(space, px), mapping.apply(space, py)
-        if params is None:
-            reference = s(px, px, py)
-        else:
-            reference = _m_value(s, params, px, py, tx, ty)
-        rows.append((px, py, reference, s(tx, tx, ty)))
-    return rows
+        points = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
+        at = {p: i for i, p in enumerate(points)}
+        indices = [(at[x], at[y]) for x, y in pairs]
+    if params is None:
+        w, wa, wb, wc = 1, 1, 0, 0
+    else:
+        w, wa, wb, wc = _scaled([1, params.a, params.b / 2, params.c / 2])
+    read = _read(space, mapping, points)
+    if read.scale is None:
+        def lookup(i):
+            return points[i], mapping.apply(space, points[i])
+    else:
+        lookup = list(zip(read.points, read.images)).__getitem__
+    s, rows = read.s, []
+    for i, j in indices:
+        (x, tx), (y, ty) = lookup(i), lookup(j)
+        m = max(
+            wa * s((x, x, y)) if wa else 0,
+            wb * (s((x, x, tx)) + s((y, y, ty))) if wb else 0,
+            wc * (s((x, x, ty)) + s((y, y, tx))) if wc else 0,
+        )
+        rows.append((points[i], points[j], m, w * s((tx, tx, ty))))
+    den = read.den * w
+    if read.scale is None:
+        one, *flat = _scaled([1, *(v for r in rows for v in r[2:])])
+        rows = [(*r[:2], m, v) for r, m, v in zip(rows, flat[::2], flat[1::2])]
+        den *= one
+    return rows, den
 
 
 def verify_condition_i(
@@ -174,20 +205,22 @@ def verify_condition_i(
     if mode in ("full", "simple") and (gauge is None or gauge.phi is None):
         raise ValueError(f"mode {mode!r} needs a phi gauge")
     tol = to_fraction(tol)
-    rows = _pair_rows(
+    rows, den = _pair_rows(
         space, mapping, pairs, None if mode == "simple" else params
     )
-    violations = []
-    for px, py, ref, s_t in rows:
-        if mode != "strict":
-            bound = gauge.phi(ref)
-        elif ref <= tol:
-            continue
-        else:
-            bound = ref - 2 * tol  # s_t <= M - tol, checked with slack
-        if s_t > bound + tol:
-            violations.append((px, py, ref, s_t))
-    return violations
+    # S(Tx, Tx, Ty) > t exactly when its int v > floor(t * den)
+    if mode == "strict":  # s_t <= M - tol, checked with slack
+        low, slack = math.floor(tol * den), math.floor(-tol * den)
+        cut = {m: m + slack for _, _, m, _ in rows if m > low}
+    else:
+        cut = {
+            m: math.floor((gauge.phi(Fraction(m, den)) + tol) * den)
+            for m in dict.fromkeys(m for _, _, m, _ in rows)
+        }
+    return [
+        (px, py, Fraction(m, den), Fraction(v, den))
+        for px, py, m, v in rows if v > cut.get(m, math.inf)
+    ]
 
 
 def eps_grid(
@@ -227,16 +260,22 @@ def condition_ii_probe(
 
     For each probe eps the window is (eps, eps + delta(eps)), membership
     exact; every pair whose M value falls inside must have
-    S(Tx, Tx, Ty) <= eps + tol.  A probe with delta(eps) <= 0 is a
-    configuration error.  Returns the probe grid and the violations as
-    (x, y, eps, M(x, y), S(Tx, Tx, Ty)), ordered by eps, then by pair
-    position.
+    S(Tx, Tx, Ty) <= eps + tol.  The rows are sorted by M once; each
+    probe bisects its window in them and keeps the rows inside it whose
+    S(Tx, Tx, Ty) exceeds eps + tol, in pair order.  A probe with
+    delta(eps) <= 0 is a configuration error.  Returns the probe grid and
+    the violations as (x, y, eps, M(x, y), S(Tx, Tx, Ty)), ordered by
+    eps, then by pair position.
     """
     if gauge.delta is None:
         raise ValueError("condition (ii) needs a delta gauge")
     tol = to_fraction(tol)
-    rows = _pair_rows(space, mapping, pairs, params)
-    grid = eps_grid([m for _, _, m, _ in rows], eps_values, tol)
+    rows, den = _pair_rows(space, mapping, pairs, params)
+    ms = [m for _, _, m, _ in rows]
+    grid = eps_grid([Fraction(m, den) for m in set(ms)], eps_values, tol)
+    order = sorted(range(len(rows)), key=ms.__getitem__)
+    keys = [ms[i] for i in order]
+    exact = functools.cache(lambda v: Fraction(v, den))
     violations = []
     for eps in grid:
         width = gauge.delta(eps)
@@ -244,9 +283,10 @@ def condition_ii_probe(
             raise GaugeDomainError(
                 f"delta({eps}) = {width} is not positive"
             )
-        upper, cap = eps + width, eps + tol
-        for px, py, m, s_t in rows:
-            if eps < m < upper and s_t > cap:
-                violations.append((px, py, eps, m, s_t))
+        start = bisect.bisect_right(keys, math.floor(eps * den))
+        end = bisect.bisect_left(keys, math.ceil((eps + width) * den))
+        cap = math.floor((eps + tol) * den)
+        for i in sorted(i for i in order[start:end] if rows[i][3] > cap):
+            px, py, m, v = rows[i]
+            violations.append((px, py, eps, exact(m), exact(v)))
     return grid, violations
-

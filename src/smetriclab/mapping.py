@@ -5,14 +5,20 @@ between nodes or past an endpoint).  ``apply`` therefore returns the
 canonical universe point when the image resolves and a free-standing
 point otherwise; callers that need the orbit to stay inside the universe
 (the iteration driver) decide how strict to be.
+
+``_read`` is how the circle and contraction kernels read points, images
+and S: as ints on one lattice when ``on_lattice`` and S compile there.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Iterator
 
 from .expr import Formula
-from .space import Point, Space, SpaceError
+from .space import FormulaSMetric, Point, Space, SpaceError
 
 
 class MappingRangeError(SpaceError):
@@ -83,3 +89,35 @@ def on_lattice(mapping: Mapping, points: list[Point]) -> tuple | None:
     up, image_up = lattice // scale, lattice // den
     xs = [p.value.numerator * (scale // p.value.denominator) for p in points]
     return lattice, [x * up for x in xs], [image((x,)) * image_up for x in xs]
+
+
+@dataclass
+class _Reading:
+    """How one call reads its points, their images and S: on a lattice, as
+    ints ``scale`` times the coordinates, and S as ``den`` times its value;
+    else as they are, T applied in order as ``images`` is read."""
+
+    points: list
+    images: Iterator
+    s: Callable  # (x, y, z) -> S(x, y, z) times den
+    den: int = 1
+    scale: int | None = None
+
+    def cut(self, t: Fraction):
+        """t for a read value v to meet in ``v > cut`` or ``v <= cut``."""
+        return t if self.scale is None else math.floor(t * self.den)
+
+    def exact(self, value, weight=1) -> Fraction:
+        return Fraction(value, self.den * weight)
+
+
+def _read(space, mapping, points):
+    smetric = space.smetric
+    if isinstance(smetric, FormulaSMetric):
+        lattice = on_lattice(mapping, points)
+        compiled = lattice and smetric.formula.scaled(lattice[0])
+        if compiled:
+            scale, xs, images = lattice
+            return _Reading(xs, iter(images), *compiled, scale)
+    images = (mapping.apply(space, p) for p in points)
+    return _Reading(points, images, lambda xyz: smetric.triple(*xyz))

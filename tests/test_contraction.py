@@ -12,6 +12,7 @@ from conftest import CountingSMetric, identity_mapping, sum_abs_smetric
 from smetriclab import (
     ContractionParams,
     Formula,
+    FormulaMapping,
     FormulaSMetric,
     GaugeDomainError,
     GaugeSpec,
@@ -259,3 +260,38 @@ def test_condition_ii_requires_positive_delta(
         condition_ii_probe(
             four_space, four_map, four_params, GaugeSpec()
         )
+
+
+def test_both_conditions_on_the_81_node_grid():
+    # S(x, y, z) = |x - z| + |y - z| and T x = x/2 + 1: S(x, x, y) = 2|x - y|
+    # and S(Tx, Tx, Ty) = |x - y|, so with a = 3/4, M = 3/2 |x - y| and
+    # phi(M) = 2M/3 = S(Tx, Tx, Ty) on every pair
+    n, step = 81, Fraction(1, 4)
+    space = Space.real_grid(-10, 10, step, sum_abs_smetric())
+    mapping = FormulaMapping(Formula.parse("x/2 + 1", ("x",)))
+    params = ContractionParams(Fraction(3, 4), 0, 0)
+    gauge = GaugeSpec(
+        Formula.parse("2*t/3", ("t",)), Formula.parse("eps", ("eps",))
+    )
+    assert verify_condition_i(space, mapping, params, gauge) == []
+
+    # k steps apart: 2 (n - k) ordered pairs with M = 3/2 k step; with
+    # delta = eps a pair violates at eps when eps < M < 2 eps and
+    # 2M/3 > eps + tol
+    m = [Fraction(3, 2) * k * step for k in range(n)]
+    probes = set()
+    for k in range(1, n):
+        probes.update((m[k] * Fraction(9, 10), m[k] - TOL))
+        if k + 1 < n:
+            probes.add((m[k] + m[k + 1]) / 2)
+    expected = sum(
+        2 * (n - k)
+        for eps in probes
+        for k in range(1, n)
+        if eps < m[k] < 2 * eps and m[k] * Fraction(2, 3) > eps + TOL
+    )
+    grid, violations = condition_ii_probe(space, mapping, params, gauge)
+    assert (len(grid), len(violations)) == (len(probes), expected) == (231, 83_904)
+    assert [eps for _, _, eps, _, _ in violations] == sorted(
+        eps for _, _, eps, _, _ in violations
+    )

@@ -1,5 +1,6 @@
-"""Integer closures and the integer circle and fix-set kernels, each
-against the Fraction code it replaced, kept here as the oracle.
+"""Integer closures and the integer circle, fix-set and condition (i)/(ii)
+kernels, each against the Fraction code it replaced, kept here as the
+oracle.
 
 Run these under more examples with ``--hypothesis-profile ci``.
 """
@@ -13,21 +14,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smetriclab import (
+    ExprError,
     ExprEvalError,
     Formula,
     FormulaMapping,
     FormulaSMetric,
+    GaugeDomainError,
+    GaugeSpec,
     Mapping,
     SMetric,
     Space,
+    SpaceError,
+    TableMapping,
     check_fixed_circle,
+    condition_ii_probe,
+    eps_grid,
     fix_set,
+    verify_condition_i,
     verify_zamfirescu_x0,
 )
 from smetriclab.circles import CircleReport
-from smetriclab.contraction import ContractionParams
+from smetriclab.contraction import ContractionParams, _m_value
 from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
-from smetriclab.mapping import on_lattice
+from smetriclab.mapping import _read, on_lattice
 from smetriclab.numeric import DEFAULT_TOL, to_fraction
 
 
@@ -127,6 +136,61 @@ def reference_circle(
 
 def reference_fix_set(space, mapping):
     return [p for p in space.points if mapping.apply(space, p) == p]
+
+
+def reference_pair_rows(space, mapping, pairs, params):
+    if pairs is None:
+        pairs = itertools.product(space.points, repeat=2)
+    else:
+        pairs = [(space.coerce(x), space.coerce(y)) for x, y in pairs]
+    s = space.smetric.triple
+    rows = []
+    for px, py in pairs:
+        tx, ty = mapping.apply(space, px), mapping.apply(space, py)
+        if params is None:
+            reference = s(px, px, py)
+        else:
+            reference = _m_value(s, params, px, py, tx, ty)
+        rows.append((px, py, reference, s(tx, tx, ty)))
+    return rows
+
+
+def reference_condition_i(
+    space, mapping, params, gauge=None, pairs=None, mode="full", tol=DEFAULT_TOL
+):
+    tol = to_fraction(tol)
+    rows = reference_pair_rows(
+        space, mapping, pairs, None if mode == "simple" else params
+    )
+    violations = []
+    for px, py, ref, s_t in rows:
+        if mode != "strict":
+            bound = gauge.phi(ref)
+        elif ref <= tol:
+            continue
+        else:
+            bound = ref - 2 * tol
+        if s_t > bound + tol:
+            violations.append((px, py, ref, s_t))
+    return violations
+
+
+def reference_condition_ii(
+    space, mapping, params, gauge, pairs=None, eps_values=None, tol=DEFAULT_TOL
+):
+    tol = to_fraction(tol)
+    rows = reference_pair_rows(space, mapping, pairs, params)
+    grid = eps_grid([m for _, _, m, _ in rows], eps_values, tol)
+    violations = []
+    for eps in grid:
+        width = gauge.delta(eps)
+        if width <= 0:
+            raise GaugeDomainError(f"delta({eps}) = {width} is not positive")
+        upper, cap = eps + width, eps + tol
+        for px, py, m, s_t in rows:
+            if eps < m < upper and s_t > cap:
+                violations.append((px, py, eps, m, s_t))
+    return grid, violations
 
 
 # -- formulas ------------------------------------------------------------
@@ -296,24 +360,34 @@ TOLERANCES = st.sampled_from(
 COORDINATES = st.fractions(min_value=-3, max_value=3, max_denominator=12)
 
 
-@st.composite
-def circle_instances(draw):
-    """A grid or a finite numeric universe, formula S and T, a center and
-    a sample: None, or points of the universe and off it, in any order
-    and with repeats."""
+def _formula_space(draw, max_steps):
+    """A grid of at most ``max_steps`` + 1 nodes or a finite numeric
+    universe, with a formula S."""
     s = FormulaSMetric(
         Formula.parse(draw(st.sampled_from(S_FORMULAS)), ("x", "y", "z"))
     )
     if draw(st.booleans()):
         step = draw(st.sampled_from(STEPS))
         lo = draw(st.integers(-3, 1)) * Fraction(1, 2)
-        space = Space.real_grid(lo, lo + step * draw(st.integers(0, 24)), step, s)
-    else:
-        points = draw(st.lists(COORDINATES, min_size=1, max_size=8, unique=True))
-        space = Space.finite(points, s)
-    mapping = FormulaMapping(
+        hi = lo + step * draw(st.integers(0, max_steps))
+        return Space.real_grid(lo, hi, step, s)
+    points = draw(st.lists(COORDINATES, min_size=1, max_size=8, unique=True))
+    return Space.finite(points, s)
+
+
+def _formula_map(draw):
+    return FormulaMapping(
         Formula.parse(draw(st.sampled_from(MAP_FORMULAS)), ("x",))
     )
+
+
+@st.composite
+def circle_instances(draw):
+    """A grid or a finite numeric universe, formula S and T, a center and
+    a sample: None, or points of the universe and off it, in any order
+    and with repeats."""
+    space = _formula_space(draw, 24)
+    mapping = _formula_map(draw)
     universe = st.sampled_from([p.value for p in space.points])
     x0 = draw(universe)
     sample = draw(st.none() | st.lists(universe | COORDINATES, min_size=1, max_size=10))
@@ -402,4 +476,139 @@ def test_fraction_fallback_reads_s_and_t_in_the_old_order(
     new_space, new_map, new = _recorded(space, mapping)
     old_space, old_map, old = _recorded(space, mapping)
     assert fix_set(new_space, new_map) == reference_fix_set(old_space, old_map)
+    assert new == old
+
+
+# -- the condition (i) and (ii) kernels ----------------------------------
+
+QUARTERS = st.sampled_from([Fraction(k, 4) for k in range(4)])
+C_QUARTERS = st.sampled_from([Fraction(k, 4) for k in range(3)])
+MODES = st.sampled_from(["full", "simple", "strict"])
+PHIS = st.sampled_from([
+    "2*t/3", "t/2", "t", "t - 1/10", "abs(t - 1)/2", "t/(t + 1)",
+    "piecewise(t <= 1 : t/2, else : t - 1/4)",
+])
+DELTAS = st.sampled_from([
+    "eps", "eps/2", "1/4", "2 - eps", "piecewise(eps < 1 : 1 - eps, else : eps/3)",
+])
+USER_EPS = st.none() | st.lists(
+    st.fractions(min_value=-1, max_value=6, max_denominator=8), min_size=1, max_size=3
+)
+CONDITION_TOLERANCES = st.sampled_from(
+    [Fraction(0), DEFAULT_TOL, Fraction(1, 7), Fraction(1, 2), Fraction(-1, 9)]
+)
+
+
+@st.composite
+def pair_instances(draw):
+    """A grid or finite universe with formula S and T, and the pairs: None,
+    or pairs of points of the universe and off it, with repeats."""
+    space = _formula_space(draw, 10)
+    mapping = _formula_map(draw)
+    coordinate = st.sampled_from([p.value for p in space.points]) | COORDINATES
+    pairs = draw(
+        st.none() | st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12)
+    )
+    return space, mapping, pairs
+
+
+def _line(points, map_text):
+    """``points`` with S = |x - z| + |y - z| and a formula map; pairs None."""
+    s = FormulaSMetric(Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z")))
+    mapping = FormulaMapping(Formula.parse(map_text, ("x",)))
+    return Space.finite(points, s), mapping, None
+
+
+def _outcome(kernel, *args):
+    """The kernel's result with its numbers' types, or its error."""
+    try:
+        return _exactly(kernel(*args))
+    except (ExprError, SpaceError, ValueError) as error:
+        return type(error), str(error)
+
+
+CONDITION_KERNELS = (verify_condition_i, condition_ii_probe)
+REFERENCE_KERNELS = (reference_condition_i, reference_condition_ii)
+
+
+def _conditions(kernels, space, mapping, pairs, a, b, c, mode, phi, delta,
+                user_eps, tol):
+    """The outcomes of condition (i) and (ii) under ``kernels``."""
+    params = ContractionParams(a, b, c)
+    gauge = GaugeSpec(Formula.parse(phi, ("t",)), Formula.parse(delta, ("eps",)))
+    first, second = kernels
+    return (
+        _outcome(first, space, mapping, params, gauge, pairs, mode, tol),
+        _outcome(second, space, mapping, params, gauge, pairs, user_eps, tol),
+    )
+
+
+CONDITION_ARGUMENTS = (
+    pair_instances(), QUARTERS, QUARTERS, C_QUARTERS, MODES, PHIS, DELTAS,
+    USER_EPS, CONDITION_TOLERANCES,
+)
+HALF = Fraction(1, 2)
+
+
+@settings(deadline=None)
+@given(*CONDITION_ARGUMENTS)
+# M = |x - y| and S(Tx, Tx, Ty) = 2M: eps = 2 has M = eps and, with
+# delta = eps/2, M = eps + delta(eps) on its window's two ends
+@example(_line([0, 1, 2, 3], "x"), HALF, 0, 0, "full", "t/2", "eps/2", [2], 0)
+# S(Tx, Tx, Ty) = M = phi(M): eps = 3/2 with tol = 1/2 has S = eps + tol
+# at M = 2, and condition (i) holds with equality
+@example(_line([0, 1, 2, 3], "x/2"), HALF, 0, 0, "full", "t", "eps",
+         [Fraction(3, 2)], HALF)
+@example(_line([0, 1, 2, 3], "x/2"), HALF, 0, 0, "full", "t", "eps", None, 0)
+# strict skips M = tol = 1 and flags M = 2, where S(Tx, Tx, Ty) = 2 > M - tol
+@example(_line([0, 1, 2, 3], "x/2"), HALF, 0, 0, "strict", "t", "eps", None, 1)
+# strict with a = 3/4 flags M - S(Tx, Tx, Ty) = 1/2 < tol = 1/2 + 1e-9
+@example(_line([0, 1, 2, 3], "x/2"), Fraction(3, 4), 0, 0, "strict", "t", "eps",
+         None, HALF + DEFAULT_TOL)
+def test_integer_condition_kernels_match_the_fraction_kernels(
+    instance, a, b, c, mode, phi, delta, user_eps, tol
+):
+    space, mapping, pairs = instance
+    checks = (a, b, c, mode, phi, delta, user_eps, tol)
+    assert _conditions(CONDITION_KERNELS, space, mapping, pairs, *checks) \
+        == _conditions(REFERENCE_KERNELS, space, mapping, pairs, *checks)
+    # the integer rows ran: both formulas compile on the pairs' lattice
+    points = space.points if pairs is None else [
+        space.coerce(x) for x in itertools.chain.from_iterable(pairs)]
+    assert _read(space, mapping, list(points)).scale
+
+
+@st.composite
+def fallback_instances(draw):
+    """A pair instance whose values the integer rows cannot read: a table
+    map, a map that divides by x, or an S that divides by a variable."""
+    space, mapping, pairs = draw(pair_instances())
+    kind = draw(st.sampled_from(["table map", "dividing map", "dividing S"]))
+    if kind == "table map":
+        labels = [p.label for p in space.points]
+        mapping = TableMapping({x: draw(st.sampled_from(labels)) for x in labels})
+    elif kind == "dividing map":
+        text = draw(st.sampled_from(["1/(x*x + 1) - x/2", "2/x"]))
+        mapping = FormulaMapping(Formula.parse(text, ("x",)))
+    else:
+        s = Formula.parse("abs(x - z)/(1 + abs(y)) + abs(y - z)", ("x", "y", "z"))
+        space = Space(space.kind, space.points, FormulaSMetric(s), space.step)
+    return space, mapping, pairs
+
+
+@settings(deadline=None)
+@given(fallback_instances(), *CONDITION_ARGUMENTS[1:])
+def test_condition_fallback_reads_s_and_t_in_the_old_order(
+    instance, a, b, c, mode, phi, delta, user_eps, tol
+):
+    # an S or a map that raises on some pair therefore aborts there
+    space, mapping, pairs = instance
+    assert _read(space, mapping, list(space.points)).scale is None
+    checks = (a, b, c, mode, phi, delta, user_eps, tol)
+    assert _conditions(CONDITION_KERNELS, space, mapping, pairs, *checks) \
+        == _conditions(REFERENCE_KERNELS, space, mapping, pairs, *checks)
+    new_space, new_map, new = _recorded(space, mapping)
+    old_space, old_map, old = _recorded(space, mapping)
+    assert _conditions(CONDITION_KERNELS, new_space, new_map, pairs, *checks) \
+        == _conditions(REFERENCE_KERNELS, old_space, old_map, pairs, *checks)
     assert new == old
