@@ -428,6 +428,10 @@ def build_check(entry: object, path: str, declared: Declared) -> CheckSpec:
     }
     for subject, part in check.option_needs(options):
         _require(_NEEDS[part](declared), path, f"{subject} needs {part}")
+    _require(
+        options.get("pairs") is None or options.get("sample") is None,
+        path, "takes pairs or sample, not both",
+    )
     if check.sweep and options.get("pairs") is None:
         count = len(options["sample"] or declared.space) ** check.sweep
         tuples = "pairs" if check.sweep == 2 else "triples"
@@ -500,6 +504,12 @@ def pair(raw: object, path: str, declared: Declared) -> tuple[Point, Point]:
 def not_negative(raw: object, path: str, declared: Declared) -> Fraction:
     value = number(raw, path)
     _require(value >= 0, path, "must not be negative")
+    return value
+
+
+def positive(raw: object, path: str, declared: Declared) -> Fraction:
+    value = number(raw, path)
+    _require(value > 0, path, "must be positive")
     return value
 
 

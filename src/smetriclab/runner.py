@@ -43,6 +43,7 @@ from .experiment import (
     optional,
     pair,
     point,
+    positive,
     positive_int,
     power,
     sequences,
@@ -298,7 +299,7 @@ def _run_phi_gauge(spec, options, tol):
 def _explicit_pairs(spec, options):
     """The pairs to check and how many there are."""
     pairs = options["pairs"]
-    if pairs is None and options["sample"] is not None:
+    if options["sample"] is not None:
         pairs = list(itertools.product(options["sample"], repeat=2))
     return pairs, len(pairs) if pairs is not None else len(spec.space) ** 2
 
@@ -345,7 +346,7 @@ def _first_window_violation(record):
 
 
 @_check(
-    "condition_ii", "verify", {"eps": optional(list_of(number)), **_PAIRS},
+    "condition_ii", "verify", {"eps": optional(list_of(positive)), **_PAIRS},
     _first_window_violation, needs=("a map", "params", "gauge.delta"),
     sweep=2,
 )

@@ -190,6 +190,17 @@ ERRORS = [
     ("condition_ii unknown pair point",
      _doc({"check": "condition_ii", "pairs": [[0, 5]]}),
      "checks[0].pairs[0]: no point at coordinate 5"),
+    ("condition_ii zero eps", _doc({"check": "condition_ii", "eps": [1, 0]}),
+     "checks[0].eps[1]: must be positive"),
+    ("condition_ii negative eps",
+     _doc({"check": "condition_ii", "eps": [-1, 0]}),
+     "checks[0].eps[0]: must be positive"),
+    ("condition_ii pairs and sample",
+     _doc({"check": "condition_ii", "pairs": [[0, 2]], "sample": [0, 2, 4, 8]}),
+     "checks[0]: takes pairs or sample, not both"),
+    ("condition_i pairs and sample",
+     _doc({"check": "condition_i", "pairs": [[0, 2]], "sample": [0, 2, 4, 8]}),
+     "checks[0]: takes pairs or sample, not both"),
     # solve
     ("solve unknown option", _doc({"check": "solve", "x0": 0, "m": 2}),
      "checks[0].m: unknown option"),
