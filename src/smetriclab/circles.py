@@ -61,12 +61,14 @@ def _rows(space, mapping, a, b, center, pts, tol, every_dist):
     """
     weights = ContractionParams(a, b, 0)  # checks a and b
     read = _read(space, mapping, [center, *pts])
-    s, (c, *xs), tc = read.s, read.points, next(read.images)
+    s, (c, *xs) = read.s, read.points
+    tc = read.t(c)
     # the x0-bound times w, so that a and b/2 become integers
     w, wa, wb = _scaled([1, weights.a, weights.b / 2])
     moves, slack = read.cut(tol), read.cut(tol * w)
     rows, violations = [], []
-    for p, x, image in zip(pts, xs, read.images):
+    for p, x in zip(pts, xs):
+        image = read.t(x)
         row = _Row(p, image, s((image, image, x)))
         if every_dist or row.moved > moves:
             row.dist = s((x, x, c))

@@ -102,6 +102,22 @@ def _m_value(s, params, px, py, tx, ty):
     )
 
 
+def _folded(params):
+    """(w, wa, wb, wc): ints with wa = a * w, wb = b/2 * w and wc = c/2 * w."""
+    return _scaled([1, params.a, params.b / 2, params.c / 2])
+
+
+def _m_folded(s, weights, px, py, tx, ty):
+    """M(x, y) times w, each S value read by ``s`` from an (x, y, z) tuple,
+    in the order of ``_m_value``; ``weights`` as from ``_folded``."""
+    _, wa, wb, wc = weights
+    return max(
+        wa * s((px, px, py)) if wa else 0,
+        wb * (s((px, px, tx)) + s((py, py, ty))) if wb else 0,
+        wc * (s((px, px, ty)) + s((py, py, tx))) if wc else 0,
+    )
+
+
 def m_z_s(
     space: Space,
     mapping: Mapping,
@@ -156,24 +172,18 @@ def _pair_rows(space, mapping, pairs, params):
         points = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
         at = {p: i for i, p in enumerate(points)}
         indices = [(at[x], at[y]) for x, y in pairs]
-    if params is None:
-        w, wa, wb, wc = 1, 1, 0, 0
-    else:
-        w, wa, wb, wc = _scaled([1, params.a, params.b / 2, params.c / 2])
+    weights = (1, 1, 0, 0) if params is None else _folded(params)
+    w = weights[0]
     read = _read(space, mapping, points)
     if read.scale is None:
         def lookup(i):
-            return points[i], mapping.apply(space, points[i])
+            return points[i], read.t(points[i])
     else:
-        lookup = list(zip(read.points, read.images)).__getitem__
+        lookup = list(zip(read.points, map(read.t, read.points))).__getitem__
     s, rows = read.s, []
     for i, j in indices:
         (x, tx), (y, ty) = lookup(i), lookup(j)
-        m = max(
-            wa * s((x, x, y)) if wa else 0,
-            wb * (s((x, x, tx)) + s((y, y, ty))) if wb else 0,
-            wc * (s((x, x, ty)) + s((y, y, tx))) if wc else 0,
-        )
+        m = _m_folded(s, weights, x, y, tx, ty)
         rows.append((points[i], points[j], m, w * s((tx, tx, ty))))
     den = read.den * w
     if read.scale is None:

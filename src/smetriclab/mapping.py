@@ -6,16 +6,18 @@ canonical universe point when the image resolves and a free-standing
 point otherwise; callers that need the orbit to stay inside the universe
 (the iteration driver) decide how strict to be.
 
-``_read`` is how the circle and contraction kernels read points, images
-and S: as ints on one lattice when ``on_lattice`` and S compile there.
+``_read`` is how the circle pass, the condition (i)/(ii) pair rows and the
+discontinuity criterion read points, images and S: as ints on one lattice
+when ``on_lattice`` and S compile there.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable
 
 from .expr import Formula
 from .space import FormulaSMetric, Point, Space, SpaceError
@@ -73,32 +75,53 @@ class PowerMapping(Mapping):
         return x
 
 
-def on_lattice(mapping: Mapping, points: list[Point]) -> tuple | None:
-    """``(scale, xs, images)``: the points' coordinates and their images
-    under a formula map, as ints over the least scale that holds both
-    exactly; None for another map, a formula that divides by a variable or
-    by 0, or a point without a coordinate."""
-    if not isinstance(mapping, FormulaMapping) or any(p.value is None for p in points):
+#: Most bits the scale of one lattice read may take.  Each new distinct
+#: denominator widens every int a read carries, and past about this many
+#: bits (the points 1/n for n up to about 5,700) ``fix_set`` runs faster
+#: over Fractions, so ``on_lattice`` declines a larger scale.
+MAX_LATTICE_BITS = 8192
+
+
+def on_lattice(mapping: Mapping, points: list) -> tuple | None:
+    """``(scale, xs, t)``: the points' coordinates as ints over the least
+    scale that holds them and their images under a formula map exactly,
+    and ``t``, the map on such ints.  A point is a ``Point`` or its
+    coordinate.  None for another map, a formula that divides by a
+    variable or by 0, a point without a coordinate, or a scale past
+    ``MAX_LATTICE_BITS``."""
+    if not isinstance(mapping, FormulaMapping):
         return None
-    scale = math.lcm(*(p.value.denominator for p in points))
+    values = [p.value if isinstance(p, Point) else p for p in points]
+    try:
+        dens = {v.denominator for v in values}
+    except AttributeError:  # no coordinate, or not a rational
+        return None
+    scale = 1
+    for den in sorted(dens, reverse=True):  # past the bound sooner
+        scale = math.lcm(scale, den)
+        if scale.bit_length() > MAX_LATTICE_BITS:
+            return None
     compiled = mapping.formula.scaled(scale)
     if compiled is None:
         return None
     image, den = compiled
     lattice = math.lcm(scale, den)
     up, image_up = lattice // scale, lattice // den
-    xs = [p.value.numerator * (scale // p.value.denominator) for p in points]
-    return lattice, [x * up for x in xs], [image((x,)) * image_up for x in xs]
+
+    def t(x):
+        return image((x // up,)) * image_up
+
+    return lattice, [v.numerator * (lattice // v.denominator) for v in values], t
 
 
 @dataclass
 class _Reading:
     """How one call reads its points, their images and S: on a lattice, as
     ints ``scale`` times the coordinates, and S as ``den`` times its value;
-    else as they are, T applied in order as ``images`` is read."""
+    else as points of the space, T and S evaluated as they are read."""
 
     points: list
-    images: Iterator
+    t: Callable  # a read point -> its image, read the same way
     s: Callable  # (x, y, z) -> S(x, y, z) times den
     den: int = 1
     scale: int | None = None
@@ -112,12 +135,17 @@ class _Reading:
 
 
 def _read(space, mapping, points):
+    """The reading of ``points``, each a ``Point`` or a coordinate; off
+    the lattice each is coerced to a point of the space."""
     smetric = space.smetric
     if isinstance(smetric, FormulaSMetric):
         lattice = on_lattice(mapping, points)
         compiled = lattice and smetric.formula.scaled(lattice[0])
         if compiled:
-            scale, xs, images = lattice
-            return _Reading(xs, iter(images), *compiled, scale)
-    images = (mapping.apply(space, p) for p in points)
-    return _Reading(points, images, lambda xyz: smetric.triple(*xyz))
+            scale, xs, t = lattice
+            return _Reading(xs, t, *compiled, scale)
+    return _Reading(
+        [space.coerce(p) for p in points],
+        functools.partial(mapping.apply, space),
+        lambda xyz: smetric.triple(*xyz),
+    )

@@ -11,6 +11,7 @@ nearest binary double.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 #: Default strictness margin for inequality checks.
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -61,6 +62,26 @@ def to_fraction(x: object) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _places(d: int) -> int | None:
+    """The least k with d dividing 10**k, or None when there is none."""
+    twos = fives = 0
+    while d % 2 == 0:
+        d //= 2
+        twos += 1
+    while d % 5 == 0:
+        d //= 5
+        fives += 1
+    return max(twos, fives) if d == 1 else None
+
+
+def _decimal(n: int, places: int) -> str:
+    """n / 10**places for n >= 0, with no trailing zeros."""
+    whole, frac = divmod(n, 10**places)
+    if frac == 0:
+        return str(whole)
+    return f"{whole}.{str(frac).rjust(places, '0').rstrip('0')}"
+
+
 def format_decimal(q: Fraction) -> str:
     """Canonical short string for a rational.
 
@@ -71,20 +92,17 @@ def format_decimal(q: Fraction) -> str:
     q = Fraction(q)
     sign = "-" if q < 0 else ""
     n, d = abs(q.numerator), q.denominator
-    twos = fives = 0
-    rest = d
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
+    places = _places(d)
+    if places is None:
         return f"{sign}{n}/{d}"
-    k = max(twos, fives)
-    scaled = n * 10**k // d
-    whole, frac = divmod(scaled, 10**k)
-    if k == 0 or frac == 0:
-        return f"{sign}{whole}"
-    digits = str(frac).rjust(k, "0").rstrip("0")
-    return f"{sign}{whole}.{digits}"
+    return sign + _decimal(n * 10**places // d, places)
+
+
+def decimal_writer(den: int) -> Callable[[int], str]:
+    """``k -> format_decimal(Fraction(k, den))``; over ints alone when den
+    divides a power of 10."""
+    places = _places(den)
+    if places is None:
+        return lambda k: format_decimal(Fraction(k, den))
+    up = 10**places // den
+    return lambda k: ("-" if k < 0 else "") + _decimal(abs(k) * up, places)

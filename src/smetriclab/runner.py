@@ -367,6 +367,11 @@ def _orbit_summary(record):
     outcome = record["outcome"]
     if outcome["status"] == "converged":
         return f"converged to {outcome['u']} in {outcome['steps']} steps"
+    if outcome["status"] == "snap_stalled":
+        return (
+            f"snap_stalled: the image {outcome['image']} of "
+            f"{record['points'][-1]} snaps back onto it"
+        )
     return outcome["status"]
 
 
@@ -378,10 +383,13 @@ def _power_summary(record):
 
 
 def _orbit(trace):
+    keys = ("status", "u", "steps", "period")
+    if trace.outcome.image is not None:
+        keys += ("image",)
     return {
         "points": describe(trace.points),
         "alphas": describe(trace.alphas),
-        "outcome": _fields(trace.outcome, ("status", "u", "steps", "period")),
+        "outcome": _fields(trace.outcome, keys),
     }
 
 

@@ -9,27 +9,34 @@ On grid spaces a map image may fall between nodes; it is snapped to the
 nearest node only when strictly less than one step away, otherwise the
 orbit has genuinely left the universe and iteration stops with an error.
 Convergence is always confirmed against the raw (pre-snap) image so that
-snapping can never invent a fixed point.
+snapping can never invent a fixed point; an image that only snaps back
+onto the point it came from stalls the orbit there.
+
+The discontinuity criterion reads u and its sequences' terms through
+``mapping._read``: as ints over one lattice when S and the map are
+formulas that compile there, else as points of the space.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contraction import ContractionParams, _m_value
-from .mapping import Mapping, MappingRangeError, PowerMapping, on_lattice
+from .contraction import ContractionParams, _folded, _m_folded
+from .mapping import Mapping, MappingRangeError, PowerMapping, _read, on_lattice
 from .numeric import DEFAULT_TOL, to_fraction
 from .space import Point, Space, UnknownPointError
 
 
 @dataclass
 class Outcome:
-    status: str  # "converged" | "max_iter_reached" | "cycle_detected"
+    status: str  # "converged" | "max_iter_reached" | "cycle_detected" | "snap_stalled"
     u: Point | None = None
     steps: int | None = None
     period: int | None = None
+    image: Point | None = None  # the raw image of a snap stall
 
 
 @dataclass
@@ -54,8 +61,10 @@ def picard(
     S(u, u, Tu) <= tol; the verifying application of T is still recorded,
     so a trace ends with the near-fixed point repeated.  ``steps`` counts
     the applications of T needed to reach u; a fixed starting point
-    converges in 0 steps.  Revisiting an earlier orbit point without
-    converging reports a cycle with its period.
+    converges in 0 steps.  An image that is not within tol yet snaps
+    back onto the point it came from reports a snap stall with that raw
+    image; revisiting an earlier orbit point otherwise reports a cycle
+    with its period.
     """
     tol = to_fraction(tol)
     start = space.resolve(x0)
@@ -77,6 +86,10 @@ def picard(
                 return IterationTrace(
                     points, alphas, Outcome("converged", u=current, steps=n)
                 )
+        if landed == current != image:
+            return IterationTrace(
+                points, alphas, Outcome("snap_stalled", image=image)
+            )
         if landed in visited:
             period = (n + 1) - visited[landed]
             return IterationTrace(
@@ -116,7 +129,8 @@ def fix_set(space: Space, mapping: Mapping) -> list[Point]:
     the universe are simply not fixed.
     """
     if lattice := on_lattice(mapping, space.points):
-        return [p for p, x, y in zip(space.points, *lattice[1:]) if x == y]
+        _, xs, t = lattice
+        return [p for p, x in zip(space.points, xs) if t(x) == x]
     return [p for p in space.points if mapping.apply(space, p) == p]
 
 
@@ -201,39 +215,51 @@ def discontinuity_criterion(
     limit_tol) from index ``tail_start`` (default: halfway) on; a sequence
     that does not, or ends before that index, is rejected by index.
     ``u`` itself must be fixed within ``tol``.
+
+    u and every term are read at once, as ints over one lattice when they
+    and the formulas allow it: S(x_n, x_n, u) against an integer cut,
+    M(x_n, u) times the weight that makes a, b/2 and c/2 integers, and
+    each estimate and spread the same exact Fraction.  Otherwise the terms
+    become points of the space, and T and S are evaluated in the order of
+    the checks above, so an evaluation error aborts with the same text.
     """
     tol = to_fraction(tol)
     limit_tol = to_fraction(limit_tol)
     conv = limit_tol if conv_tol is None else to_fraction(conv_tol)
     target = space.resolve(u)
-    image = mapping.apply(space, target)
-    s = space.smetric.triple
-    if s(target, target, image) > tol:
+    sequences = [list(seq) for seq in sequences]
+    read = _read(space, mapping, [target, *itertools.chain(*sequences)])
+    s, (c, *terms) = read.s, read.points
+    tc = read.t(c)
+    if s((c, c, tc)) > read.cut(tol):
         raise ValueError(f"{target.label} is not a fixed point of the map")
 
+    weights, conv_cut = _folded(params), read.cut(conv)
     per_sequence = []
     tails_at_u = True
-    for index, raw_seq in enumerate(sequences):
-        seq = [space.coerce(x) for x in raw_seq]
+    end = 0
+    for index, raw in enumerate(sequences):
+        seq = terms[end:end + len(raw)]
+        end += len(raw)
         if not seq:
             raise ValueError(f"sequence {index} is empty")
         start = len(seq) // 2 if tail_start is None else tail_start
         if start >= len(seq):
             raise ValueError(f"tail_start {start} is past the end of sequence {index}")
-        if any(s(x, x, target) > conv for x in seq[start:]):
+        if any(s((x, x, c)) > conv_cut for x in seq[start:]):
             raise ValueError(f"sequence {index} does not converge to u")
         w = window if window is not None else max(1, len(seq) // 4)
         tail = seq[-w:]
-        tails_at_u = tails_at_u and all(x == target for x in tail)
-        values = [
-            _m_value(s, params, x, target, mapping.apply(space, x), image)
-            for x in tail
-        ]
-        estimate = sum(values) / len(values)
-        spread = max(values) - min(values)
+        tails_at_u = tails_at_u and all(x == c for x in tail)
+        values = [_m_folded(s, weights, x, c, read.t(x), tc) for x in tail]
+        spread = read.exact(max(values) - min(values), weights[0])
         per_sequence.append(
             SequenceLimit(
-                index, estimate, spread, spread <= 10 * limit_tol, len(tail)
+                index,
+                read.exact(sum(values), weights[0] * len(values)),
+                spread,
+                spread <= 10 * limit_tol,
+                len(tail),
             )
         )
 

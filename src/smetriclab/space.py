@@ -32,7 +32,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from .expr import Formula
-from .numeric import DEFAULT_TOL, format_decimal, to_fraction
+from .numeric import DEFAULT_TOL, decimal_writer, format_decimal, to_fraction
 
 
 class SpaceError(Exception):
@@ -225,10 +225,17 @@ class Space:
     def real_grid(
         cls, lo: object, hi: object, step: object, smetric: SMetric
     ) -> "Space":
+        """The nodes lo + i * step up to hi, read as ints k over the least
+        den of lo and step: each node is k/den, labelled from k."""
         lo_f, hi_f, step_f = to_fraction(lo), to_fraction(hi), to_fraction(step)
+        count = grid_steps(lo_f, hi_f, step_f)
+        den = math.lcm(lo_f.denominator, step_f.denominator)
+        first = lo_f.numerator * (den // lo_f.denominator)
+        stride = step_f.numerator * (den // step_f.denominator)
+        label = decimal_writer(den)
         points = tuple(
-            as_point(lo_f + i * step_f)
-            for i in range(grid_steps(lo_f, hi_f, step_f) + 1)
+            Point(label(k), Fraction(k, den))
+            for k in range(first, first + count * stride + 1, stride)
         )
         return cls("real_grid", points, smetric, step_f)
 

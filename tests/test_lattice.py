@@ -1,6 +1,6 @@
-"""Integer closures and the integer circle, fix-set and condition (i)/(ii)
-kernels, each against the Fraction code it replaced, kept here as the
-oracle.
+"""Integer closures, the integer circle, fix-set, condition (i)/(ii) and
+discontinuity kernels and the integer grid labels, each against the
+Fraction code it replaced, kept here as the oracle.
 
 Run these under more examples with ``--hypothesis-profile ci``.
 """
@@ -18,16 +18,20 @@ from smetriclab import (
     ExprEvalError,
     Formula,
     FormulaMapping,
+    FormulaMetric,
     FormulaSMetric,
     GaugeDomainError,
     GaugeSpec,
+    GeneratedSMetric,
     Mapping,
     SMetric,
     Space,
     SpaceError,
     TableMapping,
+    TableSMetric,
     check_fixed_circle,
     condition_ii_probe,
+    discontinuity_criterion,
     eps_grid,
     fix_set,
     verify_condition_i,
@@ -36,8 +40,9 @@ from smetriclab import (
 from smetriclab.circles import CircleReport
 from smetriclab.contraction import ContractionParams, _m_value
 from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
-from smetriclab.mapping import _read, on_lattice
-from smetriclab.numeric import DEFAULT_TOL, to_fraction
+from smetriclab.mapping import MAX_LATTICE_BITS, _read, on_lattice
+from smetriclab.numeric import DEFAULT_TOL, format_decimal, to_fraction
+from smetriclab.solver import DiscontinuityVerdict, SequenceLimit
 
 
 # -- the Fraction kernels, as they were before the integer pass ----------
@@ -193,6 +198,64 @@ def reference_condition_ii(
     return grid, violations
 
 
+def reference_discontinuity(
+    space, mapping, params, u, sequences, limit_tol=DEFAULT_TOL, conv_tol=None,
+    tail_start=None, window=None, tol=DEFAULT_TOL,
+):
+    tol = to_fraction(tol)
+    limit_tol = to_fraction(limit_tol)
+    conv = limit_tol if conv_tol is None else to_fraction(conv_tol)
+    target = space.resolve(u)
+    image = mapping.apply(space, target)
+    s = space.smetric.triple
+    if s(target, target, image) > tol:
+        raise ValueError(f"{target.label} is not a fixed point of the map")
+
+    per_sequence = []
+    tails_at_u = True
+    for index, raw_seq in enumerate(sequences):
+        seq = [space.coerce(x) for x in raw_seq]
+        if not seq:
+            raise ValueError(f"sequence {index} is empty")
+        start = len(seq) // 2 if tail_start is None else tail_start
+        if start >= len(seq):
+            raise ValueError(f"tail_start {start} is past the end of sequence {index}")
+        if any(s(x, x, target) > conv for x in seq[start:]):
+            raise ValueError(f"sequence {index} does not converge to u")
+        w = window if window is not None else max(1, len(seq) // 4)
+        tail = seq[-w:]
+        tails_at_u = tails_at_u and all(x == target for x in tail)
+        values = [
+            _m_value(s, params, x, target, mapping.apply(space, x), image)
+            for x in tail
+        ]
+        estimate = sum(values) / len(values)
+        spread = max(values) - min(values)
+        per_sequence.append(
+            SequenceLimit(
+                index, estimate, spread, spread <= 10 * limit_tol, len(tail)
+            )
+        )
+
+    conclusive = [sl.estimate for sl in per_sequence if sl.conclusive]
+    limsup = max(conclusive) if conclusive else None
+    note = ""
+    if limsup is not None and limsup > limit_tol:
+        classification = "discontinuous_at_u"
+    elif len(conclusive) == len(per_sequence) and per_sequence:
+        classification = "continuous_at_u"
+        if space.kind == "finite":
+            classification = "inconclusive"
+            note = (
+                "no nontrivial approach sequences"
+                if tails_at_u
+                else "continuity not claimed on a finite universe"
+            )
+    else:
+        classification = "inconclusive"
+    return DiscontinuityVerdict(per_sequence, limsup, classification, note)
+
+
 # -- formulas ------------------------------------------------------------
 
 # literals whose denominators divide the scales below, so that a variable
@@ -218,9 +281,11 @@ def _divisors():
 
 
 @st.composite
-def scalable_formulas(draw):
-    """Formulas in x and y that divide only by constants."""
-    leaves = st.one_of(LITERALS.map(Num), st.sampled_from([Var("x"), Var("y")]))
+def scalable_formulas(draw, variables=("x", "y")):
+    """Formulas in ``variables`` that divide only by constants."""
+    leaves = st.one_of(
+        LITERALS.map(Num), st.sampled_from([Var(name) for name in variables])
+    )
 
     def extend(children):
         comparisons = st.tuples(
@@ -247,7 +312,7 @@ def scalable_formulas(draw):
             ).map(lambda t: Piecewise(tuple(t[0]), t[1])),
         )
 
-    return Formula(draw(st.recursive(leaves, extend, max_leaves=10)), ("x", "y"))
+    return Formula(draw(st.recursive(leaves, extend, max_leaves=10)), variables)
 
 
 def _divides_by_zero(node):
@@ -519,10 +584,10 @@ def _line(points, map_text):
     return Space.finite(points, s), mapping, None
 
 
-def _outcome(kernel, *args):
+def _outcome(kernel, *args, **kwargs):
     """The kernel's result with its numbers' types, or its error."""
     try:
-        return _exactly(kernel(*args))
+        return _exactly(kernel(*args, **kwargs))
     except (ExprError, SpaceError, ValueError) as error:
         return type(error), str(error)
 
@@ -612,3 +677,280 @@ def test_condition_fallback_reads_s_and_t_in_the_old_order(
     assert _conditions(CONDITION_KERNELS, new_space, new_map, pairs, *checks) \
         == _conditions(REFERENCE_KERNELS, old_space, old_map, pairs, *checks)
     assert new == old
+
+
+# -- the discontinuity criterion -----------------------------------------
+
+
+def _fixing(formula, u):
+    """The map x -> F(x) - F(u) + u, which fixes u; F itself when F(u)
+    does not evaluate."""
+    try:
+        shift = formula(u) - u
+    except ExprEvalError:
+        return FormulaMapping(formula)
+    return FormulaMapping(Formula(BinOp("-", formula.ast, Num(shift)), ("x",)))
+
+
+LIMIT_TOLERANCES = st.sampled_from(
+    [Fraction(0), DEFAULT_TOL, Fraction(1, 10), Fraction(1), Fraction(5)]
+)
+CONV_TOLERANCES = st.none() | st.sampled_from(
+    [Fraction(0), Fraction(1, 10), Fraction(1), Fraction(100)]
+)
+FIXED_TOLERANCES = st.sampled_from([Fraction(0), DEFAULT_TOL, Fraction(1, 2)])
+
+
+@st.composite
+def discontinuity_instances(draw, grammar=True):
+    """A grid or finite universe with a formula S (from the list above, or
+    drawn from the grammar), a formula map (drawn from the grammar, or from
+    the list) that mostly fixes u, u, and up to three sequences (some
+    empty) of terms approaching u, on the universe and off it."""
+    space = _formula_space(draw, 12)
+    if grammar and draw(st.booleans()):
+        s = FormulaSMetric(draw(scalable_formulas(("x", "y", "z"))))
+        space = Space(space.kind, space.points, s, space.step)
+    u = draw(st.sampled_from([p.value for p in space.points]))
+    if grammar:
+        formula = draw(scalable_formulas(("x",)))
+    else:
+        formula = Formula.parse(draw(st.sampled_from(MAP_FORMULAS)), ("x",))
+    mapping = _fixing(formula, u) if draw(st.integers(0, 3)) else FormulaMapping(formula)
+    approach = st.builds(
+        lambda r, n: u + Fraction(r, n), st.integers(-3, 3), st.integers(1, 40)
+    )
+    universe = st.sampled_from([p.value for p in space.points])
+    term = approach | COORDINATES | universe
+    sequences = draw(st.lists(st.lists(term, max_size=8), max_size=3))
+    return space, mapping, u, sequences
+
+
+def _criterion_options(draw):
+    return {
+        "limit_tol": draw(LIMIT_TOLERANCES),
+        "conv_tol": draw(CONV_TOLERANCES),
+        "tail_start": draw(st.none() | st.integers(0, 9)),
+        "window": draw(st.none() | st.integers(0, 9)),
+        "tol": draw(FIXED_TOLERANCES),
+    }
+
+
+criterion_options = st.composite(_criterion_options)
+
+
+def _criteria(space, mapping, params, u, sequences, options):
+    """The new kernel's and the reference's outcomes."""
+    return (
+        _outcome(discontinuity_criterion, space, mapping, params, u, sequences,
+                 *options.values()),
+        _outcome(reference_discontinuity, space, mapping, params, u, sequences,
+                 *options.values()),
+    )
+
+
+JUMP = "piecewise(x <= 1 : 1, else : 0)"
+
+
+def _jump(map_text):
+    """The jump map's instance on a quarter grid of [0, 2]: u = 1 and the
+    sequences 1 + 1/n and 1 - 1/n, n up to 12."""
+    s = FormulaSMetric(Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z")))
+    sequences = [[1 + sign * Fraction(1, n) for n in range(1, 13)] for sign in (1, -1)]
+    return (Space.real_grid(0, 2, Fraction(1, 4), s),
+            FormulaMapping(Formula.parse(map_text, ("x",))), Fraction(1), sequences)
+
+
+_JUMP_OPTIONS = {"limit_tol": Fraction(1, 10), "conv_tol": Fraction(1),
+                 "tail_start": None, "window": None, "tol": DEFAULT_TOL}
+
+
+@settings(deadline=None)
+@given(discontinuity_instances(), QUARTERS, QUARTERS, C_QUARTERS, criterion_options())
+# discontinuous from the right, where M(x, 1) tends to 1/2
+@example(_jump(JUMP), 0, HALF, 0, _JUMP_OPTIONS)
+@example(_jump(JUMP), Fraction(3, 4), Fraction(1, 4), Fraction(1, 4), _JUMP_OPTIONS)
+# continuous under the identity; u = 1 is an exact fixed point at tol = 0
+@example(_jump("x"), 0, HALF, 0, {**_JUMP_OPTIONS, "tol": 0})
+def test_integer_discontinuity_matches_the_fraction_kernel(instance, a, b, c, options):
+    space, mapping, u, sequences = instance
+    params = ContractionParams(a, b, c)
+    new, old = _criteria(space, mapping, params, u, sequences, options)
+    assert new == old
+    # the lattice read exactly the instances whose formulas compile
+    compiles = all(f.scaled(1) for f in (space.smetric.formula, mapping.formula))
+    read = _read(space, mapping, [u, *itertools.chain(*sequences)])
+    assert (read.scale is not None) == compiles
+
+
+@st.composite
+def discontinuity_fallback_instances(draw):
+    """A discontinuity instance the lattice cannot read: a table map, a map
+    that divides by x, an S that divides by a variable, a generated S, or a
+    universe of labels with table S and T and label terms."""
+    space, mapping, u, sequences = draw(discontinuity_instances(grammar=False))
+    kind = draw(st.sampled_from(
+        ["table map", "dividing map", "dividing S", "generated S", "labels"]
+    ))
+    if kind == "table map":
+        labels = [p.label for p in space.points]
+        mapping = TableMapping({x: draw(st.sampled_from(labels)) for x in labels})
+    elif kind == "dividing map":
+        text = draw(st.sampled_from(["1/(x*x + 1) - x/2", "2/x", "x*x/(1 + x*x)"]))
+        mapping = FormulaMapping(Formula.parse(text, ("x",)))
+    elif kind in ("dividing S", "generated S"):
+        if kind == "dividing S":
+            s = FormulaSMetric(Formula.parse(
+                "abs(x - z)/(1 + abs(y)) + abs(y - z)", ("x", "y", "z")))
+        else:
+            s = GeneratedSMetric(FormulaMetric(Formula.parse("abs(x - y)", ("x", "y"))))
+        space = Space(space.kind, space.points, s, space.step)
+    else:
+        labels = ["p", "q", "r"]
+        values = st.integers(0, 4).map(Fraction)
+        table = {xyz: draw(values) for xyz in itertools.product(labels, repeat=3)}
+        space = Space.finite(labels, TableSMetric(table))
+        mapping = TableMapping({x: draw(st.sampled_from(labels)) for x in labels})
+        u = draw(st.sampled_from(labels))
+        sequences = draw(st.lists(st.lists(st.sampled_from(labels), max_size=6),
+                                  max_size=3))
+    return space, mapping, u, sequences
+
+
+@settings(deadline=None)
+@given(discontinuity_fallback_instances(), QUARTERS, QUARTERS, C_QUARTERS,
+       criterion_options())
+def test_discontinuity_fallback_reads_s_and_t_in_the_old_order(
+    instance, a, b, c, options
+):
+    # an S or a map that raises on some term therefore aborts there
+    space, mapping, u, sequences = instance
+    assert _read(space, mapping, [u, *itertools.chain(*sequences)]).scale is None
+    params = ContractionParams(a, b, c)
+    new_space, new_map, new = _recorded(space, mapping)
+    old_space, old_map, old = _recorded(space, mapping)
+    got = _outcome(discontinuity_criterion, new_space, new_map, params, u,
+                   sequences, *options.values())
+    want = _outcome(reference_discontinuity, old_space, old_map, params, u,
+                    sequences, *options.values())
+    assert got == want
+    assert new == old
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+@pytest.mark.parametrize(
+    ("u", "sequences", "options", "error"),
+    [
+        # u is checked first, before any sequence
+        (Fraction(3, 2), [[]], {}, "1.5 is not a fixed point of the map"),
+        (1, [[1, 1], []], {}, "sequence 1 is empty"),
+        (1, [[1, 1], [0] * 3, []], {}, "sequence 1 does not converge to u"),
+        (1, [[1] * 4, [1] * 3], {"tail_start": 3},
+         "tail_start 3 is past the end of sequence 1"),
+        (1, [[1] * 4, [5, 1, 1]], {"tail_start": 0},
+         "sequence 1 does not converge to u"),
+        (1, [[1] * 4, [5, 1, 1], [1]], {"tail_start": 1},
+         "tail_start 1 is past the end of sequence 2"),
+        (1, [[1 + Fraction(1, 10)] * 2], {"conv_tol": Fraction(1, 5)}, None),
+        (1, [[1 + Fraction(1, 10)] * 2], {"conv_tol": Fraction(1, 5) - DEFAULT_TOL},
+         "sequence 0 does not converge to u"),
+    ],
+)
+def test_discontinuity_errors_come_in_the_old_order(
+    lattice, u, sequences, options, error
+):
+    s = FormulaSMetric(Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z")))
+    space = Space.real_grid(0, 2, Fraction(1, 2), s)
+    mapping = FormulaMapping(Formula.parse(JUMP, ("x",)))
+    if not lattice:
+        mapping = TableMapping({p.label: "1" if p.value <= 1 else "0" for p in space.points})
+        sequences = [[space.coerce(x) for x in seq] for seq in sequences]
+    params = ContractionParams(0, HALF, 0)
+    got = _outcome(discontinuity_criterion, space, mapping, params, u, sequences,
+                   **options)
+    assert got == _outcome(reference_discontinuity, space, mapping, params, u,
+                           sequences, **options)
+    assert (read := _read(space, mapping, [u])).scale is not None or not lattice
+    if error is not None:
+        assert got == (ValueError, error)
+
+
+@pytest.mark.parametrize(
+    ("sequences", "options", "classification", "note"),
+    [
+        ([[1, 1, 1]], {}, "inconclusive", "no nontrivial approach sequences"),
+        ([[0, 2, 1, 1]], {"conv_tol": 5}, "inconclusive",
+         "no nontrivial approach sequences"),
+        ([[2, Fraction(3, 2), 1]], {"conv_tol": 5, "window": 2, "limit_tol": 1},
+         "inconclusive", "continuity not claimed on a finite universe"),
+        ([[1, 2, 2]], {"conv_tol": 5, "limit_tol": Fraction(1, 10)},
+         "discontinuous_at_u", ""),
+        ([[1, 2, 0, 1]], {"conv_tol": 5, "window": 3}, "inconclusive", ""),
+    ],
+)
+def test_discontinuity_finite_universe_note(sequences, options, classification, note):
+    s = FormulaSMetric(Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z")))
+    space = Space.finite([0, 1, 2], s)
+    mapping = FormulaMapping(Formula.parse("piecewise(x < 2 : 1, else : 0)", ("x",)))
+    params = ContractionParams(HALF, 0, 0)
+    verdict = discontinuity_criterion(space, mapping, params, 1, sequences, **options)
+    assert _exactly(verdict) == _exactly(
+        reference_discontinuity(space, mapping, params, 1, sequences, **options)
+    )
+    assert (verdict.classification, verdict.note) == (classification, note)
+
+
+# -- the lattice bound ---------------------------------------------------
+
+
+def test_lattice_declines_past_its_bound_with_the_same_answers():
+    s = FormulaSMetric(Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z")))
+    mapping = FormulaMapping(Formula.parse("x/2", ("x",)))
+    params = ContractionParams(0, HALF, 0)
+    for bits, read in ((MAX_LATTICE_BITS, True), (MAX_LATTICE_BITS + 1, False)):
+        small = Fraction(1, 2 ** (bits - 1) + 1)  # a denominator of ``bits`` bits
+        space = Space.finite([0, small, 1], s)
+        assert (on_lattice(mapping, space.points) is not None) == read
+        assert _exactly(fix_set(space, mapping)) == _exactly(
+            reference_fix_set(space, mapping)
+        )
+        sequences = [[small, 2 * small, 0], [3 * small, 0]]
+        assert (_read(space, mapping, [0, *sequences[0], *sequences[1]]).scale
+                is not None) == read
+        kwargs = {"conv_tol": Fraction(1, 2), "window": 2}
+        assert _exactly(
+            discontinuity_criterion(space, mapping, params, 0, sequences, **kwargs)
+        ) == _exactly(
+            reference_discontinuity(space, mapping, params, 0, sequences, **kwargs)
+        )
+
+
+# -- the grid labels -----------------------------------------------------
+
+GRID_STEPS = st.sampled_from(
+    [Fraction(1, 3), Fraction(1, 8), Fraction(1, 10), Fraction(2, 3), Fraction(5, 4),
+     Fraction(1, 7), Fraction(3, 40), Fraction(1), Fraction(7)]
+) | st.fractions(min_value=Fraction(1, 50), max_value=5, max_denominator=60)
+
+
+@settings(deadline=None)
+@given(
+    st.fractions(min_value=-5, max_value=5, max_denominator=40),
+    GRID_STEPS,
+    st.integers(0, 40),
+    st.fractions(min_value=0, max_value=1, max_denominator=9),
+)
+@example(Fraction(-1), Fraction(1, 3), 6, 0)
+@example(Fraction(-7, 8), Fraction(1, 8), 14, Fraction(1, 2))
+@example(Fraction(-3, 10), Fraction(1, 10), 6, 0)
+def test_grid_labels_are_format_decimal(lo, step, steps, extra):
+    hi = lo + step * steps + step * extra
+    space = Space.real_grid(lo, hi, step, FormulaSMetric(
+        Formula.parse("abs(x - z)", ("x", "y", "z"))))
+    values = [lo + i * step for i in range(steps + 1)]
+    if extra == 1:
+        values.append(hi)
+    assert [(p.label, p.value) for p in space.points] == [
+        (format_decimal(v), v) for v in values
+    ]
+    assert all(type(p.value) is Fraction for p in space.points)

@@ -97,7 +97,8 @@ def test_images_past_the_grid_ends_snap_within_a_step():
         trace = picard(space, push, x0)
         # 1.2 and -0.2 land on the ends, which the raw map does not fix
         assert labels(trace) == orbit
-        assert trace.outcome.status == "cycle_detected"
+        assert trace.outcome.status == "snap_stalled"
+        assert trace.outcome.image.value == Fraction(orbit[-1]) + push.formula(0)
 
 
 def test_finite_universe_images_never_snap():
@@ -112,8 +113,9 @@ def test_snapping_cannot_invent_a_fixed_point():
     creep = FormulaMapping(Formula.parse("x + 0.4", ("x",)))
     trace = picard(space, creep, 0)
     # the image 0.4 snaps back onto 0, but 0 is not fixed by the raw map
-    assert trace.outcome.status == "cycle_detected"
-    assert trace.outcome.period == 1
+    assert trace.outcome.status == "snap_stalled"
+    assert trace.outcome.image.label == "0.4"
+    assert trace.outcome.period is None and trace.outcome.u is None
     assert labels(trace) == ["0", "0"]
     assert trace.alphas == [0]
 
