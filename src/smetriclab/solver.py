@@ -252,15 +252,10 @@ def discontinuity_criterion(
         tail = seq[-w:]
         tails_at_u = tails_at_u and all(x == c for x in tail)
         values = [_m_folded(s, weights, x, c, read.t(x), tc) for x in tail]
+        estimate = read.exact(sum(values), weights[0] * len(values))
         spread = read.exact(max(values) - min(values), weights[0])
         per_sequence.append(
-            SequenceLimit(
-                index,
-                read.exact(sum(values), weights[0] * len(values)),
-                spread,
-                spread <= 10 * limit_tol,
-                len(tail),
-            )
+            SequenceLimit(index, estimate, spread, spread <= 10 * limit_tol, len(tail))
         )
 
     conclusive = [sl.estimate for sl in per_sequence if sl.conclusive]
