@@ -18,6 +18,7 @@ written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -75,6 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The parser, built on the first ``main`` call and reused by later ones.
+_parser = functools.cache(build_parser)
+
+
 def _synthesize(spec: ExperimentSpec, command: str) -> list[CheckSpec]:
     """Default checks of a family, read like declared check entries; a
     larger universe is swept on its subsample."""
@@ -122,7 +127,7 @@ def _execute(args: argparse.Namespace) -> RunReport:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         outcome = _execute(args)
     except ConfigError as e:

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .expr import Formula
+from .numeric import lattice_scale
 from .space import FormulaSMetric, Point, Space, SpaceError
 
 
@@ -75,32 +76,19 @@ class PowerMapping(Mapping):
         return x
 
 
-#: Most bits the scale of one lattice read may take.  Each new distinct
-#: denominator widens every int a read carries, and past about this many
-#: bits (the points 1/n for n up to about 5,700) ``fix_set`` runs faster
-#: over Fractions, so ``on_lattice`` declines a larger scale.
-MAX_LATTICE_BITS = 8192
-
-
 def on_lattice(mapping: Mapping, points: list) -> tuple | None:
     """``(scale, xs, t)``: the points' coordinates as ints over the least
     scale that holds them and their images under a formula map exactly,
     and ``t``, the map on such ints.  A point is a ``Point`` or its
     coordinate.  None for another map, a formula that divides by a
     variable or by 0, a point without a coordinate, or a scale past
-    ``MAX_LATTICE_BITS``."""
+    ``numeric.MAX_LATTICE_BITS``."""
     if not isinstance(mapping, FormulaMapping):
         return None
     values = [p.value if isinstance(p, Point) else p for p in points]
-    try:
-        dens = {v.denominator for v in values}
-    except AttributeError:  # no coordinate, or not a rational
+    scale = lattice_scale(values)
+    if scale is None:
         return None
-    scale = 1
-    for den in sorted(dens, reverse=True):  # past the bound sooner
-        scale = math.lcm(scale, den)
-        if scale.bit_length() > MAX_LATTICE_BITS:
-            return None
     compiled = mapping.formula.scaled(scale)
     if compiled is None:
         return None

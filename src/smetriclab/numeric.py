@@ -10,8 +10,9 @@ nearest binary double.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 #: Default strictness margin for inequality checks.
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -19,6 +20,13 @@ DEFAULT_TOL = Fraction(1, 10**9)
 #: Most digits a number literal may have when written out: its mantissa's
 #: digits plus its exponent's magnitude (1e400 has 401).
 MAX_LITERAL_DIGITS = 1000
+
+
+#: Most bits the scale of one lattice read may take.  Each new distinct
+#: denominator widens every int a read carries, and past about this many
+#: bits (the points 1/n for n up to about 5,700) ``fix_set`` runs faster
+#: over Fractions, so ``lattice_scale`` declines a larger scale.
+MAX_LATTICE_BITS = 8192
 
 
 class LiteralBoundError(ValueError):
@@ -60,6 +68,22 @@ def to_fraction(x: object) -> Fraction:
     if isinstance(x, (int, float)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def lattice_scale(values: Iterable[object]) -> int | None:
+    """The least common denominator of rational ``values``; None when one
+    is not a rational (a point without a coordinate reads as None) or the
+    scale takes more than ``MAX_LATTICE_BITS`` bits."""
+    try:
+        dens = {v.denominator for v in values}
+    except AttributeError:
+        return None
+    scale = 1
+    for den in sorted(dens, reverse=True):  # past the bound sooner
+        scale = math.lcm(scale, den)
+        if scale.bit_length() > MAX_LATTICE_BITS:
+            return None
+    return scale
 
 
 def _places(d: int) -> int | None:

@@ -16,23 +16,29 @@ The two defining laws checked here, over every sampled triple/quadruple:
 All checks take a strictness margin ``tol``: a strict inequality must
 clear its bound by at least ``tol`` to count as satisfied.
 
-The exhaustive sweeps evaluate each value of S (or d) once and compare
-exact integers over one common denominator of the values and ``tol``.
-Per outer tuple, the least right-hand side over the inner index certifies
-it at once; only tuples that fail it are scanned, reporting exact values.
+The exhaustive sweeps compare exact integers: S (or d) over one common
+denominator D, and ``tol`` by its cut floor(tol * D).  A space reads S
+once per sample, and the four sweeps (axioms, symmetry, triangle,
+generated) share what it read: a generated S from the n^2 values of d, a
+formula S through its int closure on the points' lattice, any other S
+triple by triple, in the order the sweeps ask for it.  Per outer tuple,
+the least right-hand side over the inner index certifies it at once; only
+tuples that fail it are scanned, reporting exact values.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
+from typing import Callable
 
-from .expr import Formula
-from .numeric import DEFAULT_TOL, decimal_writer, format_decimal, to_fraction
+from .expr import ExprError, Formula
+from .numeric import (
+    DEFAULT_TOL, decimal_writer, format_decimal, lattice_scale, to_fraction,
+)
 
 
 class SpaceError(Exception):
@@ -216,6 +222,7 @@ class Space:
         if len(self._by_label) != len(points):
             raise ValueError("duplicate point labels in universe")
         self._by_value = {p.value: p for p in points if p.value is not None}
+        self._s_memo: dict[tuple[Point, ...], _Memo | _FromMetric] = {}
 
     @classmethod
     def finite(cls, points: list[object], smetric: SMetric) -> "Space":
@@ -284,6 +291,17 @@ class Space:
         """S(x, y, z) for universe points, labels, or raw coordinates."""
         return self.smetric.triple(self.coerce(x), self.coerce(y), self.coerce(z))
 
+    def _s_on(
+        self, sample: list[object] | None
+    ) -> tuple[tuple[Point, ...], _Memo | _FromMetric]:
+        """The sample's points and S read on them, kept per sample so that
+        the distance-structure checks read each value of S once between
+        them (S is taken not to change)."""
+        pts = tuple(self.sampled(sample))
+        if pts not in self._s_memo:
+            self._s_memo[pts] = _read_s(self.smetric, pts)
+        return pts, self._s_memo[pts]
+
 
 @dataclass
 class AxiomReport:
@@ -307,6 +325,76 @@ def _scaled(values: list[Fraction]) -> list[int]:
     return [v.numerator * (den // v.denominator) for v in values]
 
 
+def _cut(tol: Fraction, den: int) -> int:
+    """floor(tol * den): an int exceeds tol * den exactly when it exceeds
+    this cut, and falls below tol * den exactly when it falls below
+    -_cut(-tol, den)."""
+    return tol.numerator * den // tol.denominator
+
+
+class _Memo:
+    """S on a sample, each index triple (i, j, k) read once, in the order
+    the checks first ask for it.  ``value`` reads one triple: S itself, or,
+    with a ``den``, S times den as an int."""
+
+    def __init__(self, value: Callable, den: int | None = None):
+        self.value, self.den, self.read = value, den, {}
+
+    def ints(self, triples: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
+        """(den, S times den on each of ``triples``)."""
+        read, value = self.read, self.value
+        for t in triples:
+            if t not in read:
+                read[t] = value(*t)
+        if self.den is not None:
+            return self.den, [read[t] for t in triples]
+        den, *values = _scaled([1, *(read[t] for t in triples)])
+        return den, values
+
+    def exact(self, i: int, j: int, k: int) -> Fraction:
+        """S(i, j, k) as S gives it, for a triple already read."""
+        v = self.read[i, j, k]
+        return v if self.den is None else Fraction(v, self.den)
+
+
+class _FromMetric:
+    """A generated S on a sample, read from d's n^2 values:
+    S(i, j, k) = d(i, k) + d(j, k)."""
+
+    def __init__(self, metric: Metric, pts: tuple[Point, ...]):
+        self.d = [[metric.distance(x, y) for y in pts] for x in pts]
+        self.den, *flat = _scaled([1, *itertools.chain.from_iterable(self.d)])
+        n = len(pts)
+        self.rows = [flat[i * n:(i + 1) * n] for i in range(n)]
+
+    def ints(self, triples: list[tuple[int, int, int]]) -> tuple[int, list[int]]:
+        rows = self.rows
+        return self.den, [rows[i][k] + rows[j][k] for i, j, k in triples]
+
+    def exact(self, i: int, j: int, k: int) -> Fraction:
+        return self.d[i][k] + self.d[j][k]
+
+
+def _read_s(smetric: SMetric, pts: tuple[Point, ...]) -> _Memo | _FromMetric:
+    """How S is read on ``pts``: from d's values when generated, through
+    the formula's int closure on the points' lattice when it compiles
+    there, else by ``SMetric.triple``.  A d that raises on some pair is
+    read through ``triple`` too, so that a check raises where S does."""
+    if isinstance(smetric, GeneratedSMetric):
+        try:
+            return _FromMetric(smetric.metric, pts)
+        except (ExprError, SpaceError, ArithmeticError, ValueError):
+            pass  # the triple loop below raises it where S first does
+    if isinstance(smetric, FormulaSMetric):
+        scale = lattice_scale([p.value for p in pts])
+        compiled = scale and smetric.formula.scaled(scale)
+        if compiled:
+            xs = [p.value.numerator * (scale // p.value.denominator) for p in pts]
+            f, den = compiled
+            return _Memo(lambda i, j, k: f((xs[i], xs[j], xs[k])), den)
+    return _Memo(lambda i, j, k: smetric.triple(pts[i], pts[j], pts[k]))
+
+
 def check_axioms(
     space: Space,
     sample: list[object] | None = None,
@@ -316,37 +404,50 @@ def check_axioms(
 
     S1 demands S = 0 on diagonal triples and S >= tol off the diagonal,
     which also rejects negative values.  S2 is tested over all ordered
-    quadruples with additive slack tol.  S is evaluated once per triple,
-    in ``itertools.product`` order; S2 is certified per triple over all a.
+    quadruples with additive slack tol.  S is read once per triple, in
+    ``itertools.product`` order; S2 is certified per triple over all a,
+    whose least right-hand side is taken once per unordered triple.
     """
     tol = to_fraction(tol)
-    pts = space.sampled(sample)
+    pts, reads = space._s_on(sample)
     n = len(pts)
     triples = list(itertools.product(range(n), repeat=3))
-    values = [space.smetric.triple(pts[i], pts[j], pts[k]) for i, j, k in triples]
-    t, *scaled = _scaled([tol, *values])
-
+    den, scaled = reads.ints(triples)
+    t, low = _cut(tol, den), -_cut(-tol, den)
     s1 = [
-        ((pts[i], pts[j], pts[k]), v)
-        for (i, j, k), v, w in zip(triples, values, scaled)
-        if (abs(w) > t if i == j == k else w < t)
+        ((pts[i], pts[j], pts[k]), reads.exact(i, j, k))
+        for (i, j, k), w in zip(triples, scaled)
+        if (abs(w) > t if i == j == k else w < low)
     ]
 
-    start = [(i * n + i) * n for i in range(n)]  # of the values S(i, i, .)
-    rows, exact = ([v[at:at + n] for at in start] for v in (scaled, values))
-    s2: list[tuple[tuple[Point, Point, Point, Point], Fraction, Fraction]] = []
-    for i, j in itertools.product(range(n), repeat=2):
+    rows = [scaled[(i * n + i) * n:(i * n + i + 1) * n] for i in range(n)]
+    # the least right-hand side over a is symmetric in i, j, k: take it
+    # once per triple i <= j <= k and file it under each ordering
+    least = [0] * n**3
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
         ij = list(map(add, rows[i], rows[j]))
-        base = (i * n + j) * n
-        for k, rk in enumerate(rows):
-            bound = scaled[base + k] - t
-            if bound > min(map(add, ij, rk)):
-                s2 += [
-                    ((pts[i], pts[j], pts[k], pts[a]), values[base + k],
-                     exact[i][a] + exact[j][a] + exact[k][a])
-                    for a, rhs in enumerate(map(add, ij, rk)) if bound > rhs
-                ]
+        for k in range(j, n):
+            m = min(map(add, ij, rows[k]))
+            for p, q, r in ((i, j, k), (i, k, j), (j, i, k), (j, k, i),
+                            (k, i, j), (k, j, i)):
+                least[(p * n + q) * n + r] = m
+    s2: list[tuple[tuple[Point, Point, Point, Point], Fraction, Fraction]] = []
+    for (i, j, k), w, m in zip(triples, scaled, least):
+        if w - t > m:
+            s2 += [
+                ((pts[i], pts[j], pts[k], pts[a]), reads.exact(i, j, k),
+                 reads.exact(i, i, a) + reads.exact(j, j, a)
+                 + reads.exact(k, k, a))
+                for a, (x, y, z) in enumerate(zip(rows[i], rows[j], rows[k]))
+                if w - t > x + y + z
+            ]
     return AxiomReport(s1, s2, n**3, n**4)
+
+
+def _pair_reads(reads: _Memo | _FromMetric, pairs: list[tuple[int, int]]):
+    """(den, S(i, i, j) and S(j, j, i) times den) for each pair, in turn."""
+    den, w = reads.ints([t for i, j in pairs for t in ((i, i, j), (j, j, i))])
+    return den, w[::2], w[1::2]
 
 
 def check_symmetry(
@@ -359,14 +460,15 @@ def check_symmetry(
     Any space satisfying S1 and S2 has none; this probes that directly.
     """
     tol = to_fraction(tol)
-    pts = space.sampled(sample)
-    bad = []
-    for x, y in itertools.combinations(pts, 2):
-        forward = space.smetric.triple(x, x, y)
-        backward = space.smetric.triple(y, y, x)
-        if abs(forward - backward) > tol:
-            bad.append((x, y, forward, backward))
-    return bad
+    pts, reads = space._s_on(sample)
+    pairs = list(itertools.combinations(range(len(pts)), 2))
+    den, forward, backward = _pair_reads(reads, pairs)
+    t = _cut(tol, den)
+    return [
+        (pts[i], pts[j], reads.exact(i, i, j), reads.exact(j, j, i))
+        for (i, j), f, b in zip(pairs, forward, backward)
+        if abs(f - b) > t
+    ]
 
 
 def s_from_metric(
@@ -377,31 +479,30 @@ def s_from_metric(
     """Validate ``metric`` on ``points`` and wrap it as an S-metric.
 
     Raises :class:`MetricAxiomError` naming the first witness when the
-    table or formula is not actually a metric.  Each distance is
-    evaluated once, and the triangle is certified per pair over all z.
+    table or formula is not actually a metric.  The diagonal is checked
+    before any other distance is read; then d is read once into ints, and
+    the triangle is certified per pair over all z.
     """
     tol = to_fraction(tol)
     pts = [as_point(p) for p in points]
-
-    d = functools.cache(metric.distance)
     for x in pts:
-        if abs(d(x, x)) > tol:
+        v = metric.distance(x, x)
+        if abs(v) > tol:
             raise MetricAxiomError(
-                f"d({x.label}, {x.label}) = {format_decimal(d(x, x))}, not 0"
+                f"d({x.label}, {x.label}) = {format_decimal(v)}, not 0"
             )
-    for x, y in itertools.permutations(pts, 2):
-        if d(x, y) < tol:
+    read = _FromMetric(metric, pts)
+    n, rows = len(pts), read.rows
+    t, low = _cut(tol, read.den), -_cut(-tol, read.den)
+    for i, j in itertools.permutations(range(n), 2):
+        x, y = pts[i].label, pts[j].label
+        if rows[i][j] < low:
             raise MetricAxiomError(
-                f"d({x.label}, {y.label}) = {format_decimal(d(x, y))} "
+                f"d({x}, {y}) = {format_decimal(read.d[i][j])} "
                 "is not strictly positive"
             )
-        if abs(d(x, y) - d(y, x)) > tol:
-            raise MetricAxiomError(
-                f"asymmetry: d({x.label}, {y.label}) != d({y.label}, {x.label})"
-            )
-    n = len(pts)
-    t, *scaled = _scaled([tol, *(d(x, y) for x in pts for y in pts)])
-    rows = [scaled[i * n:(i + 1) * n] for i in range(n)]
+        if abs(rows[i][j] - rows[j][i]) > t:
+            raise MetricAxiomError(f"asymmetry: d({x}, {y}) != d({y}, {x})")
     for i, j in itertools.product(range(n), repeat=2):
         # d(x, z) - d(y, z) <= d(x, y) + tol for every z at once
         bound = rows[i][j] + t
@@ -421,20 +522,26 @@ def check_triangle(
 ) -> list[tuple[tuple[Point, Point, Point], Fraction, Fraction]]:
     """Triples (x, y, z) where the induced distance breaks the triangle
     inequality beyond tol, with its two sides; certified per pair (x, y)
-    over all z, with each S(x, x, y) evaluated once."""
+    over all z, with S(x, x, y) read for the pairs x <= y in turn."""
     tol = to_fraction(tol)
-    pts = space.sampled(sample)
+    pts, reads = space._s_on(sample)
     n = len(pts)
-    s = functools.cache(space.smetric.triple)  # first calls in pair order
-    dist = [[s(x, x, y) + s(y, y, x) for y in pts] for x in pts]
-    t, *scaled = _scaled([tol, *itertools.chain.from_iterable(dist)])
-    rows = [scaled[i * n:(i + 1) * n] for i in range(n)]
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    den, forward, backward = _pair_reads(reads, pairs)
+    t = _cut(tol, den)
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), f, b in zip(pairs, forward, backward):
+        rows[i][j] = rows[j][i] = f + b
+
+    def dist(i, j):
+        return reads.exact(i, i, j) + reads.exact(j, j, i)
+
     bad = []
     for i, j in itertools.product(range(n), repeat=2):
         bound = rows[i][j] - t
         if bound > min(map(add, rows[i], rows[j])):
             bad += [
-                ((pts[i], pts[j], pts[k]), dist[i][j], dist[i][k] + dist[k][j])
+                ((pts[i], pts[j], pts[k]), dist(i, j), dist(i, k) + dist(k, j))
                 for k, rhs in enumerate(map(add, rows[i], rows[j]))
                 if bound > rhs
             ]
@@ -459,27 +566,25 @@ def generating_metric_check(
     reconstructs that candidate and compares it against S on every ordered
     triple of the sample.  Triples with three distinct entries are scanned
     first (in sample order) so the reported witness is an informative one;
-    degenerate triples are still checked afterwards.  S is evaluated once
-    per triple, in product order; pairs (x, y) are certified over all z.
+    degenerate triples are still checked afterwards.  S is read once per
+    triple, in product order; pairs (x, y) are certified over all z.
     """
     tol = to_fraction(tol)
-    pts = space.sampled(sample)
+    pts, reads = space._s_on(sample)
     n = len(pts)
-    values = [space.smetric.triple(*xyz) for xyz in itertools.product(pts, repeat=3)]
-    t, *scaled = _scaled([tol, *values])
+    den, scaled = reads.ints(list(itertools.product(range(n), repeat=3)))
+    t = _cut(2 * tol, den)
     # twice the gap S(x, y, z) - d(x, z) - d(y, z) against twice tol
-    start = [(i * n + i) * n for i in range(n)]  # of the values S(i, i, .)
-    rows = [scaled[at:at + n] for at in start]
+    rows = [scaled[(i * n + i) * n:(i * n + i + 1) * n] for i in range(n)]
     bad = []
     for i, j in itertools.product(range(n), repeat=2):
         actual = scaled[(i * n + j) * n:(i * n + j + 1) * n]
         gaps = list(map(sub, map(add, actual, actual), map(add, rows[i], rows[j])))
-        if max(map(abs, gaps)) > 2 * t:
-            bad += [(i, j, k) for k, gap in enumerate(gaps) if abs(gap) > 2 * t]
+        if max(map(abs, gaps)) > t:
+            bad += [(i, j, k) for k, gap in enumerate(gaps) if abs(gap) > t]
     if not bad:
         return GeneratedCheck(True, None, n**3)
     i, j, k = min(bad, key=lambda triple: len(set(triple)) < 3)
-    candidate = values[start[i] + k] / 2 + values[start[j] + k] / 2
-    witness = ((pts[i], pts[j], pts[k]), values[(i * n + j) * n + k], candidate)
+    candidate = Fraction(reads.exact(i, i, k) + reads.exact(j, j, k), 2)
+    witness = ((pts[i], pts[j], pts[k]), reads.exact(i, j, k), candidate)
     return GeneratedCheck(False, witness, n**3)
-

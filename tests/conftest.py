@@ -28,7 +28,8 @@ from smetriclab import (
 SUM_ABS = "abs(x - z) + abs(y - z)"
 
 # ``pytest --hypothesis-profile ci``: ten times the examples, no deadline;
-# a test's own ``max_examples`` still wins
+# a test's own ``max_examples`` still wins (the distance-structure sweep
+# oracles in test_space.py take the larger of 300 and the profile's)
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
 

@@ -440,6 +440,26 @@ def test_cli_family_and_output_options(tmp_path):
     assert "tolerance must be positive" in bad_tol.stderr
 
 
+def test_the_reused_parser_reads_each_call_afresh(capsys):
+    # main builds its parser once: an earlier call's arguments or errors
+    # must not leak into a later one, and usage errors stay the same
+    path = str(fixture_path("example_2_2.json"))
+    for argv in (["axioms"], ["run", "--input", path, "--format", "xml"]):
+        with pytest.raises(SystemExit) as reused:
+            cli.main(argv)
+        error = capsys.readouterr().err
+        with pytest.raises(SystemExit) as fresh:
+            cli.build_parser().parse_args(argv)
+        assert reused.value.code == fresh.value.code == 2
+        assert capsys.readouterr().err == error != ""
+    declared = float(load_experiment(path).tolerance)
+    for argv, tolerance in ((["--tolerance", "0.5"], 0.5), ([], declared)):
+        cli.main(["axioms", "--input", path, *argv])
+        assert json.loads(capsys.readouterr().out)["tolerance"] == tolerance
+    cli.main(["axioms", "--input", path, "--format", "text"])
+    assert capsys.readouterr().out.startswith("experiment ")
+
+
 def test_an_unwritable_output_exits_2_without_a_traceback(tmp_path):
     target = tmp_path / "missing" / "report.json"
     path = str(fixture_path("example_2_2.json"))

@@ -40,8 +40,10 @@ from smetriclab import (
 from smetriclab.circles import CircleReport
 from smetriclab.contraction import ContractionParams, _m_value
 from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
-from smetriclab.mapping import MAX_LATTICE_BITS, _read, on_lattice
-from smetriclab.numeric import DEFAULT_TOL, format_decimal, to_fraction
+from smetriclab.mapping import _read, on_lattice
+from smetriclab.numeric import (
+    DEFAULT_TOL, MAX_LATTICE_BITS, format_decimal, to_fraction,
+)
 from smetriclab.solver import DiscontinuityVerdict, SequenceLimit
 
 

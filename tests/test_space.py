@@ -41,6 +41,7 @@ from smetriclab import (
     s_from_metric,
 )
 from smetriclab import cli
+from smetriclab.expr import ExprEvalError
 from smetriclab.numeric import format_decimal, to_fraction
 
 
@@ -334,7 +335,8 @@ def reference_generated(space, sample=None, tol=DEFAULT_TOL):
 
     def candidate(i, j):
         if (i, j) not in half:
-            half[(i, j)] = space.smetric.triple(pts[i], pts[i], pts[j]) / 2
+            s = space.smetric.triple(pts[i], pts[i], pts[j])
+            half[(i, j)] = Fraction(s, 2)
         return half[(i, j)]
 
     everything = itertools.product(range(n), repeat=3)
@@ -350,6 +352,17 @@ def reference_generated(space, sample=None, tol=DEFAULT_TOL):
                 False, ((pts[i], pts[j], pts[k]), actual, expected), n**3
             )
     return GeneratedCheck(True, None, n**3)
+
+
+def reference_symmetry(space, sample=None, tol=DEFAULT_TOL):
+    tol = to_fraction(tol)
+    bad = []
+    for x, y in itertools.combinations(space.sampled(sample), 2):
+        forward = space.smetric.triple(x, x, y)
+        backward = space.smetric.triple(y, y, x)
+        if abs(forward - backward) > tol:
+            bad.append((x, y, forward, backward))
+    return bad
 
 
 def reference_s_from_metric(metric, points, tol=DEFAULT_TOL):
@@ -409,17 +422,51 @@ FORMULAS = (
 )
 
 
+D_FORMULAS = (
+    "abs(x - y)",
+    "abs(x - y) / 3 + 1/2",
+    "(x - y) * (x - y)",  # breaks the triangle inequality
+    "x - y",
+    "max(x, y) - min(x, y)",
+)
+
+
+@st.composite
+def distances(draw, labels):
+    """A d to generate S from: on numeric labels perhaps a formula, else a
+    table: a true metric, or any entries (asymmetric, negative, breaking
+    the triangle inequality), with int values where they are whole."""
+    if all(isinstance(label, Fraction) for label in labels) and draw(st.booleans()):
+        expr = draw(st.sampled_from(D_FORMULAS))
+        return FormulaMetric(Formula.parse(expr, ("x", "y")))
+    names = [as_point(label).label for label in labels]
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        entries = closure_metric(rng, names).entries  # no diagonal for one point
+    else:
+        pairs = itertools.product(names, repeat=2)
+        entries = {pair: draw(FRACTIONS) for pair in pairs}
+    if draw(st.booleans()):
+        entries = {
+            pair: int(v) if v.denominator == 1 else v for pair, v in entries.items()
+        }
+    return TableMetric(entries)
+
+
 @st.composite
 def smetrics(draw, labels):
-    """A random table S, a generated S (perhaps with one entry changed),
-    or, on numeric labels, a formula S."""
-    kinds = ["table", "generated"]
+    """A random table S, a table of generated values (perhaps with one
+    entry changed), a ``GeneratedSMetric`` over a drawn d, or, on numeric
+    labels, a formula S."""
+    kinds = ["table", "generated", "from_metric"]
     if all(isinstance(label, Fraction) for label in labels):
         kinds.append("formula")
     kind = draw(st.sampled_from(kinds))
     if kind == "formula":
         formula = Formula.parse(draw(st.sampled_from(FORMULAS)), ("x", "y", "z"))
         return FormulaSMetric(formula)
+    if kind == "from_metric":
+        return GeneratedSMetric(draw(distances(labels)))
     names = [as_point(label).label for label in labels]
     triples = list(itertools.product(names, repeat=3))
     if kind == "table":
@@ -462,21 +509,29 @@ def _outcome(call):
         return f"{type(e).__name__}: {e}"
 
 
-@settings(max_examples=300, deadline=None)
+# the oracles take their own floor of examples, and more from a profile
+# that asks for more (``--hypothesis-profile ci``)
+ORACLE_EXAMPLES = max(300, settings().max_examples)
+
+SWEEPS = (
+    (check_axioms, reference_axioms),
+    (check_symmetry, reference_symmetry),
+    (check_triangle, reference_triangle),
+    (generating_metric_check, reference_generated),
+)
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
 @given(sampled_spaces(), TOLERANCES)
 def test_sweeps_match_the_fraction_loops(space_and_sample, tol):
     space, sample = space_and_sample
-    for kernel, reference in (
-        (check_axioms, reference_axioms),
-        (check_triangle, reference_triangle),
-        (generating_metric_check, reference_generated),
-    ):
-        assert _exactly(kernel(space, sample, tol)) == _exactly(
-            reference(space, sample, tol)
+    for kernel, reference in SWEEPS:
+        assert _outcome(lambda: kernel(space, sample, tol)) == _outcome(
+            lambda: reference(space, sample, tol)
         ), kernel.__name__
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
 @given(sampled_spaces(), TOLERANCES)
 def test_sweeps_evaluate_s_in_the_order_of_the_fraction_loops(
     space_and_sample, tol
@@ -485,12 +540,37 @@ def test_sweeps_evaluate_s_in_the_order_of_the_fraction_loops(
     space, sample = space_and_sample
     for kernel, reference in (
         (check_axioms, reference_axioms),
+        (check_symmetry, reference_symmetry),
         (check_triangle, reference_triangle),
     ):
         new, old = RecordingSMetric(space.smetric), RecordingSMetric(space.smetric)
-        kernel(Space("finite", space.points, new), sample, tol)
-        reference(Space("finite", space.points, old), sample, tol)
+        _outcome(lambda: kernel(Space("finite", space.points, new), sample, tol))
+        _outcome(lambda: reference(Space("finite", space.points, old), sample, tol))
         assert list(dict.fromkeys(new.calls)) == list(dict.fromkeys(old.calls))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_spaces(), st.data())
+def test_checks_on_one_space_read_as_on_a_fresh_one(space_and_sample, data):
+    # a space keeps S per sample between its checks; each check, whatever
+    # ran before it and at whatever tol, returns what it does on a fresh
+    # space: the four in any order, one on another sample, then again
+    space, sample = space_and_sample
+    other = data.draw(st.none() | st.lists(
+        st.sampled_from([p.label for p in space.points]), min_size=1, max_size=5
+    ))
+    kernels = [kernel for kernel, _ in SWEEPS]
+    steps = [
+        *((kernel, sample) for kernel in data.draw(st.permutations(kernels))),
+        (data.draw(st.sampled_from(kernels)), other),
+        *((kernel, sample) for kernel in data.draw(st.permutations(kernels))),
+    ]
+    for kernel, at in steps:
+        tol = data.draw(TOLERANCES)
+        fresh = Space("finite", space.points, space.smetric)
+        assert _outcome(lambda: kernel(space, at, tol)) == _outcome(
+            lambda: kernel(fresh, at, tol)
+        ), kernel.__name__
 
 
 @st.composite
@@ -520,7 +600,7 @@ def metrics(draw):
     return TableMetric(entries), labels
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
 @given(metrics(), TOLERANCES)
 def test_metric_validation_matches_the_fraction_loops(metric_and_points, tol):
     metric, points = metric_and_points
@@ -546,6 +626,41 @@ def test_sweeps_evaluate_each_s_value_once(four_space, kernel, evaluations, n):
     space = Space("finite", four_space.points, counting)
     kernel(space, [p.label for p in four_space.points[:n]])
     assert counting.calls == evaluations(n)
+
+
+@pytest.mark.parametrize(
+    "order", itertools.permutations(range(4)), ids=lambda o: "".join(map(str, o))
+)
+def test_the_four_sweeps_evaluate_each_s_value_once_between_them(
+    four_space, order
+):
+    counting = CountingSMetric(four_space.smetric)
+    space = Space("finite", four_space.points, counting)
+    sample = [p.label for p in four_space.points[:3]]
+    for i in order:
+        SWEEPS[i][0](space, sample)
+    assert counting.calls == 3**3
+
+
+class CountingMetric(FormulaMetric):
+    """A formula metric that counts its evaluations in ``calls``."""
+
+    def __init__(self, expr):
+        super().__init__(Formula.parse(expr, ("x", "y")))
+        self.calls = 0
+
+    def distance(self, x, y):
+        self.calls += 1
+        return super().distance(x, y)
+
+
+def test_a_generated_s_is_read_from_its_metric_once_per_sample(four_space):
+    metric = CountingMetric("abs(x - y)")
+    space = Space("finite", four_space.points, GeneratedSMetric(metric))
+    for kernel, _ in SWEEPS:
+        for sample in (None, ["0", "2"], None):
+            kernel(space, sample)
+    assert metric.calls == 4**2 + 2**2
 
 
 # S divides by zero on the triple (1, 1, 1) only: the base-3 digits of
@@ -575,3 +690,19 @@ def test_sweeps_abort_when_s_raises(tmp_path, check):
         "verdict": "aborted",
         "error": "ExprEvalError: division by zero",
     }]
+
+
+@pytest.mark.parametrize(
+    "order", list(itertools.permutations(
+        [check_axioms, check_triangle, generating_metric_check]
+    )), ids=lambda order: "-".join(kernel.__name__ for kernel in order)
+)
+def test_sweeps_abort_alike_whichever_runs_first(order):
+    # a read of S that raises is not kept: each later sweep on the space
+    # reads it again and raises alike
+    formula = Formula.parse(_RAISING_S, ("x", "y", "z"))
+    space = Space.finite([0, 1, 2], FormulaSMetric(formula))
+    assert check_symmetry(space) == []  # S(x, x, y) never divides by 0
+    for kernel in order:
+        with pytest.raises(ExprEvalError, match="^division by zero$"):
+            kernel(space)
