@@ -24,9 +24,9 @@ per point.  On a grid, membership has its own margin: half the steepest
 slope of S(., ., x0) between neighbouring sample coordinates, times the
 step.  Finite universes use the plain margin tol.
 
-When T and S are formulas that compile over ints on the lattice of the
-sample, the center and their images, values are ints over one denominator,
-compared with integer cuts; otherwise Fractions, read in the same order.
+The sample, the center and their images are read through
+``space._read`` (README, "Tolerance semantics"), in the same order on and
+off the lattice.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .contraction import ContractionParams
-from .mapping import Mapping, _read
+from .contraction import ContractionParams, _folded
+from .mapping import Mapping
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Point, Space, _scaled
+from .space import Point, Space, _read
 
 
 @dataclass(slots=True)
@@ -59,12 +59,11 @@ def _rows(space, mapping, a, b, center, pts, tol, every_dist):
     A point that moves gets every term of the x0-bound; S(x, x, x0) is
     taken on the others only when ``every_dist`` asks for it.
     """
-    weights = ContractionParams(a, b, 0)  # checks a and b
+    # the x0-bound times w, so that a and b/2 become integers
+    w, wa, wb, _ = _folded(ContractionParams(a, b, 0))  # checks a and b
     read = _read(space, mapping, [center, *pts])
     s, (c, *xs) = read.s, read.points
     tc = read.t(c)
-    # the x0-bound times w, so that a and b/2 become integers
-    w, wa, wb = _scaled([1, weights.a, weights.b / 2])
     moves, slack = read.cut(tol), read.cut(tol * w)
     rows, violations = [], []
     for p, x in zip(pts, xs):

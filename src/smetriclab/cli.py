@@ -11,8 +11,8 @@ contraction conditions, a fixed-point scan); the circle family has no
 default because it needs a declared center.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
-configuration was invalid, evaluation aborted or the report could not be
-written.
+configuration was invalid, evaluation aborted, the run ran out of memory
+or the report could not be written.
 """
 
 from __future__ import annotations
@@ -130,14 +130,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         outcome = _execute(args)
+        if args.format == "json":
+            text = json.dumps(outcome.report, indent=2) + "\n"
+        else:
+            text = render_text(outcome.report)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-
-    if args.format == "json":
-        text = json.dumps(outcome.report, indent=2) + "\n"
-    else:
-        text = render_text(outcome.report)
+    except MemoryError:  # a backstop: the loader's bounds should prevent it
+        print("error: out of memory", file=sys.stderr)
+        return 2
     if args.output is not None:
         try:
             args.output.write_text(text)

@@ -17,10 +17,9 @@ pair sample:
 
 Window membership in (ii) is compared exactly; only the final inequality
 gets the additive tolerance.  Both checks read one row per pair, M(x, y)
-and S(Tx, Tx, Ty) as ints over one denominator den: over ints when S and T
-are formulas that compile on the lattice of the pairs and their images,
-else over Fractions, then scaled.  A value v meets a bound t exactly when
-v <= floor(t * den).  (ii) sorts the rows by M once and bisects each
+and S(Tx, Tx, Ty) as ints over one denominator den, through
+``space._read`` (README, "Tolerance semantics"), and compare them with
+bounds by ``space._cut``.  (ii) sorts the rows by M once and bisects each
 probe's window.  The derived contraction factor
 
     xi = max(a, b / (2 - b), c / (2 - 2c))
@@ -39,12 +38,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import Formula
-from .mapping import Mapping, _read
+from .mapping import Mapping
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Space, _scaled
+from .space import Space, _cut, _read, _scaled
 
 _HALF = Fraction(1, 2)
-_ZERO = Fraction(0)
 
 
 class GaugeDomainError(ValueError):
@@ -88,20 +86,6 @@ def xi(params: ContractionParams) -> Fraction:
     )
 
 
-def _m_value(s, params, px, py, tx, ty):
-    """M(x, y) from the pair, its images and the distance ``s``.
-
-    A weight of exactly 0 makes its term exactly 0, so the S values under
-    it are not evaluated.
-    """
-    a, b, c = params.a, params.b, params.c
-    return max(
-        a * s(px, px, py) if a else _ZERO,
-        b * _HALF * (s(px, px, tx) + s(py, py, ty)) if b else _ZERO,
-        c * _HALF * (s(px, px, ty) + s(py, py, tx)) if c else _ZERO,
-    )
-
-
 def _folded(params):
     """(w, wa, wb, wc): ints with wa = a * w, wb = b/2 * w and wc = c/2 * w."""
     return _scaled([1, params.a, params.b / 2, params.c / 2])
@@ -109,7 +93,9 @@ def _folded(params):
 
 def _m_folded(s, weights, px, py, tx, ty):
     """M(x, y) times w, each S value read by ``s`` from an (x, y, z) tuple,
-    in the order of ``_m_value``; ``weights`` as from ``_folded``."""
+    in the order M names them; ``weights`` as from ``_folded``.  A weight
+    of exactly 0 makes its term exactly 0, so the S values under it are
+    not read."""
     _, wa, wb, wc = weights
     return max(
         wa * s((px, px, py)) if wa else 0,
@@ -126,9 +112,11 @@ def m_z_s(
     y: object,
 ) -> Fraction:
     """The displacement maximum M(x, y) under the three-argument distance."""
-    px, py = space.coerce(x), space.coerce(y)
-    tx, ty = mapping.apply(space, px), mapping.apply(space, py)
-    return _m_value(space.smetric.triple, params, px, py, tx, ty)
+    weights = _folded(params)
+    read = _read(space, mapping, [space.coerce(x), space.coerce(y)])
+    (px, py), t = read.points, read.t
+    m = _m_folded(read.s, weights, px, py, t(px), t(py))
+    return read.exact(m, weights[0])
 
 
 def verify_phi_gauge(
@@ -162,7 +150,7 @@ def _pair_rows(space, mapping, pairs, params):
     ``params`` is None; a, b/2 and c/2 are folded into one integer
     weight.  On a lattice the values are computed over ints; otherwise as
     Fractions, T applied once to each point of a pair and S read in the
-    order of ``_m_value``, then scaled.
+    order of ``_m_folded``, then scaled.
     """
     if pairs is None:
         points = list(space.points)
@@ -220,11 +208,11 @@ def verify_condition_i(
     )
     # S(Tx, Tx, Ty) > t exactly when its int v > floor(t * den)
     if mode == "strict":  # s_t <= M - tol, checked with slack
-        low, slack = math.floor(tol * den), math.floor(-tol * den)
+        low, slack = _cut(tol, den), _cut(-tol, den)
         cut = {m: m + slack for _, _, m, _ in rows if m > low}
     else:
         cut = {
-            m: math.floor((gauge.phi(Fraction(m, den)) + tol) * den)
+            m: _cut(gauge.phi(Fraction(m, den)) + tol, den)
             for m in dict.fromkeys(m for _, _, m, _ in rows)
         }
     return [
@@ -293,9 +281,9 @@ def condition_ii_probe(
             raise GaugeDomainError(
                 f"delta({eps}) = {width} is not positive"
             )
-        start = bisect.bisect_right(keys, math.floor(eps * den))
-        end = bisect.bisect_left(keys, math.ceil((eps + width) * den))
-        cap = math.floor((eps + tol) * den)
+        start = bisect.bisect_right(keys, _cut(eps, den))
+        end = bisect.bisect_left(keys, -_cut(-eps - width, den))
+        cap = _cut(eps + tol, den)
         for i in sorted(i for i in order[start:end] if rows[i][3] > cap):
             px, py, m, v = rows[i]
             violations.append((px, py, eps, exact(m), exact(v)))

@@ -12,9 +12,8 @@ Convergence is always confirmed against the raw (pre-snap) image so that
 snapping can never invent a fixed point; an image that only snaps back
 onto the point it came from stalls the orbit there.
 
-The discontinuity criterion reads u and its sequences' terms through
-``mapping._read``: as ints over one lattice when S and the map are
-formulas that compile there, else as points of the space.
+The discontinuity criterion and ``fix_set`` read through ``space._read``
+and ``space.on_lattice`` (README, "Tolerance semantics").
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contraction import ContractionParams, _folded, _m_folded
-from .mapping import Mapping, MappingRangeError, PowerMapping, _read, on_lattice
+from .mapping import Mapping, MappingRangeError, PowerMapping
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Point, Space, UnknownPointError
+from .space import Point, Space, UnknownPointError, _read, on_lattice
 
 
 @dataclass
@@ -216,12 +215,9 @@ def discontinuity_criterion(
     that does not, or ends before that index, is rejected by index.
     ``u`` itself must be fixed within ``tol``.
 
-    u and every term are read at once, as ints over one lattice when they
-    and the formulas allow it: S(x_n, x_n, u) against an integer cut,
-    M(x_n, u) times the weight that makes a, b/2 and c/2 integers, and
-    each estimate and spread the same exact Fraction.  Otherwise the terms
-    become points of the space, and T and S are evaluated in the order of
-    the checks above, so an evaluation error aborts with the same text.
+    u and every term are read at once by ``space._read``; off the lattice
+    T and S are evaluated in the order of the checks above, so an
+    evaluation error aborts with the same text.
     """
     tol = to_fraction(tol)
     limit_tol = to_fraction(limit_tol)

@@ -19,15 +19,21 @@ clear its bound by at least ``tol`` to count as satisfied.
 The exhaustive sweeps compare exact integers: S (or d) over one common
 denominator D, and ``tol`` by its cut floor(tol * D).  A space reads S
 once per sample, and the four sweeps (axioms, symmetry, triangle,
-generated) share what it read: a generated S from the n^2 values of d, a
-formula S through its int closure on the points' lattice, any other S
-triple by triple, in the order the sweeps ask for it.  Per outer tuple,
-the least right-hand side over the inner index certifies it at once; only
-tuples that fail it are scanned, reporting exact values.
+generated) share what it read: a generated S from the n^2 values of d,
+any other S through ``_read``, triple by triple, in the order the sweeps
+ask for it.  Per outer tuple, the least right-hand side over the inner
+index certifies it at once; only tuples that fail it are scanned,
+reporting exact values.
+
+``_read`` is the one reader of points, their images under a map and S,
+for these sweeps and the map kernels: as ints on one lattice when S and
+the map have int closures there (``scaled``), else as points of the
+space (README, "Tolerance semantics").
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -123,6 +129,11 @@ class SMetric:
     def triple(self, x: Point, y: Point, z: Point) -> Fraction:
         raise NotImplementedError
 
+    def scaled(self, scale: int) -> tuple[Callable, int] | None:
+        """(closure, den): S from coordinates times ``scale`` to its value
+        times den, over ints; None when it has none."""
+        return None
+
 
 class TableSMetric(SMetric):
     """S given by explicit entries for every ordered triple of labels."""
@@ -147,6 +158,9 @@ class FormulaSMetric(SMetric):
 
     def triple(self, x: Point, y: Point, z: Point) -> Fraction:
         return self.formula(_coordinate(x), _coordinate(y), _coordinate(z))
+
+    def scaled(self, scale: int) -> tuple[Callable, int] | None:
+        return self.formula.scaled(scale)
 
 
 class GeneratedSMetric(SMetric):
@@ -299,7 +313,7 @@ class Space:
         them (S is taken not to change)."""
         pts = tuple(self.sampled(sample))
         if pts not in self._s_memo:
-            self._s_memo[pts] = _read_s(self.smetric, pts)
+            self._s_memo[pts] = _read_s(self, pts)
         return pts, self._s_memo[pts]
 
 
@@ -375,24 +389,81 @@ class _FromMetric:
         return self.d[i][k] + self.d[j][k]
 
 
-def _read_s(smetric: SMetric, pts: tuple[Point, ...]) -> _Memo | _FromMetric:
-    """How S is read on ``pts``: from d's values when generated, through
-    the formula's int closure on the points' lattice when it compiles
-    there, else by ``SMetric.triple``.  A d that raises on some pair is
+def on_lattice(mapping, points: list) -> tuple | None:
+    """``(scale, xs, t)``: the points' coordinates as ints over the least
+    scale that holds them and their images under ``mapping`` exactly, and
+    ``t``, the map on such ints (None when ``mapping`` is None).  A point
+    is a ``Point`` or its coordinate.  None for a map without an int
+    closure (``Mapping.scaled``), a point without a coordinate, or a scale
+    past ``numeric.MAX_LATTICE_BITS``."""
+    values = [p.value if isinstance(p, Point) else p for p in points]
+    lattice = lattice_scale(values)
+    compiled = lattice and (mapping is None or mapping.scaled(lattice))
+    if not compiled:
+        return None
+    t = None
+    if mapping is not None:
+        image, den = compiled
+        scale, lattice = lattice, math.lcm(lattice, den)
+        up, image_up = lattice // scale, lattice // den
+
+        def t(x):
+            return image((x // up,)) * image_up
+
+    return lattice, [v.numerator * (lattice // v.denominator) for v in values], t
+
+
+@dataclass
+class _Reading:
+    """How one call reads its points, their images and S: on a lattice, as
+    ints ``scale`` times the coordinates, and S as ``den`` times its value;
+    else as points of the space, T and S evaluated as they are read."""
+
+    points: list
+    t: Callable | None  # a read point -> its image, read the same way
+    s: Callable  # (x, y, z) -> S(x, y, z) times den
+    den: int = 1
+    scale: int | None = None
+
+    def cut(self, t: Fraction):
+        """t for a read value v to meet in ``v > cut`` or ``v <= cut``."""
+        return t if self.scale is None else _cut(t, self.den)
+
+    def exact(self, value, weight=1) -> Fraction:
+        return Fraction(value, self.den * weight)
+
+
+def _read(space: Space, mapping, points: list) -> _Reading:
+    """The one reader: ``points``, each a ``Point`` or a coordinate, their
+    images under ``mapping`` (S alone when it is None) and S, on the
+    lattice when the map and S both have int closures there; else each
+    point coerced to a point of the space."""
+    smetric = space.smetric
+    lattice = on_lattice(mapping, points)
+    compiled = lattice and smetric.scaled(lattice[0])
+    if compiled:
+        scale, xs, t = lattice
+        return _Reading(xs, t, *compiled, scale)
+    return _Reading(
+        [space.coerce(p) for p in points],
+        mapping and functools.partial(mapping.apply, space),
+        lambda xyz: smetric.triple(*xyz),
+    )
+
+
+def _read_s(space: Space, pts: tuple[Point, ...]) -> _Memo | _FromMetric:
+    """How S is read on ``pts``: from d's values when generated, else
+    through ``_read``, triple by triple.  A d that raises on some pair is
     read through ``triple`` too, so that a check raises where S does."""
-    if isinstance(smetric, GeneratedSMetric):
+    if isinstance(space.smetric, GeneratedSMetric):
         try:
-            return _FromMetric(smetric.metric, pts)
+            return _FromMetric(space.smetric.metric, pts)
         except (ExprError, SpaceError, ArithmeticError, ValueError):
             pass  # the triple loop below raises it where S first does
-    if isinstance(smetric, FormulaSMetric):
-        scale = lattice_scale([p.value for p in pts])
-        compiled = scale and smetric.formula.scaled(scale)
-        if compiled:
-            xs = [p.value.numerator * (scale // p.value.denominator) for p in pts]
-            f, den = compiled
-            return _Memo(lambda i, j, k: f((xs[i], xs[j], xs[k])), den)
-    return _Memo(lambda i, j, k: smetric.triple(pts[i], pts[j], pts[k]))
+    read = _read(space, None, pts)
+    xs, s = read.points, read.s
+    return _Memo(lambda i, j, k: s((xs[i], xs[j], xs[k])),
+                 read.den if read.scale else None)
 
 
 def check_axioms(

@@ -25,7 +25,7 @@ from smetriclab import (
     verify_phi_gauge,
     xi,
 )
-from smetriclab.contraction import _m_value
+from smetriclab.contraction import _folded, _m_folded
 
 TOL = Fraction(1, 10**9)
 
@@ -101,7 +101,9 @@ def test_m_value_skipping_zero_weights_equals_the_full_max(a, b, c, coords, s):
         params.b / 2 * (triple(px, px, tx) + triple(py, py, ty)),
         params.c / 2 * (triple(px, px, ty) + triple(py, py, tx)),
     )
-    assert _m_value(triple, params, px, py, tx, ty) == full
+    weights = _folded(params)
+    m = _m_folded(lambda xyz: triple(*xyz), weights, px, py, tx, ty)
+    assert Fraction(m, weights[0]) == full
 
 
 def test_condition_i_evaluates_s_twice_per_pair_without_b_and_c(

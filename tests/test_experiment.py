@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import types
 from fractions import Fraction
 
 import pytest
@@ -469,6 +470,22 @@ def test_an_unwritable_output_exits_2_without_a_traceback(tmp_path):
     assert code == 2
     assert err.getvalue().startswith(f"error: {target}: cannot write report: ")
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("target", ["run", "json.dumps"])
+def test_running_out_of_memory_exits_2_without_a_traceback(monkeypatch, target):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    if target == "run":
+        monkeypatch.setattr(cli, "run", exhausted)
+    else:  # the report's json.dumps alone: the loader's digest still runs
+        monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=exhausted))
+    path = str(fixture_path("example_2_2.json"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["run", "--input", path])
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("nodes", [25, 46, 47, 201, 2001])

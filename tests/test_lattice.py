@@ -34,17 +34,18 @@ from smetriclab import (
     discontinuity_criterion,
     eps_grid,
     fix_set,
+    m_z_s,
     verify_condition_i,
     verify_zamfirescu_x0,
 )
 from smetriclab.circles import CircleReport
-from smetriclab.contraction import ContractionParams, _m_value
+from smetriclab.contraction import ContractionParams
 from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
-from smetriclab.mapping import _read, on_lattice
 from smetriclab.numeric import (
     DEFAULT_TOL, MAX_LATTICE_BITS, format_decimal, to_fraction,
 )
 from smetriclab.solver import DiscontinuityVerdict, SequenceLimit
+from smetriclab.space import _read, on_lattice
 
 
 # -- the Fraction kernels, as they were before the integer pass ----------
@@ -143,6 +144,25 @@ def reference_circle(
 
 def reference_fix_set(space, mapping):
     return [p for p in space.points if mapping.apply(space, p) == p]
+
+
+def _m_value(s, params, px, py, tx, ty):
+    """M(x, y) from the pair, its images and the distance ``s``; a weight
+    of exactly 0 makes its term exactly 0, so the S values under it are
+    not evaluated."""
+    a, b, c = params.a, params.b, params.c
+    half, zero = Fraction(1, 2), Fraction(0)
+    return max(
+        a * s(px, px, py) if a else zero,
+        b * half * (s(px, px, tx) + s(py, py, ty)) if b else zero,
+        c * half * (s(px, px, ty) + s(py, py, tx)) if c else zero,
+    )
+
+
+def reference_m_z_s(space, mapping, params, x, y):
+    px, py = space.coerce(x), space.coerce(y)
+    tx, ty = mapping.apply(space, px), mapping.apply(space, py)
+    return _m_value(space.smetric.triple, params, px, py, tx, ty)
 
 
 def reference_pair_rows(space, mapping, pairs, params):
@@ -610,6 +630,14 @@ def _conditions(kernels, space, mapping, pairs, a, b, c, mode, phi, delta,
     )
 
 
+def _m_values(m, space, mapping, pairs, a, b, c):
+    """The outcomes of ``m`` on each pair, or on the pairs of the first
+    four points of the universe when there are none."""
+    params = ContractionParams(a, b, c)
+    pairs = pairs or itertools.product(space.points[:4], repeat=2)
+    return [_outcome(m, space, mapping, params, x, y) for x, y in pairs]
+
+
 CONDITION_ARGUMENTS = (
     pair_instances(), QUARTERS, QUARTERS, C_QUARTERS, MODES, PHIS, DELTAS,
     USER_EPS, CONDITION_TOLERANCES,
@@ -639,6 +667,8 @@ def test_integer_condition_kernels_match_the_fraction_kernels(
     checks = (a, b, c, mode, phi, delta, user_eps, tol)
     assert _conditions(CONDITION_KERNELS, space, mapping, pairs, *checks) \
         == _conditions(REFERENCE_KERNELS, space, mapping, pairs, *checks)
+    assert _m_values(m_z_s, space, mapping, pairs, a, b, c) \
+        == _m_values(reference_m_z_s, space, mapping, pairs, a, b, c)
     # the integer rows ran: both formulas compile on the pairs' lattice
     points = space.points if pairs is None else [
         space.coerce(x) for x in itertools.chain.from_iterable(pairs)]
@@ -674,6 +704,8 @@ def test_condition_fallback_reads_s_and_t_in_the_old_order(
     checks = (a, b, c, mode, phi, delta, user_eps, tol)
     assert _conditions(CONDITION_KERNELS, space, mapping, pairs, *checks) \
         == _conditions(REFERENCE_KERNELS, space, mapping, pairs, *checks)
+    assert _m_values(m_z_s, space, mapping, pairs, a, b, c) \
+        == _m_values(reference_m_z_s, space, mapping, pairs, a, b, c)
     new_space, new_map, new = _recorded(space, mapping)
     old_space, old_map, old = _recorded(space, mapping)
     assert _conditions(CONDITION_KERNELS, new_space, new_map, pairs, *checks) \
