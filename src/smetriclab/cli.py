@@ -18,10 +18,14 @@ or the report could not be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .experiment import (
@@ -126,28 +130,172 @@ def _execute(args: argparse.Namespace) -> RunReport:
     return run(spec)
 
 
+def _float(value: float) -> str:
+    if value - value == 0:  # finite
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+#: The JSON text of a leaf, by its exact type, as ``json.dumps`` spells it.
+_LEAVES = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+#: Records per batch of a record list, and the pending pieces past which
+#: any other list is written out: what the writer holds at once.
+_BATCH = 4096
+
+
+def _encoder(values):
+    """The leaf encoder of every one of ``values``, or None unless they
+    all have one leaf type."""
+    kinds = set(map(type, values))
+    return _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+
+
+def _record_template(records: list, indent: str) -> str | None:
+    """``%`` template of one of ``records`` at ``indent``, or None unless
+    they are dicts with the same str keys in the same order and one leaf
+    type per key."""
+    if set(map(type, records)) != {dict}:
+        return None
+    keys = tuple(records[0])
+    if (set(map(type, keys)) != {str}
+            or not all(map(keys.__eq__, map(tuple, records)))
+            or any(_encoder(map(itemgetter(key), records)) is None
+                   for key in keys)):
+        return None
+    inner = indent + "  "
+    fields = ",".join(
+        inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+        for key in keys
+    )
+    return indent + "{" + fields + indent + "}"
+
+
+def _column(values: list):
+    """The JSON texts of ``values``, all of one leaf type, each distinct
+    value encoded once."""
+    encode = _encoder(values)
+    texts = {value: encode(value) for value in set(values)}
+    if 0.0 in texts:  # one text would stand for both 0.0 and -0.0
+        return map(encode, values)
+    return map(texts.__getitem__, values)
+
+
+def _write_records(records: list, template: str, pieces: list, write) -> None:
+    """Write the items of a record list, a batch and a column at a time."""
+    getters = [itemgetter(key) for key in records[0]]
+    for start in range(0, len(records), _BATCH):
+        batch = records[start:start + _BATCH]
+        columns = [_column(list(map(getter, batch))) for getter in getters]
+        text = ",".join(map(template.__mod__, zip(*columns)))
+        pieces.append("," + text if start else text)
+        write("".join(pieces))
+        pieces.clear()
+
+
+def _write_value(value, indent: str, pieces: list, write) -> None:
+    """Append the JSON text of ``value`` at ``indent`` (a newline and the
+    spaces of its depth) to ``pieces``, writing them out as they grow."""
+    kind = type(value)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        pieces.append(leaf(value))
+    elif kind is dict and all(type(key) is str for key in value):
+        if not value:
+            pieces.append("{}")
+            return
+        inner, opening = indent + "  ", "{"
+        for key, item in value.items():
+            pieces.append(opening + inner + encode_basestring_ascii(key) + ": ")
+            _write_value(item, inner, pieces, write)
+            opening = ","
+        pieces.append(indent + "}")
+    elif kind is list:
+        if not value:
+            pieces.append("[]")
+            return
+        inner = indent + "  "
+        encode = _encoder(value)
+        if encode is not None:
+            items = ("," + inner).join(map(encode, value))
+            pieces.append("[" + inner + items + indent + "]")
+            return
+        pieces.append("[")
+        template = _record_template(value, inner)
+        if template is not None:
+            _write_records(value, template, pieces, write)
+        else:
+            opening = inner
+            for item in value:
+                pieces.append(opening)
+                _write_value(item, inner, pieces, write)
+                opening = "," + inner
+                if len(pieces) >= _BATCH:
+                    write("".join(pieces))
+                    pieces.clear()
+        pieces.append(indent + "]")
+    else:  # ASCII-escaped JSON holds no raw newline to re-indent wrongly
+        pieces.append(json.dumps(value, indent=2).replace("\n", indent))
+
+
+def write_json(value, write) -> None:
+    """Send ``json.dumps(value, indent=2) + "\\n"`` to ``write`` in pieces.
+
+    Leaves are spelled by their exact type as ``json`` spells them; a list
+    of leaves of one type is joined at once, and a list of uniform records
+    is filled from one template per list, a batch at a time.  Any other
+    value goes through ``json.dumps`` itself, so the bytes match for every
+    tree it accepts.
+    """
+    pieces = []
+    _write_value(value, "\n", pieces, write)
+    pieces.append("\n")
+    write("".join(pieces))
+
+
+def _silence_stdout() -> None:
+    """Point the stdout descriptor at the null device, so that flushing
+    at exit does not fail again on a closed pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # e.g. a StringIO
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         outcome = _execute(args)
-        if args.format == "json":
-            text = json.dumps(outcome.report, indent=2) + "\n"
-        else:
-            text = render_text(outcome.report)
+        try:
+            # the file is opened only now, so an invalid config leaves none
+            with (contextlib.nullcontext(sys.stdout) if args.output is None
+                  else args.output.open("w")) as out:
+                if args.format == "json":
+                    write_json(outcome.report, out.write)
+                else:
+                    out.write(render_text(outcome.report))
+                out.flush()
+        except OSError as e:
+            if args.output is None:
+                _silence_stdout()
+            target = "<stdout>" if args.output is None else args.output
+            print(f"error: {target}: cannot write report: {e}", file=sys.stderr)
+            return 2
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError:  # a backstop: the loader's bounds should prevent it
         print("error: out of memory", file=sys.stderr)
         return 2
-    if args.output is not None:
-        try:
-            args.output.write_text(text)
-        except OSError as e:
-            print(f"error: {args.output}: cannot write report: {e}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
     return outcome.exit_code
 
 

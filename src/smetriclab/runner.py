@@ -10,10 +10,11 @@ the table.
 
 ``run`` executes the declared checks in order.  A failing check never
 stops the run; only an evaluation error does, in which case the partial
-report is kept and marked aborted.  Reports are plain dicts ready for
-``json.dumps`` and are deterministic except for the top-level ``timing``
-block: running the same experiment twice must give byte-identical
-output once that block is dropped.
+report is kept and marked aborted.  Reports are plain dicts that
+``cli.write_json`` streams with the bytes of ``json.dumps(indent=2)``,
+and are deterministic except for the top-level ``timing`` block: running
+the same experiment twice must give byte-identical output once that
+block is dropped.
 """
 
 from __future__ import annotations
@@ -208,7 +209,10 @@ def _record(keys, row):
 
 
 def _rows(keys, rows):
-    return [_record(keys, row) for row in rows]
+    """Evidence records of a kernel's result tuples, made JSON-ready a
+    column at a time; a value that overflows still aborts at its row."""
+    columns = [map(describe, column) for column in zip(*rows)]
+    return [dict(zip(keys, row)) for row in zip(*columns)]
 
 
 def _fields(result, keys):

@@ -27,10 +27,12 @@ from smetriclab import (
 
 SUM_ABS = "abs(x - z) + abs(y - z)"
 
-# ``pytest --hypothesis-profile ci``: ten times the examples, no deadline;
-# a test's own ``max_examples`` still wins (the distance-structure sweep
-# oracles in test_space.py take the larger of 300 and the profile's)
-settings.register_profile("ci", max_examples=1000, deadline=None)
+# ``pytest --hypothesis-profile oracle``: ten times the examples, no
+# deadline; a test's own ``max_examples`` still wins (the distance-structure
+# sweep oracles in test_space.py take the larger of 300 and the profile's).
+# Not named ``ci``: Hypothesis loads a profile of that name by itself
+# wherever the ``CI`` variable is set, so CI passes this one by name.
+settings.register_profile("oracle", max_examples=1000, deadline=None)
 
 
 def sum_abs_smetric():

@@ -4,7 +4,6 @@ import contextlib
 import copy
 import io
 import json
-import types
 from fractions import Fraction
 
 import pytest
@@ -472,15 +471,15 @@ def test_an_unwritable_output_exits_2_without_a_traceback(tmp_path):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("target", ["run", "json.dumps"])
+# the second case's id names the bytes that the report's writer sends
+@pytest.mark.parametrize(
+    "target", ["run", pytest.param("write_json", id="json.dumps")]
+)
 def test_running_out_of_memory_exits_2_without_a_traceback(monkeypatch, target):
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    if target == "run":
-        monkeypatch.setattr(cli, "run", exhausted)
-    else:  # the report's json.dumps alone: the loader's digest still runs
-        monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=exhausted))
+    monkeypatch.setattr(cli, target, exhausted)
     path = str(fixture_path("example_2_2.json"))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -2,7 +2,7 @@
 discontinuity kernels and the integer grid labels, each against the
 Fraction code it replaced, kept here as the oracle.
 
-Run these under more examples with ``--hypothesis-profile ci``.
+Run these under more examples with ``--hypothesis-profile oracle``.
 """
 
 import itertools

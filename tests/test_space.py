@@ -510,7 +510,7 @@ def _outcome(call):
 
 
 # the oracles take their own floor of examples, and more from a profile
-# that asks for more (``--hypothesis-profile ci``)
+# that asks for more (``--hypothesis-profile oracle``)
 ORACLE_EXAMPLES = max(300, settings().max_examples)
 
 SWEEPS = (
