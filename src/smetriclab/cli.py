@@ -177,12 +177,12 @@ def _record_template(records: list, indent: str) -> str | None:
     return indent + "{" + fields + indent + "}"
 
 
-def _column(values: list):
+def _column(encode, values: list):
     """The JSON texts of ``values``, all of one leaf type, each distinct
-    value encoded once."""
-    encode = _encoder(values)
+    value encoded once: evidence columns repeat a few values.  A NaN,
+    equal to nothing, is looked up as the same object."""
     texts = {value: encode(value) for value in set(values)}
-    if 0.0 in texts:  # one text would stand for both 0.0 and -0.0
+    if 0.0 in texts:  # 0.0 == -0.0, so one text would stand for both
         return map(encode, values)
     return map(texts.__getitem__, values)
 
@@ -190,9 +190,11 @@ def _column(values: list):
 def _write_records(records: list, template: str, pieces: list, write) -> None:
     """Write the items of a record list, a batch and a column at a time."""
     getters = [itemgetter(key) for key in records[0]]
+    encoders = [_LEAVES[type(value)] for value in records[0].values()]
     for start in range(0, len(records), _BATCH):
         batch = records[start:start + _BATCH]
-        columns = [_column(list(map(getter, batch))) for getter in getters]
+        columns = [_column(encode, list(map(getter, batch)))
+                   for encode, getter in zip(encoders, getters)]
         text = ",".join(map(template.__mod__, zip(*columns)))
         pieces.append("," + text if start else text)
         write("".join(pieces))
@@ -221,11 +223,6 @@ def _write_value(value, indent: str, pieces: list, write) -> None:
             pieces.append("[]")
             return
         inner = indent + "  "
-        encode = _encoder(value)
-        if encode is not None:
-            items = ("," + inner).join(map(encode, value))
-            pieces.append("[" + inner + items + indent + "]")
-            return
         pieces.append("[")
         template = _record_template(value, inner)
         if template is not None:
@@ -247,11 +244,10 @@ def _write_value(value, indent: str, pieces: list, write) -> None:
 def write_json(value, write) -> None:
     """Send ``json.dumps(value, indent=2) + "\\n"`` to ``write`` in pieces.
 
-    Leaves are spelled by their exact type as ``json`` spells them; a list
-    of leaves of one type is joined at once, and a list of uniform records
-    is filled from one template per list, a batch at a time.  Any other
-    value goes through ``json.dumps`` itself, so the bytes match for every
-    tree it accepts.
+    Leaves are spelled by their exact type as ``json`` spells them, and a
+    list of uniform records is filled from one template per list, a batch
+    at a time.  Any other value goes through ``json.dumps`` itself, so the
+    bytes match for every tree it accepts.
     """
     pieces = []
     _write_value(value, "\n", pieces, write)
@@ -260,8 +256,8 @@ def write_json(value, write) -> None:
 
 
 def _silence_stdout() -> None:
-    """Point the stdout descriptor at the null device, so that flushing
-    at exit does not fail again on a closed pipe."""
+    """Point the stdout descriptor at the null device for good, so that
+    flushing at exit does not fail again on a closed pipe."""
     try:
         fd = sys.stdout.fileno()
     except (AttributeError, ValueError):  # e.g. a StringIO
@@ -285,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
                     out.write(render_text(outcome.report))
                 out.flush()
         except OSError as e:
-            if args.output is None:
+            if args.output is None and isinstance(e, BrokenPipeError):
                 _silence_stdout()
             target = "<stdout>" if args.output is None else args.output
             print(f"error: {target}: cannot write report: {e}", file=sys.stderr)

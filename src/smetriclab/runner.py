@@ -209,10 +209,7 @@ def _record(keys, row):
 
 
 def _rows(keys, rows):
-    """Evidence records of a kernel's result tuples, made JSON-ready a
-    column at a time; a value that overflows still aborts at its row."""
-    columns = [map(describe, column) for column in zip(*rows)]
-    return [dict(zip(keys, row)) for row in zip(*columns)]
+    return [_record(keys, row) for row in rows]
 
 
 def _fields(result, keys):

@@ -94,13 +94,14 @@ def _written(tree):
 @given(tree=_TREES)
 # lists at the edges of the record template: no keys, keys json.dumps
 # converts, an item that is no dict, other keys, a mixed column, both
-# zeros, and keys and values holding % and "
+# zeros, NaNs and infinities, and keys and values holding % and "
 @example(tree=[{}, {}])
 @example(tree=[{1: 2}, {1: 3}])
 @example(tree=[{"a": 1}, "a"])
 @example(tree=[{"a": 1}, {"a": 2, "b": 3}])
 @example(tree=[{"a": 1}, {"a": 1.0}, {"a": True}])
 @example(tree=[{"a": 0.0}, {"a": -0.0}])
+@example(tree=[{"a": math.nan}, {"a": math.inf}, {"a": -math.inf}, {"a": math.nan}])
 @example(tree=[{"%s": 1, '"%d"': "%"}, {"%s": 2, '"%d"': "%%"}])
 def test_the_writer_writes_the_bytes_of_json_dumps(batch, tree):
     with mock.patch.object(cli, "_BATCH", batch):
@@ -198,3 +199,29 @@ def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path):
     assert child.wait(timeout=60) == 2
     assert stderr.startswith("error: <stdout>: cannot write report: ")
     assert stderr.count("\n") == 1  # no traceback, no exit-time message
+
+
+class _FailingStdout:
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize(("error", "silenced"), [
+    (BrokenPipeError(32, "Broken pipe"), True),
+    (OSError(28, "No space left on device"), False),
+])
+def test_only_a_closed_pipe_sends_stdout_to_the_null_device(
+    tmp_path, capsys, monkeypatch, error, silenced
+):
+    # capsys before monkeypatch: sys.stdout is restored before capture ends
+    calls = []
+    monkeypatch.setattr(cli, "_silence_stdout", lambda: calls.append(1))
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error))
+    code = cli.main(["run", "--input", str(_grid_report_input(tmp_path))])
+    assert (code, capsys.readouterr().err) == (
+        2, f"error: <stdout>: cannot write report: {error}\n"
+    )
+    assert calls == ([1] if silenced else [])
