@@ -75,7 +75,8 @@ class SequenceSpec:
         if self.values is not None:
             return list(self.values)
         assert self.expr is not None
-        return [self.expr(n) for n in range(self.n_from, self.n_to + 1)]
+        kernel = self.expr.exact  # one variable, n, fixed at load
+        return [kernel(Fraction(n)) for n in range(self.n_from, self.n_to + 1)]
 
 
 @dataclass

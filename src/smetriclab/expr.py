@@ -24,19 +24,20 @@ A formula nests at most ``MAX_DEPTH`` (100) levels deep, counting the
 whole formula as one, both in its text (parentheses, argument lists and
 unary minus) and in its tree (``1 + 2 + 3`` is three levels); deeper input
 is a syntax error, so no recursion over it exhausts Python's stack.
-:class:`Formula` compiles its tree once into closures over exact fractions.
-:meth:`Formula.scaled` compiles it again for one input scale into closures
-over integers, unless it divides by a variable or by 0.
+:class:`Formula` turns its tree into generated Python functions, its
+kernels, each built on first use and kept: ``Formula.exact`` over exact
+fractions, and :meth:`Formula.scaled` one per input scale over integers,
+unless the formula divides by a variable or by 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from .numeric import format_decimal, read_number, to_fraction
 
@@ -297,83 +298,6 @@ def parse(text: str, variables: Iterator[str] | frozenset[str]) -> Expr:
     return _Parser(text, names).parse()
 
 
-_OPERATORS = {
-    "+": operator.add, "-": operator.sub, "*": operator.mul,
-    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
-}
-
-
-def _compile(node: Expr, index: Mapping[str, int], scale: int | None = None):
-    """``node`` as (closure, den), the closure over the tuple of values of
-    the names in ``index`` (name -> position).  With no ``scale`` it is
-    exact over rationals, den is 1, and division by zero is raised when it
-    is called.  With a ``scale`` it maps the values times ``scale``, as
-    ints, to the value times den, an int.  Sums, extrema, piecewise values
-    and comparisons take the lcm of their operands' dens, products the
-    product, and a nonzero constant divisor folds into it.  Any other
-    divisor, or a name missing from ``index``, raises at once."""
-
-    def sub(child):
-        return _compile(child, index, scale)
-
-    def common(*children):  # the children's closures over one den
-        parts = [sub(child) for child in children]
-        den = math.lcm(*(d for _, d in parts))
-        return [_times(f, den // d) for f, d in parts], den
-
-    match node:
-        case Num(value):
-            n = value if scale is None else value.numerator
-            return (lambda v: n), 1 if scale is None else value.denominator
-        case Var(name) if name in index:
-            return operator.itemgetter(index[name]), scale or 1
-        case Neg(operand):
-            f, d = sub(operand)
-            return (lambda v: -f(v)), d
-        case BinOp("/", left, right) if scale is None:
-            (f, _), (g, _) = sub(left), sub(right)
-
-            def divide(v):
-                denom = g(v)
-                if not denom:
-                    raise ExprEvalError("division by zero")
-                return f(v) / denom
-            return divide, 1
-        case BinOp("/", left, right):
-            r = 1 / _compile(right, {})[0](())  # raises unless a nonzero constant
-            f, d = sub(left)
-            return _times(f, r.numerator), d * r.denominator
-        case BinOp("*", left, right):
-            (f, df), (g, dg) = sub(left), sub(right)
-            return (lambda v: f(v) * g(v)), df * dg
-        case BinOp("+" | "-" as op, left, right) | Comparison(op, left, right):
-            apply = _OPERATORS[op]
-            (f, g), den = common(left, right)
-            return (lambda v: apply(f(v), g(v))), den
-        case Call("abs", (arg,)):
-            f, d = sub(arg)
-            return (lambda v: abs(f(v))), d
-        case Call("min" | "max" as func, args):
-            pick = min if func == "min" else max
-            fs, den = common(*args)
-            return (lambda v: pick([f(v) for f in fs])), den
-        case Piecewise(branches, otherwise):
-            (other, *values), den = common(otherwise, *(x for _, x in branches))
-            tests = [(sub(c)[0], value) for (c, _), value in zip(branches, values)]
-
-            def piecewise(v):
-                for holds, value in tests:
-                    if holds(v):
-                        return value(v)
-                return other(v)
-            return piecewise, den
-    raise ExprEvalError(f"cannot evaluate node {node!r}")
-
-
-def _times(f: Callable, k: int) -> Callable:
-    return f if k == 1 else lambda v: f(v) * k
-
-
 _LEVEL_SUM, _LEVEL_TERM, _LEVEL_UNARY, _LEVEL_ATOM = 1, 2, 3, 4
 
 
@@ -426,38 +350,174 @@ def pretty(node: Expr) -> str:
     raise ValueError(f"cannot render node {node!r}")
 
 
+def _divide_by_zero():
+    raise ExprEvalError("division by zero")
+
+
+class _Source:
+    """The Python source of one formula, exact (``scale`` None) or at one
+    scale.  Its text holds internal names only: ``v0, v1, ...`` for the
+    variables, ``c...`` for constants bound in its globals, ``f...`` for
+    defs and ``t...`` for divisors; no formula text and no int literal
+    reaches the compiler.  A piecewise is a def of flat ``if`` lines, so
+    any number of branches compiles.  Each other operation is one
+    expression in parentheses.  Each level of the tree opens at most two
+    (its own and a ``times`` wrap, or a divisor's two), so a formula
+    within ``MAX_DEPTH`` nests at most 198, under the 200 that CPython's
+    tokenizer takes."""
+
+    def __init__(self, variables: tuple[str, ...], scale: int | None):
+        self.vars = {name: f"v{i}" for i, name in enumerate(variables)}
+        self.args = ", ".join(self.vars.values())
+        self.scale = scale
+        self.names: dict = {
+            "__builtins__": {"abs": abs, "min": min, "max": max},
+            "_zero": _divide_by_zero,
+        }
+        self.defs: list[str] = []
+        self.temps = 0
+
+    def const(self, value: object) -> str:
+        name = f"c{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def define(self, body: list[str], head: str | None = None) -> str:
+        """A def over the variables that runs ``body``; its call."""
+        name = f"f{len(self.defs)}"
+        self.defs.append("\n    ".join([head or f"def {name}({self.args}):", *body]))
+        return f"{name}({self.args})"
+
+    def times(self, text: str, k: int) -> str:
+        if k == 1:
+            return text
+        if text in self.names:  # a constant times k is one constant
+            return self.const(self.names[text] * k)
+        return f"({text} * {self.const(k)})"
+
+    def common(self, *nodes: Expr) -> tuple[list[str], int]:
+        """The nodes over their least common den."""
+        parts = [self.code(node) for node in nodes]
+        den = math.lcm(*(d for _, d in parts))
+        return [self.times(text, den // d) for text, d in parts], den
+
+    def body(self, node: Expr) -> tuple[list[str], int]:
+        """Statements that return ``node``, and its den."""
+        if isinstance(node, Piecewise):
+            (other, *values), den = self.common(
+                node.otherwise, *(value for _, value in node.branches)
+            )
+            tests = [self.code(cond)[0] for cond, _ in node.branches]
+            lines = [f"if {c}: return {v}" for c, v in zip(tests, values)]
+            return [*lines, f"return {other}"], den
+        text, den = self.code(node)
+        return [f"return {text}"], den
+
+    def code(self, node: Expr) -> tuple[str, int]:
+        """``node`` as an expression, and its den.  With no scale, the
+        node over exact fractions, den 1: a zero divisor raises when it is
+        read, before its dividend.  With a scale, the node from the values
+        times scale, as ints, to its value times den, an int.  Sums,
+        extrema, piecewise values and comparisons take the lcm of their
+        operands' dens, products the product, and a nonzero constant
+        divisor folds into it.  Any other divisor, or a name not among the
+        variables, raises at once."""
+        scale = self.scale
+        match node:
+            case Num(value) if scale is None:
+                return self.const(value), 1
+            case Num(value):
+                return self.const(value.numerator), value.denominator
+            case Var(name) if name in self.vars:
+                return self.vars[name], scale or 1
+            case Neg(operand):
+                text, den = self.code(operand)
+                if text in self.names:
+                    return self.const(-self.names[text]), den
+                return f"(-{text})", den
+            case BinOp("/", left, right) if scale is None:
+                (a, _), (b, _) = self.code(left), self.code(right)
+                t = f"t{self.temps}"
+                self.temps += 1
+                return f"({a} / {t} if ({t} := {b}) else _zero())", 1
+            case BinOp("/", left, right):
+                r = 1 / _kernel(right, ())[0]()  # raises unless a nonzero constant
+                text, den = self.code(left)
+                return self.times(text, r.numerator), den * r.denominator
+            case BinOp("*", left, right):
+                (a, da), (b, db) = self.code(left), self.code(right)
+                return f"({a} * {b})", da * db
+            case BinOp("+" | "-" as op, left, right) | Comparison(
+                "<" | "<=" | ">" | ">=" as op, left, right
+            ):
+                (a, b), den = self.common(left, right)
+                return f"({a} {op} {b})", den
+            case Call("abs", (arg,)):
+                text, den = self.code(arg)
+                return f"abs({text})", den
+            case Call("min" | "max" as func, args):
+                texts, den = self.common(*args)
+                return f"{func}({', '.join(texts)})", den
+            case Piecewise():
+                body, den = self.body(node)
+                return self.define(body), den
+        raise ExprEvalError(f"cannot evaluate node {node!r}")
+
+
+def _kernel(
+    node: Expr, variables: tuple[str, ...], scale: int | None = None
+) -> tuple[Callable, int]:
+    """(kernel, den): ``node`` compiled to one Python function.  With no
+    ``scale`` it takes one exact fraction per variable and den is 1; with
+    a ``scale`` it takes the tuple of the values times ``scale``, as ints
+    (see :meth:`_Source.code`)."""
+    source = _Source(variables, scale)
+    body, den = source.body(node)
+    if scale is None:
+        source.define(body, f"def kernel({source.args}):")
+    else:
+        unpack = [f"{source.args}, = v"] if variables else []
+        source.define([*unpack, *body], "def kernel(v):")
+    exec("\n".join(source.defs), source.names)
+    return source.names["kernel"], den
+
+
 @dataclass(frozen=True)
 class Formula:
-    """A parsed expression bound to an ordered variable list."""
+    """A parsed expression bound to an ordered variable list.  Its
+    kernels, the functions generated from it, are built on first use and
+    kept: ``exact`` and one per scale."""
 
     ast: Expr
     variables: tuple[str, ...]
-    compiled: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        index = {name: i for i, name in enumerate(self.variables)}
-        object.__setattr__(self, "compiled", _compile(self.ast, index)[0])
+    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def parse(cls, text: str, variables: tuple[str, ...]) -> "Formula":
         return cls(parse(text, frozenset(variables)), variables)
+
+    @functools.cached_property
+    def exact(self) -> Callable[..., Fraction]:
+        """The kernel over exact fractions, one per variable."""
+        return _kernel(self.ast, self.variables)[0]
 
     def __call__(self, *values: object) -> Fraction:
         if len(values) != len(self.variables):
             raise ExprEvalError(
                 f"expected {len(self.variables)} arguments, got {len(values)}"
             )
-        return self.compiled(tuple(map(to_fraction, values)))
+        return self.exact(*map(to_fraction, values))
 
     def scaled(self, scale: int) -> tuple[Callable, int] | None:
-        """(closure, den): the formula from its values times ``scale`` to
-        its value times den, over ints, compiled anew on each call; None
-        when it divides by a variable or by 0."""
-        index = {name: i for i, name in enumerate(self.variables)}
-        try:
-            return _compile(self.ast, index, scale)
-        except (ExprEvalError, ZeroDivisionError):
-            return None
+        """(kernel, den): the formula from the tuple of its values times
+        ``scale`` to its value times den, over ints, built once per scale;
+        None when it divides by a variable or by 0."""
+        if scale not in self._kernels:
+            try:
+                self._kernels[scale] = _kernel(self.ast, self.variables, scale)
+            except (ExprEvalError, ZeroDivisionError):
+                self._kernels[scale] = None
+        return self._kernels[scale]
 
     def pretty(self) -> str:
         return pretty(self.ast)

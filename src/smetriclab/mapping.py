@@ -6,8 +6,9 @@ canonical universe point when the image resolves and a free-standing
 point otherwise; callers that need the orbit to stay inside the universe
 (the iteration driver) decide how strict to be.
 
-``Mapping.scaled`` is the map's int closure, through which ``space._read``
-reads images on a lattice (README, "Tolerance semantics").
+``Mapping.scaled`` is the map's int kernel, generated once per scale,
+through which ``space._read`` reads images on a lattice (README,
+"Tolerance semantics").
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ class Mapping:
         raise NotImplementedError
 
     def scaled(self, scale: int) -> tuple[Callable, int] | None:
-        """(closure, den): the map from a coordinate times ``scale`` to its
+        """(kernel, den): the map from a coordinate times ``scale`` to its
         image times den, over ints; None when it has none."""
         return None
 

@@ -27,7 +27,7 @@ reporting exact values.
 
 ``_read`` is the one reader of points, their images under a map and S,
 for these sweeps and the map kernels: as ints on one lattice when S and
-the map have int closures there (``scaled``), else as points of the
+the map have int kernels there (``scaled``), else as points of the
 space (README, "Tolerance semantics").
 """
 
@@ -130,7 +130,7 @@ class SMetric:
         raise NotImplementedError
 
     def scaled(self, scale: int) -> tuple[Callable, int] | None:
-        """(closure, den): S from coordinates times ``scale`` to its value
+        """(kernel, den): S from coordinates times ``scale`` to its value
         times den, over ints; None when it has none."""
         return None
 
@@ -394,7 +394,7 @@ def on_lattice(mapping, points: list) -> tuple | None:
     scale that holds them and their images under ``mapping`` exactly, and
     ``t``, the map on such ints (None when ``mapping`` is None).  A point
     is a ``Point`` or its coordinate.  None for a map without an int
-    closure (``Mapping.scaled``), a point without a coordinate, or a scale
+    kernel (``Mapping.scaled``), a point without a coordinate, or a scale
     past ``numeric.MAX_LATTICE_BITS``."""
     values = [p.value if isinstance(p, Point) else p for p in points]
     lattice = lattice_scale(values)
@@ -436,7 +436,7 @@ class _Reading:
 def _read(space: Space, mapping, points: list) -> _Reading:
     """The one reader: ``points``, each a ``Point`` or a coordinate, their
     images under ``mapping`` (S alone when it is None) and S, on the
-    lattice when the map and S both have int closures there; else each
+    lattice when the map and S both have int kernels there; else each
     point coerced to a point of the space."""
     smetric = space.smetric
     lattice = on_lattice(mapping, points)

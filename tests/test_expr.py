@@ -1,5 +1,6 @@
 """Parser, evaluator, and canonical printer for the expression language."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,12 @@ from smetriclab.expr import (
     Var,
 )
 
+from conftest import SUM_ABS, run_cli
+
 
 def reference(node, env):
-    """The tree-walking evaluator that the compiled closures replaced,
-    kept as the oracle they are tested against."""
+    """A tree-walking evaluator, kept as the oracle that the generated
+    kernels, exact and scaled, are tested against."""
     match node:
         case Num(value):
             return value
@@ -156,18 +159,24 @@ def test_nesting_depth_is_bounded(nest):
     # the whole formula is one level, so MAX_DEPTH - 1 more levels fit
     deepest = Formula.parse(nest(MAX_DEPTH - 1), ("x",))
     assert pretty(parse(deepest.pretty(), ("x",))) == deepest.pretty()
-    deepest(3)
+    kernel, den = deepest.scaled(10)
+    assert Fraction(kernel((30,)), den) == deepest(3)
     with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
         parse(nest(MAX_DEPTH), ("x",))
     with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
         parse(nest(30 * MAX_DEPTH), ("x",))
 
 
-def test_nested_piecewise_is_bounded():
+def nested_piecewise(levels):
     text = "x"
-    # each piecewise is a level, and the innermost condition one more
-    for _ in range(MAX_DEPTH - 2):
+    for _ in range(levels):
         text = f"piecewise(x < 1 : 1, else : {text})"
+    return text
+
+
+def test_nested_piecewise_is_bounded():
+    # each piecewise is a level, and the innermost condition one more
+    text = nested_piecewise(MAX_DEPTH - 2)
     assert Formula.parse(text, ("x",))(5) == 5
     with pytest.raises(ExprSyntaxError, match="nested deeper"):
         parse(f"piecewise(x < 1 : 1, else : {text})", ("x",))
@@ -254,3 +263,100 @@ def test_reparsing_preserves_value(ast, xv, yv):
     except ExprEvalError:
         assume(False)
     assert Formula.parse(pretty(ast), ("x", "y"))(xv, yv) == want
+
+
+def primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def branches(count):
+    """A piecewise whose first true test of ``count`` is x < floor(x) + 1,
+    with that value, below 5; 5 at and past 5."""
+    tests = ", ".join(f"x < {k} : {k}" for k in range(5 - count, 5))
+    return f"piecewise({tests}, else : 5)"
+
+
+LIMITS = {
+    "3,000 branches": branches(3000),
+    # each level adds a *k wrap of the sum so far in the scaled kernel
+    "prime chain": "x" + "".join(f" + 1/{p}" for p in primes(MAX_DEPTH - 2)),
+    "1,000-argument min": f"min({', '.join(f'x - {k}' for k in range(1000))})",
+    "nested piecewise": nested_piecewise(MAX_DEPTH - 2),
+}
+
+
+@pytest.mark.parametrize("text", LIMITS.values(), ids=LIMITS.keys())
+def test_formulas_at_the_limits_compile_exact_and_scaled(text):
+    formula = Formula.parse(text, ("x",))
+    kernel, den = formula.scaled(6)
+    for x in (Fraction(-2999), Fraction(-7, 2), Fraction(0), Fraction(5, 3), 6):
+        want = reference(formula.ast, {"x": x})
+        assert formula(x) == want
+        assert Fraction(kernel((int(x * 6),)), den) == want
+
+
+def test_a_3000_branch_map_runs_from_the_command_line(tmp_path):
+    path = tmp_path / "branches.json"
+    path.write_text(json.dumps({
+        "name": "branches",
+        "space": {"kind": "real_grid", "lo": 0, "hi": 10, "step": 1,
+                  "smetric": {"kind": "formula", "expr": SUM_ABS}},
+        "map": {"kind": "formula", "expr": branches(3000)},
+        "checks": [{"check": "fix_set", "expect": [5]}, {"check": "solve", "x0": 0}],
+    }))
+    result = run_cli("run", "--input", str(path), timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    report = json.loads(result.stdout)
+    assert [c["verdict"] for c in report["checks"]] == ["pass", "pass"]
+    assert report["checks"][1]["points"] == ["0", "1", "2", "3", "4", "5", "5"]
+
+
+def test_each_kernel_is_built_once():
+    formula = Formula.parse("x/2 + 1", ("x",))
+    assert formula.scaled(10) is formula.scaled(10)
+    assert formula.scaled(20) is not formula.scaled(10)
+    assert formula.exact is formula.exact
+    assert Formula.parse("1/x", ("x",)).scaled(10) is None
+
+
+def test_a_den_past_4300_digits_compiles():
+    formula = Formula.parse("x/3 + 1/7 + x*x*x*x", ("x",))
+    scale = 2**8000
+    kernel, den = formula.scaled(scale)
+    assert den > 10**4300  # its repr raises ValueError on Python 3.11+
+    for x in (Fraction(3, 2), Fraction(-5, 4)):
+        want = reference(formula.ast, {"x": x})
+        assert Fraction(kernel((int(x * scale),)), den) == want
+
+
+def test_a_zero_divisor_in_a_branch_not_taken_does_not_raise():
+    formula = Formula.parse(
+        "piecewise(x < 0 : 1/(x - x), x > 5 : x/0, else : x)", ("x",)
+    )
+    assert formula(2) == 2
+    assert Formula.parse("piecewise(1/x > 0 : 1, else : 2)", ("x",))(-1) == 2
+
+
+@pytest.mark.parametrize(
+    "text", ["1/(x - 1)", "x/0", "(1/0)/(x - 1)", "abs(2/(x - x))"]
+)
+def test_a_zero_divisor_raises_division_by_zero(text):
+    with pytest.raises(ExprEvalError) as excinfo:
+        Formula.parse(text, ("x",))(1)
+    assert str(excinfo.value) == "division by zero"
+    assert excinfo.value.__context__ is None
+
+
+def test_no_formula_text_reaches_the_kernel_source():
+    odd = ("__import__('os')", "x y")
+    formula = Formula(BinOp("-", Var(odd[0]), Var(odd[1])), odd)
+    assert formula(5, 2) == 3
+    assert formula.scaled(4)[0]((20, 8)) == 12
+    with pytest.raises(ExprEvalError, match="cannot evaluate node"):
+        Formula(Call("exec", (Num(Fraction(1)), Num(Fraction(2)))), ())()
