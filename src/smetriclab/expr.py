@@ -498,7 +498,7 @@ class Formula:
 
     @functools.cached_property
     def exact(self) -> Callable[..., Fraction]:
-        """The kernel over exact fractions, one per variable."""
+        """The kernel over exact fractions, one argument per variable."""
         return _kernel(self.ast, self.variables)[0]
 
     def __call__(self, *values: object) -> Fraction:
