@@ -34,25 +34,21 @@ from .experiment import (
     ExperimentSpec,
     build_check,
     load_experiment,
+    positive,
+    read_literal,
 )
-from .numeric import LiteralBoundError, read_number
 from .runner import CHECK_FAMILIES, RunReport, render_text, run
 from .space import SUBSAMPLE_NODES, subsample
 
 
 def _tolerance_arg(text: str) -> Fraction:
+    """``--tolerance``, read by the rules of the file's ``tolerance``."""
     try:
-        value = read_number(text)
-        float(value)  # the report states the tolerance as a float
-    except LiteralBoundError as e:
-        raise argparse.ArgumentTypeError(f"tolerance {e}") from None
-    except OverflowError:
-        raise argparse.ArgumentTypeError("tolerance is too large for a float") from None
+        return positive(read_literal(text), "tolerance", None)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
-    return value
+    except ConfigError as e:
+        raise argparse.ArgumentTypeError(f"{e.path} {e.reason}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

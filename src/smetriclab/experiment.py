@@ -12,6 +12,7 @@ the JSON path of the offending field, for example
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -23,7 +24,7 @@ from pathlib import Path
 from .contraction import ContractionParams, GaugeSpec
 from .expr import ExprError, Formula
 from .mapping import FormulaMapping, Mapping, TableMapping
-from .numeric import DEFAULT_TOL, read_number, to_fraction
+from .numeric import DEFAULT_TOL, LiteralBoundError, format_decimal, read_number
 from .space import (
     FormulaMetric,
     FormulaSMetric,
@@ -116,8 +117,8 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     try:
         doc = json.loads(
             text,
-            parse_float=_parse_number,
-            parse_int=_parse_number,
+            parse_float=read_literal,
+            parse_int=functools.partial(read_literal, kind=int),
             parse_constant=_reject_constant,
         )
     except (ValueError, RecursionError) as e:  # RecursionError: deep nesting
@@ -127,14 +128,13 @@ def load_experiment(path: str | Path) -> ExperimentSpec:
     return build_experiment(doc, default_name=path.stem)
 
 
-def _parse_number(text: str) -> object:
-    """A literal's exact value, an int when written as one, or the error
-    its field's reader reports."""
+def read_literal(text: str, kind: type = Fraction) -> object:
+    """A number literal's exact value, read once as ``kind``, or, past
+    the digit bound, the error its field's reader reports."""
     try:
-        value = read_number(text)
-    except ValueError as e:
+        return read_number(text, kind)
+    except LiteralBoundError as e:
         return e
-    return int(value) if text.lstrip("-").isdigit() else value
 
 
 def _unread(raw: object, path: str) -> None:
@@ -155,8 +155,7 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
     name = doc.get("name", default_name)
     _require(isinstance(name, str) and name, "name", "must be a nonempty string")
 
-    tolerance = number(doc.get("tolerance", DEFAULT_TOL), "tolerance")
-    _require(tolerance > 0, "tolerance", "must be positive")
+    tolerance = positive(doc.get("tolerance", DEFAULT_TOL), "tolerance", None)
 
     _require("space" in doc, "space", "is required")
     space = _build_space(doc["space"])
@@ -191,14 +190,14 @@ def build_experiment(doc: dict, default_name: str = "experiment") -> ExperimentS
     )
 
 
-def number(value: object, path: str, declared: object = None) -> Fraction:
-    """An exact JSON number; also the check-table reader of one."""
+def number(value: object, path: str, declared: object = None) -> int | Fraction:
+    """An exact JSON number, int or Fraction as read; a check-table reader too."""
     _unread(value, path)
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ConfigError(path, "must be a number")
     with _at(path, "is too large for a float"):
         float(value)  # evidence and the report's tolerance are floats
-    return to_fraction(value)
+    return value
 
 
 def _build_space(node: object) -> Space:
@@ -210,7 +209,9 @@ def _build_space(node: object) -> Space:
         if not isinstance(pts, list) or not pts:
             raise ConfigError("space.points", "must be a nonempty list")
         points = [
-            _point_literal(p, f"space.points[{i}]", "must be a number or string")
+            as_point(
+                _point_literal(p, f"space.points[{i}]", "must be a number or string")
+            )
             for i, p in enumerate(pts)
         ]
         smetric = _build_smetric(node["smetric"], points, kind)
@@ -232,7 +233,7 @@ def _build_space(node: object) -> Space:
         )
         # validate a generated metric on the grid's subsample; the full
         # grid would make the triangle sweep cubic in 10^3+ points
-        probe = [lo + i * step for i in subsample(count + 1)]
+        probe = [as_point(lo + i * step) for i in subsample(count + 1)]
         smetric = _build_smetric(node["smetric"], probe, kind)
         space = Space.real_grid(lo, hi, step, smetric)
     return space
@@ -243,15 +244,13 @@ def _build_smetric(node: object, points: list, kind: str) -> SMetric:
     skind = _kind(node, path, _SMETRICS, "must be 'formula', 'table', or 'generated'")
     if skind == "formula":
         formula = _formula(node.get("expr"), ("x", "y", "z"), f"{path}.expr")
-        if any(isinstance(p, str) for p in points):
-            raise ConfigError(
-                "space.points", "a formula S-metric needs numeric points"
-            )
+        _require(all(p.value is not None for p in points), "space.points",
+                 "a formula S-metric needs numeric points")
         return FormulaSMetric(formula)
     if skind == "table":
         _require(kind == "finite", path, "a table S-metric needs a finite space")
         table = _table(node.get("entries"), path, 3, points)
-        for triple in itertools.product(map(_label_of, points), repeat=3):
+        for triple in itertools.product([p.label for p in points], repeat=3):
             if triple not in table:
                 raise ConfigError(
                     f"{path}.entries", f"missing entry for ({', '.join(triple)})"
@@ -268,33 +267,32 @@ def _build_metric(
     mkind = _kind(node, path, _FORMULA_OR_TABLE, "must be 'formula' or 'table'")
     if mkind == "formula":
         formula = _formula(node.get("expr"), ("x", "y"), f"{path}.expr")
-        if any(isinstance(p, str) for p in points):
-            raise ConfigError(
-                "space.points", "a formula metric needs numeric points"
-            )
+        _require(all(p.value is not None for p in points), "space.points",
+                 "a formula metric needs numeric points")
         return FormulaMetric(formula)
     _require(kind == "finite", path, "a table metric needs a finite space")
     return TableMetric(_table(node.get("entries"), path, 2, points))
 
 
-def _label_of(p: object) -> str:
-    return p if isinstance(p, str) else as_point(p).label
-
-
 def _table(node: object, path: str, arity: int, points: list) -> dict:
     """The rows of ``node`` keyed by label tuples, every label one of
-    ``points``; ``path`` names the table's metric."""
+    ``points``; ``path`` names the table's metric.  A numeric reference
+    names the point at its value, or else the label its decimal spells."""
     path = f"{path}.entries"
     _require(isinstance(node, list) and node, path, "must be a nonempty list")
+    label = {p.value: p.label for p in points if p.value is not None}
     rows = []
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != arity + 1:
             raise ConfigError(
                 f"{path}[{i}]", f"must be a list of {arity} points and a value"
             )
-        refs = tuple(_label_of(_point_literal(r, f"{path}[{i}]")) for r in row[:arity])
+        refs = [_point_literal(r, f"{path}[{i}]") for r in row[:arity]]
+        refs = tuple(
+            r if isinstance(r, str) else label.get(r) or format_decimal(r) for r in refs
+        )
         rows.append((refs, number(row[arity], f"{path}[{i}]")))
-    labels = {_label_of(p) for p in points}
+    labels = {p.label for p in points}
     for i, (refs, _) in enumerate(rows):
         for r in refs:
             if r not in labels:
@@ -310,7 +308,7 @@ def _point_literal(
     _unread(ref, path)
     if isinstance(ref, bool) or not isinstance(ref, (int, Fraction)):
         raise ConfigError(path, message)
-    return to_fraction(ref)
+    return ref
 
 
 def _formula(text: object, variables: tuple[str, ...], path: str) -> Formula:
@@ -629,12 +627,12 @@ def _exact(node: object) -> object:
 def describe(value: object) -> object:
     """JSON-ready form of a check option or evidence value.
 
-    Points become their labels and rationals floats; lists and tuples are
-    converted element by element; anything else (ints, bools, strings,
-    None) is kept as is.
+    Points become their labels and exact numbers floats, a Fraction or
+    an int as its literal was read; lists and tuples are converted element
+    by element; anything else (bools, strings, None) is kept as is.
     """
     kind = type(value)  # exact types first: reports convert many values
-    if kind is Fraction:
+    if kind is Fraction or kind is int:
         # what float(value) computes, without its Python-level method call
         return value.numerator / value.denominator
     if kind is Point:

@@ -33,6 +33,7 @@ unless the formula divides by a variable or by 0.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -464,6 +465,10 @@ class _Source:
         raise ExprEvalError(f"cannot evaluate node {node!r}")
 
 
+#: Builds so far: a kernel's filename, so a profile keeps one entry per kernel.
+_builds = itertools.count(1)
+
+
 def _kernel(
     node: Expr, variables: tuple[str, ...], scale: int | None = None
 ) -> tuple[Callable, int]:
@@ -478,7 +483,8 @@ def _kernel(
     else:
         unpack = [f"{source.args}, = v"] if variables else []
         source.define([*unpack, *body], "def kernel(v):")
-    exec("\n".join(source.defs), source.names)
+    code = compile("\n".join(source.defs), f"<kernel {next(_builds)}>", "exec")
+    exec(code, source.names)
     return source.names["kernel"], den
 
 

@@ -33,8 +33,9 @@ class LiteralBoundError(ValueError):
     """A number literal longer than ``MAX_LITERAL_DIGITS`` written out."""
 
 
-def read_number(text: str) -> Fraction:
-    """The exact value of a number literal such as "0.01" or "1e-9".
+def read_number(text: str, kind: type = Fraction) -> int | Fraction:
+    """The exact value of a number literal such as "0.01" or "1e-9", read
+    as ``kind``: ``int`` reads an integer literal without a Fraction.
 
     Past the bound it raises LiteralBoundError before building any integer,
     so "1e99999999" fails at once; text that is not a number raises
@@ -50,13 +51,13 @@ def read_number(text: str) -> Fraction:
         raise LiteralBoundError(
             f"has more than {MAX_LITERAL_DIGITS} digits when written out"
         )
-    return Fraction(text)
+    return kind(text)
 
 
 def to_fraction(x: object) -> Fraction:
     """Coerce a number to an exact Fraction.
 
-    Ints and Fractions pass through.  Strings are read as exact decimals
+    Fractions pass through.  Strings are read as exact decimals
     by :func:`read_number` ("0.75" -> 3/4).  Floats convert via their
     exact binary value, so pass decimal strings (or go through the JSON
     loader) when the literal decimal matters.
@@ -106,14 +107,13 @@ def _decimal(n: int, places: int) -> str:
     return f"{whole}.{str(frac).rjust(places, '0').rstrip('0')}"
 
 
-def format_decimal(q: Fraction) -> str:
+def format_decimal(q: int | Fraction) -> str:
     """Canonical short string for a rational.
 
     Values with a finite decimal expansion print as plain decimals with no
     trailing zeros ("3", "-0.5", "3.01").  Anything else falls back to the
     "n/d" form, which the expression grammar reads back as a division.
     """
-    q = Fraction(q)
     sign = "-" if q < 0 else ""
     n, d = abs(q.numerator), q.denominator
     places = _places(d)

@@ -213,8 +213,10 @@ def _rows(keys, rows):
 
 
 def _fields(result, keys):
-    """Evidence record of the named fields of a kernel's result."""
-    return {key: describe(getattr(result, key)) for key in keys}
+    """Evidence record of the named fields of a kernel's result; an int
+    there is a count (a step, a period, an index), kept as it is."""
+    fields = {key: getattr(result, key) for key in keys}
+    return {k: v if type(v) is int else describe(v) for k, v in fields.items()}
 
 
 def _meets(options, key, actual, details):
@@ -257,7 +259,7 @@ def _run_triangle(spec, options, tol):
     bad = check_triangle(spec.space, options["sample"], tol)
     return not bad, {
         "violations": _rows(("triple", "lhs", "rhs"), bad),
-        "triples_checked": len(options["sample"] or spec.space) ** 3,
+        "triples_checked": len(set(options["sample"] or spec.space.points)) ** 3,
     }
 
 

@@ -76,7 +76,7 @@ def as_point(ref: object) -> Point:
         return ref
     if isinstance(ref, str):
         return Point(ref)
-    value = to_fraction(ref)
+    value = ref if type(ref) is int else to_fraction(ref)  # an int stays one
     return Point(format_decimal(value), value)
 
 
@@ -99,9 +99,8 @@ class TableMetric(Metric):
         full = dict(entries)
         for (x, y), v in entries.items():
             full.setdefault((y, x), v)
-        for x, y in list(full):
-            full.setdefault((x, x), Fraction(0))
-            full.setdefault((y, y), Fraction(0))
+            full.setdefault((x, x), 0)
+            full.setdefault((y, y), 0)
         self.entries = full
 
     def distance(self, x: Point, y: Point) -> Fraction:
@@ -188,8 +187,7 @@ def grid_steps(lo: Fraction, hi: Fraction, step: Fraction) -> int:
         raise GridBoundError("step", "grid step must be positive")
     if hi < lo:
         raise GridBoundError("hi", "must be at least lo")
-    span = (hi - lo) / step
-    return span.numerator // span.denominator
+    return (hi - lo) // step
 
 
 #: Nodes of a larger grid's subsample: the nodes a generated metric is
@@ -279,12 +277,11 @@ class Space:
                 return self._by_label[ref]
             except KeyError:
                 raise UnknownPointError(f"unknown point label {ref!r}") from None
-        value = to_fraction(ref)
-        try:
-            return self._by_value[value]
+        try:  # equal numbers hash alike, whatever their type
+            return self._by_value[ref]
         except KeyError:
             raise UnknownPointError(
-                f"no point at coordinate {format_decimal(value)}"
+                f"no point at coordinate {format_decimal(to_fraction(ref))}"
             ) from None
 
     def coerce(self, ref: object) -> Point:
@@ -294,8 +291,7 @@ class Space:
             return self._by_label.get(ref.label, ref)
         if isinstance(ref, str):
             return self.resolve(ref)
-        value = to_fraction(ref)
-        return self._by_value.get(value) or as_point(value)
+        return self._by_value.get(ref) or as_point(ref)
 
     def sampled(self, sample: list[object] | None) -> list[Point]:
         """The sample's points, or the whole universe when none is given."""
@@ -308,10 +304,10 @@ class Space:
     def _s_on(
         self, sample: list[object] | None
     ) -> tuple[tuple[Point, ...], _Memo | _FromMetric]:
-        """The sample's points and S read on them, kept per sample so that
-        the distance-structure checks read each value of S once between
-        them (S is taken not to change)."""
-        pts = tuple(self.sampled(sample))
+        """The sample's distinct points, in first-seen order, and S read on
+        them, kept per sample so that the distance-structure checks read
+        each value of S once between them (S is taken not to change)."""
+        pts = tuple(dict.fromkeys(self.sampled(sample)))
         if pts not in self._s_memo:
             self._s_memo[pts] = _read_s(self, pts)
         return pts, self._s_memo[pts]

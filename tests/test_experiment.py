@@ -240,6 +240,104 @@ def test_cli_tolerance_past_the_limits_is_an_argument_error(tolerance, message):
     assert result.stderr.endswith(f"error: argument --tolerance: {message}\n")
 
 
+#: Each ``--tolerance`` error: the flag's text, its message, and the
+#: file's ``tolerance`` literal that gives the same rule (None when the
+#: text is no JSON number).
+TOLERANCE_ERRORS = {
+    "word": ("abc", "not a number: 'abc'", None),
+    "zero divisor": ("1/0", "not a number: '1/0'", None),
+    "zero": ("0", "tolerance must be positive", "0"),
+    "negative": ("-1", "tolerance must be positive", "-1"),
+    "1001 digits": (DIGITS_1001, f"tolerance {TOO_LONG}", DIGITS_1001),
+    "past float range": ("1e400", "tolerance is too large for a float", "1e400"),
+}
+
+
+@pytest.mark.parametrize("case", TOLERANCE_ERRORS)
+def test_the_flag_and_the_file_read_a_tolerance_alike(tmp_path, capsys, case):
+    text, message, literal = TOLERANCE_ERRORS[case]
+    with pytest.raises(SystemExit) as flag:
+        cli.main(["run", "--input", str(fixture_path("example_2_2.json")),
+                  "--tolerance", text])
+    assert flag.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument --tolerance: {message}\n"
+    )
+    if literal is not None:  # the file's message: the same words, a colon
+        path = tmp_path / "tolerance.json"
+        doc = json.dumps(band_doc(checks=[{"check": "axioms"}]), default=float)
+        path.write_text(doc[:-1] + f', "tolerance": {literal}}}')
+        assert cli.main(["run", "--input", str(path)]) == 2
+        path_, reason = message.split(" ", 1)
+        assert capsys.readouterr().err == f"error: {path_}: {reason}\n"
+
+
+def test_a_tolerance_flag_of_one_third_is_read_exactly(capsys):
+    assert cli._tolerance_arg("1/3") == Fraction(1, 3)
+    path = str(fixture_path("example_2_2.json"))
+    assert cli.main(["axioms", "--input", path, "--tolerance", "1/3"]) == 0
+    assert json.loads(capsys.readouterr().out)["tolerance"] == 1 / 3
+
+
+def test_the_echo_keeps_each_literal_as_written(tmp_path):
+    path = tmp_path / "literals.json"
+    doc = json.dumps(band_doc(), default=float)
+    path.write_text(doc.replace("[0, 2, 4, 8]", "[1, 1.5e0, 2.0, -0]"))
+    spec = load_experiment(path)
+    points = spec.echo["space"]["points"]
+    assert json.dumps(points) == (
+        '[1, {"num": 3, "den": 2}, {"num": 2, "den": 1}, 0]'
+    )
+    assert [type(p.value) for p in spec.space.points] == [int, Fraction, Fraction, int]
+    assert [p.label for p in spec.space.points] == ["1", "1.5", "2", "0"]
+
+
+def test_integer_literals_load_without_a_fraction(tmp_path):
+    # a table S on integer points, so that the document holds only
+    # integer literals and loading it validates nothing at a default tol
+    xs = [0, 3]
+    entries = [[x, y, z, abs(x - z) + abs(y - z)] for x in xs for y in xs for z in xs]
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({
+        "tolerance": 1,
+        "space": {"kind": "finite", "points": xs,
+                  "smetric": {"kind": "table", "entries": entries}},
+        "checks": [{"check": "axioms", "sample": [3, 0]}, {"check": "triangle"}],
+    }))
+    built, new = [], vars(Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        spec = load_experiment(path)
+    finally:
+        Fraction.__new__ = new
+    assert built == []
+    assert [type(p.value) for p in spec.space.points] == [int, int]
+    assert spec.tolerance == 1 and type(spec.tolerance) is int
+    report = run(spec).report
+    assert report["tolerance"] == 1.0
+    assert [c["verdict"] for c in report["checks"]] == ["pass", "pass"]
+
+
+def test_a_repeated_sample_point_changes_no_sweep_record():
+    def records(sample):
+        return run(build_experiment({
+            "space": {"kind": "finite", "points": [0, 2, 5],
+                      "smetric": {"kind": "formula", "expr": SUM_ABS}},
+            "checks": [{"check": name, "sample": sample}
+                       for name in ("axioms", "symmetry", "triangle", "generated")],
+        })).report["checks"]
+
+    once = records([0, 2])
+    assert once == records([0, 0, 2, 0])
+    assert [c["verdict"] for c in once] == ["pass"] * 4
+    assert once[2]["triples_checked"] == 8
+
+
 def test_sequence_specs_expand_exactly():
     listed = SequenceSpec(values=[Fraction(1), Fraction(1, 2)])
     assert listed.expand() == [1, Fraction(1, 2)]

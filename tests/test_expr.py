@@ -1,6 +1,7 @@
 """Parser, evaluator, and canonical printer for the expression language."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -323,6 +324,21 @@ def test_each_kernel_is_built_once():
     assert formula.scaled(20) is not formula.scaled(10)
     assert formula.exact is formula.exact
     assert Formula.parse("1/x", ("x",)).scaled(10) is None
+
+
+def test_each_kernel_compiles_under_its_own_filename():
+    formula, again = (Formula.parse("x/2 + 1", ("x",)) for _ in range(2))
+    kernels = (formula.exact, again.exact, formula.scaled(10)[0])
+    names = {kernel.__code__.co_filename for kernel in kernels}
+    assert len(names) == 3  # a profile tells them apart
+    assert all(re.fullmatch(r"<kernel \d+>", name) for name in names)
+
+
+def test_a_piecewise_def_carries_its_kernels_filename():
+    kernel = Formula.parse("piecewise(x < 0 : -x, else : x) + 1", ("x",)).exact
+    assert kernel(Fraction(-2)) == 3
+    piece = kernel.__globals__["f0"]
+    assert piece.__code__.co_filename == kernel.__code__.co_filename
 
 
 def test_a_den_past_4300_digits_compiles():

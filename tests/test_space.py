@@ -274,7 +274,7 @@ def test_closure_metrics_generate_axiom_clean_spaces(seed, size):
 
 def reference_axioms(space, sample=None, tol=DEFAULT_TOL):
     tol = to_fraction(tol)
-    pts = space.sampled(sample)
+    pts = list(dict.fromkeys(space.sampled(sample)))  # distinct, first seen
     cache = {}
 
     def s(i, j, k):
@@ -305,7 +305,7 @@ def reference_axioms(space, sample=None, tol=DEFAULT_TOL):
 
 def reference_triangle(space, sample=None, tol=DEFAULT_TOL):
     tol = to_fraction(tol)
-    pts = space.sampled(sample)
+    pts = list(dict.fromkeys(space.sampled(sample)))  # distinct, first seen
     pair = {}
 
     def ds(i, j):
@@ -329,7 +329,7 @@ def reference_triangle(space, sample=None, tol=DEFAULT_TOL):
 
 def reference_generated(space, sample=None, tol=DEFAULT_TOL):
     tol = to_fraction(tol)
-    pts = space.sampled(sample)
+    pts = list(dict.fromkeys(space.sampled(sample)))  # distinct, first seen
     n = len(pts)
     half = {}
 
@@ -357,7 +357,7 @@ def reference_generated(space, sample=None, tol=DEFAULT_TOL):
 def reference_symmetry(space, sample=None, tol=DEFAULT_TOL):
     tol = to_fraction(tol)
     bad = []
-    for x, y in itertools.combinations(space.sampled(sample), 2):
+    for x, y in itertools.combinations(dict.fromkeys(space.sampled(sample)), 2):
         forward = space.smetric.triple(x, x, y)
         backward = space.smetric.triple(y, y, x)
         if abs(forward - backward) > tol:
@@ -547,6 +547,28 @@ def test_sweeps_evaluate_s_in_the_order_of_the_fraction_loops(
         _outcome(lambda: kernel(Space("finite", space.points, new), sample, tol))
         _outcome(lambda: reference(Space("finite", space.points, old), sample, tol))
         assert list(dict.fromkeys(new.calls)) == list(dict.fromkeys(old.calls))
+
+
+def test_a_repeated_sample_point_is_not_an_s1_violation():
+    # S(x, x, x) = 0 whatever sample indices x sits at
+    space = Space.finite([0, 2], sum_abs_smetric())
+    repeated = check_axioms(space, [0, 0, 2])
+    assert repeated.passed
+    assert repeated == check_axioms(space, [0, 2])
+    assert (repeated.triples_checked, repeated.quadruples_checked) == (8, 16)
+
+
+@settings(max_examples=ORACLE_EXAMPLES, deadline=None)
+@given(sampled_spaces(), TOLERANCES, st.data())
+def test_repeating_a_sample_point_changes_no_sweep(space_and_sample, tol, data):
+    space, sample = space_and_sample
+    sample = sample or [p.label for p in space.points]
+    repeated = sample + data.draw(st.lists(st.sampled_from(sample), min_size=1))
+    for kernel, _ in SWEEPS:
+        once, again = (Space("finite", space.points, space.smetric) for _ in "12")
+        assert _outcome(lambda: kernel(once, sample, tol)) == _outcome(
+            lambda: kernel(again, repeated, tol)
+        ), kernel.__name__
 
 
 @settings(max_examples=200, deadline=None)
