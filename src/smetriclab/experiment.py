@@ -43,11 +43,11 @@ from .space import (
 )
 
 #: Caps checked as a document is read: grid nodes, the pairs or triples a
-#: check entry sweeps when it lists no pairs (its sample's or universe's
-#: points, to the power its table entry gives), sequence terms (of one
-#: formula, and of all an entry's sequences together), and map
-#: applications of a ``solve_power`` orbit (m per step, for at most
-#: len(universe) + 1 steps before it cycles or converges).
+#: check entry sweeps when it lists no pairs (its sample's points, distinct
+#: ones for the axiom family, or the universe's, to the power its table
+#: entry gives), sequence terms (of one formula, and of all an entry's
+#: sequences together), and map applications of a ``solve_power`` orbit (m
+#: per step, for at most len(universe) + 1 steps before it cycles or converges).
 MAX_GRID_NODES = 100_000
 MAX_SWEEP = 100_000
 MAX_SEQUENCE_TERMS = 100_000
@@ -432,7 +432,8 @@ def build_check(entry: object, path: str, declared: Declared) -> CheckSpec:
         path, "takes pairs or sample, not both",
     )
     if check.sweep and options.get("pairs") is None:
-        count = len(options["sample"] or declared.space) ** check.sweep
+        points = options["sample"] or declared.space.points
+        count = len(set(points) if check.family == "axioms" else points) ** check.sweep
         tuples = "pairs" if check.sweep == 2 else "triples"
         _require(
             count <= MAX_SWEEP, path,

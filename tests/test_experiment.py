@@ -338,6 +338,17 @@ def test_a_repeated_sample_point_changes_no_sweep_record():
     assert once[2]["triples_checked"] == 8
 
 
+def test_the_sweep_cap_counts_the_points_each_check_sweeps():
+    # the axiom family sweeps a sample's distinct points; the contraction
+    # conditions sweep every ordered pair of the sample as listed
+    repeated = {"check": "axioms", "sample": [0, 2] * 24}
+    spec = build_experiment(band_doc(checks=[repeated]))
+    assert run(spec).report["checks"][0]["triples_checked"] == 8
+    repeated = {"check": "condition_i", "mode": "strict", "sample": [0, 2] * 159}
+    with pytest.raises(ConfigError, match="sweeps 101124 pairs, over the cap"):
+        build_experiment(band_doc(checks=[repeated]))
+
+
 def test_sequence_specs_expand_exactly():
     listed = SequenceSpec(values=[Fraction(1), Fraction(1, 2)])
     assert listed.expand() == [1, Fraction(1, 2)]
