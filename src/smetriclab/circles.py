@@ -20,7 +20,7 @@ moves, that is flagged as a hard inconsistency rather than a plain
 failure, since it contradicts the theorem itself.
 
 One pass over the sample evaluates each of these values at most once
-per point.  On a grid, membership has its own margin: half the steepest
+per point, and on the lattice the two checks share it (``_rows``).  On a grid, membership has its own margin: half the steepest
 slope of S(., ., x0) between neighbouring sample coordinates, times the
 step.  Finite universes use the plain margin tol.
 
@@ -52,16 +52,26 @@ class _Row:
     image_dist: object = None  # S(Tx, Tx, x0)
 
 
-def _rows(space, mapping, a, b, center, pts, tol, every_dist):
+def _rows(space, mapping, a, b, center, sample, tol, every_dist):
     """How the call reads its values, the row of each sampled point, in
     sample order, and the (point, lhs, rhs) violations of the x0-bound.
 
     A point that moves gets every term of the x0-bound; S(x, x, x0) is
-    taken on the others only when ``every_dist`` asks for it.
+    taken on the others only when ``every_dist`` asks for it, or when the
+    pass is read on the lattice.  There the int kernels cannot raise, so
+    reading it on every point is not observable, and the space keeps the
+    pass under these options for the next check to reuse (the map and S
+    are taken not to change).  Off the lattice each call reads its own.
     """
     # the x0-bound times w, so that a and b/2 become integers
     w, wa, wb, _ = _folded(ContractionParams(a, b, 0))  # checks a and b
+    pts = space.sampled(sample)
+    key = (mapping, a, b, center.label, tol,
+           tuple(p.label for p in pts) if sample else None)
+    if key in space._passes:
+        return space._passes[key]
     read = _read(space, mapping, [center, *pts])
+    every_dist = every_dist or read.scale is not None
     s, (c, *xs) = read.s, read.points
     tc = read.t(c)
     moves, slack = read.cut(tol), read.cut(tol * w)
@@ -78,6 +88,8 @@ def _rows(space, mapping, a, b, center, pts, tol, every_dist):
             if row.moved * w > bound + slack:
                 violations.append((p, read.exact(row.moved), read.exact(bound, w)))
         rows.append(row)
+    if read.scale is not None:
+        space._passes[key] = read, rows, violations
     return read, rows, violations
 
 
@@ -110,10 +122,9 @@ def verify_zamfirescu_x0(
     """
     tol = to_fraction(tol)
     _, _, violations = _rows(
-        space, mapping, a, b, space.resolve(x0), space.sampled(sample), tol,
-        every_dist=False,
+        space, mapping, a, b, space.resolve(x0), sample, tol, every_dist=False
     )
-    return violations
+    return list(violations)
 
 
 @dataclass
@@ -157,8 +168,7 @@ def check_fixed_circle(
     tol = to_fraction(tol)
     center = space.resolve(x0)
     read, rows, zam = _rows(
-        space, mapping, a, b, center, space.sampled(sample), tol,
-        every_dist=True,
+        space, mapping, a, b, center, sample, tol, every_dist=True
     )
     moves = read.cut(tol)
     radius = min((r.moved for r in rows if r.moved > moves), default=0)
@@ -191,7 +201,7 @@ def check_fixed_circle(
         rho=read.exact(radius),
         circle_points=[r.point for r in circle],
         disc_points=[r.point for r in disc],
-        zamfirescu_violations=zam,
+        zamfirescu_violations=list(zam),
         hypothesis_violations=hypothesis_violations,
         circle_fixed=circle_fixed,
         disc_fixed=not nonfixed,

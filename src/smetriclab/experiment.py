@@ -77,7 +77,7 @@ class SequenceSpec:
             return list(self.values)
         assert self.expr is not None
         kernel = self.expr.exact  # one variable, n, fixed at load
-        return [kernel(Fraction(n)) for n in range(self.n_from, self.n_to + 1)]
+        return [kernel(n) for n in range(self.n_from, self.n_to + 1)]
 
 
 @dataclass

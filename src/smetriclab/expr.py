@@ -26,8 +26,10 @@ unary minus) and in its tree (``1 + 2 + 3`` is three levels); deeper input
 is a syntax error, so no recursion over it exhausts Python's stack.
 :class:`Formula` turns its tree into generated Python functions, its
 kernels, each built on first use and kept: ``Formula.exact`` over exact
-fractions, and :meth:`Formula.scaled` one per input scale over integers,
-unless the formula divides by a variable or by 0.
+numbers, and :meth:`Formula.scaled` one per input scale over integers,
+unless the formula divides by a variable or by 0.  Both read every node
+as an integer pair (numerator, den); the exact kernel builds one
+``Fraction`` per result, from the last pair.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -355,113 +358,250 @@ def _divide_by_zero():
     raise ExprEvalError("division by zero")
 
 
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": operator.truediv, "abs": abs, "min": min, "max": max}
+
+
+def _value(node: Expr) -> Fraction | None:
+    """The value of a node built from numbers without piecewise, when it
+    divides by no 0; else None."""
+    match node:
+        case Num(value):
+            return value
+        case Neg(operand):
+            value = _value(operand)
+            return None if value is None else -value
+        case BinOp(op, left, right):
+            values = [_value(left), _value(right)]
+        case Call(op, args):
+            values = [_value(arg) for arg in args]
+        case _:
+            return None
+    if None in values or (op == "/" and not values[1]):
+        return None
+    return _OPS[op](*values)
+
+
 class _Source:
     """The Python source of one formula, exact (``scale`` None) or at one
-    scale.  Its text holds internal names only: ``v0, v1, ...`` for the
-    variables, ``c...`` for constants bound in its globals, ``f...`` for
-    defs and ``t...`` for divisors; no formula text and no int literal
-    reaches the compiler.  A piecewise is a def of flat ``if`` lines, so
-    any number of branches compiles.  Each other operation is one
-    expression in parentheses.  Each level of the tree opens at most two
-    (its own and a ``times`` wrap, or a divisor's two), so a formula
-    within ``MAX_DEPTH`` nests at most 198, under the 200 that CPython's
-    tokenizer takes."""
+    scale.  Each node is read as an integer pair (p, q), q > 0, worth p/q.
+    A den q known when the source is written is a static int: a literal's,
+    and at a scale a variable's, which is the scale.  An exact variable's
+    den is dynamic, read from its argument, and a den built from dynamic
+    ones is kept in a temp, so no text is written twice.  The exact kernel
+    builds one ``Fraction`` per result, at ``return`` (a bare variable is
+    returned as it came); a scaled kernel returns p over one static den.
+    Its text holds internal names only: ``v0, v1, ...`` for the arguments,
+    ``n0, d0, ...`` for their numerators and dens, ``c...`` for int
+    constants bound in its globals, ``f...`` for defs and ``t...`` for
+    temps; no formula text and no formula constant reaches the compiler.
+    A piecewise is a def of flat ``if`` lines, so any number of branches
+    compiles.  Each other node is one expression in parentheses, after the
+    statements it needs.  Each level of the tree opens at most two
+    parentheses around a child, so a formula within ``MAX_DEPTH`` nests at
+    most 198, under the 200 that CPython's tokenizer takes."""
 
     def __init__(self, variables: tuple[str, ...], scale: int | None):
-        self.vars = {name: f"v{i}" for i, name in enumerate(variables)}
-        self.args = ", ".join(self.vars.values())
+        self.index = {name: i for i, name in enumerate(variables)}
+        self.args = ", ".join(f"v{i}" for i in range(len(variables)))
         self.scale = scale
         self.names: dict = {
             "__builtins__": {"abs": abs, "min": min, "max": max},
             "_zero": _divide_by_zero,
+            "_gcd": math.gcd,
+            "_fraction": Fraction,
         }
         self.defs: list[str] = []
         self.temps = 0
+        self.used: set[int] = set()  # the variables the current def reads
 
-    def const(self, value: object) -> str:
+    def const(self, value: int) -> str:
         name = f"c{len(self.names)}"
         self.names[name] = value
         return name
 
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def let(self, out: list[str], text: str) -> str:
+        """A temp that a statement appended to ``out`` sets to ``text``."""
+        name = self.temp()
+        out.append(f"{name} = {text}")
+        return name
+
+    def den(self, q: int | str) -> str:
+        return self.const(q) if type(q) is int else q
+
+    def times(self, text: str, k: int | str) -> str:
+        """``text`` times ``k``, a static int or a dynamic name."""
+        if k == 1:
+            return text
+        if type(k) is int and text in self.names:  # a constant times k
+            return self.const(self.names[text] * k)
+        if self.names.get(text) == 1:
+            return k
+        return f"({text} * {self.den(k)})"
+
+    def product(self, out: list[str], qa: int | str, qb: int | str) -> int | str:
+        if type(qa) is int and type(qb) is int:
+            return qa * qb
+        if qa == 1 or qb == 1:
+            return qb if qa == 1 else qa
+        return self.let(out, f"{self.den(qa)} * {self.den(qb)}")
+
+    def common(self, parts: list[tuple[str, int | str]]) -> tuple[list[str], object]:
+        """The parts' numerators over one den, and the den: theirs when
+        they share it, else their least common static one; None when a
+        den is dynamic and they differ."""
+        dens = {q for _, q in parts}
+        if len(dens) == 1:
+            return [p for p, _ in parts], dens.pop()
+        if all(type(q) is int for q in dens):
+            den = math.lcm(*dens)
+            return [self.times(p, den // q) for p, q in parts], den
+        return [], None
+
+    def body(self, node: Expr, top: bool = False) -> tuple[list[str], int | None]:
+        """Statements that return ``node``, and its den.  Each returns p
+        over one static den when every value has one, else its pair
+        (p, q) and the den is None; at the top of an exact kernel each
+        returns a ``Fraction``.  A condition, and a value, runs its own
+        statements only when it is reached."""
+        outer, self.used = self.used, set()
+        pieces = node.branches if isinstance(node, Piecewise) else ()
+        otherwise = node.otherwise if isinstance(node, Piecewise) else node
+        exact_top = top and self.scale is None
+        blocks = []
+        for cond, value in (*pieces, (None, otherwise)):
+            head: list[str] = []
+            test = cond and self.code(cond, head)[0]
+            block: list[str] = []
+            if exact_top and isinstance(value, Var) and value.name in self.index:
+                blocks.append((head, test, block, f"v{self.index[value.name]}", None))
+            else:
+                blocks.append((head, test, block, *self.code(value, block)))
+        parts = [(p, q) for *_, p, q in blocks]
+        if exact_top:
+            returns, den = [p if q is None else f"_fraction({p}, {self.den(q)})"
+                            for p, q in parts], None
+        else:  # static at a scale; a def's temps and dens stay in the def
+            returns, den = self.common(parts)
+            if type(den) is not int:
+                returns, den = [f"{p}, {self.den(q)}" for p, q in parts], None
+        used, self.used = sorted(self.used), outer
+        lines = [", ".join(f"n{i}, d{i}" for i in used) + " = " + ", ".join(
+            f"v{i}.numerator, v{i}.denominator" for i in used
+        )] if used else []
+        for (head, test, block, *_), ret in zip(blocks, returns):
+            block.append(f"return {ret}")
+            lines += head
+            if test is None:
+                lines += block
+            elif len(block) == 1:
+                lines.append(f"if {test}: {block[0]}")
+            else:
+                lines += [f"if {test}:", *(f"    {line}" for line in block)]
+        return lines, den
+
     def define(self, body: list[str], head: str | None = None) -> str:
-        """A def over the variables that runs ``body``; its call."""
+        """A def over the arguments that runs ``body``; its call."""
         name = f"f{len(self.defs)}"
         self.defs.append("\n    ".join([head or f"def {name}({self.args}):", *body]))
         return f"{name}({self.args})"
 
-    def times(self, text: str, k: int) -> str:
-        if k == 1:
-            return text
-        if text in self.names:  # a constant times k is one constant
-            return self.const(self.names[text] * k)
-        return f"({text} * {self.const(k)})"
-
-    def common(self, *nodes: Expr) -> tuple[list[str], int]:
-        """The nodes over their least common den."""
-        parts = [self.code(node) for node in nodes]
-        den = math.lcm(*(d for _, d in parts))
-        return [self.times(text, den // d) for text, d in parts], den
-
-    def body(self, node: Expr) -> tuple[list[str], int]:
-        """Statements that return ``node``, and its den."""
-        if isinstance(node, Piecewise):
-            (other, *values), den = self.common(
-                node.otherwise, *(value for _, value in node.branches)
-            )
-            tests = [self.code(cond)[0] for cond, _ in node.branches]
-            lines = [f"if {c}: return {v}" for c, v in zip(tests, values)]
-            return [*lines, f"return {other}"], den
-        text, den = self.code(node)
-        return [f"return {text}"], den
-
-    def code(self, node: Expr) -> tuple[str, int]:
-        """``node`` as an expression, and its den.  With no scale, the
-        node over exact fractions, den 1: a zero divisor raises when it is
-        read, before its dividend.  With a scale, the node from the values
-        times scale, as ints, to its value times den, an int.  Sums,
-        extrema, piecewise values and comparisons take the lcm of their
-        operands' dens, products the product, and a nonzero constant
-        divisor folds into it.  Any other divisor, or a name not among the
-        variables, raises at once."""
-        scale = self.scale
+    def code(self, node: Expr, out: list[str]) -> tuple[str, int | str]:
+        """``node`` as (p, q): p an expression, q a static int or a name,
+        both readable once the statements ``node`` appends to ``out`` have
+        run.  A divisor is read first: a zero raises when it is read,
+        before its dividend, and a negative one gives its sign to p.  A
+        divisor with a constant value (``_value``) folds into the pair; at
+        a scale any other divisor, and anywhere a name not among the
+        variables, raises at once.  A sum reduces by the gcd of its dens;
+        comparisons, ``min`` and ``max`` read numerators over a shared den
+        and cross-multiply others."""
         match node:
-            case Num(value) if scale is None:
-                return self.const(value), 1
             case Num(value):
                 return self.const(value.numerator), value.denominator
-            case Var(name) if name in self.vars:
-                return self.vars[name], scale or 1
+            case Var(name) if name in self.index:
+                i = self.index[name]
+                if self.scale is not None:
+                    return f"v{i}", self.scale
+                self.used.add(i)
+                return f"n{i}", f"d{i}"
             case Neg(operand):
-                text, den = self.code(operand)
-                if text in self.names:
-                    return self.const(-self.names[text]), den
-                return f"(-{text})", den
-            case BinOp("/", left, right) if scale is None:
-                (a, _), (b, _) = self.code(left), self.code(right)
-                t = f"t{self.temps}"
-                self.temps += 1
-                return f"({a} / {t} if ({t} := {b}) else _zero())", 1
+                p, q = self.code(operand, out)
+                if p in self.names:
+                    return self.const(-self.names[p]), q
+                return f"(-{p})", q
             case BinOp("/", left, right):
-                r = 1 / _kernel(right, ())[0]()  # raises unless a nonzero constant
-                text, den = self.code(left)
-                return self.times(text, r.numerator), den * r.denominator
+                r = _value(right)
+                if r is None and self.scale is not None:
+                    raise ExprEvalError("a variable divisor has no scaled kernel")
+                if r == 0 and self.scale is None:
+                    out.append("_zero()")
+                    return self.const(0), 1
+                if r is not None:
+                    r = 1 / r  # at a scale a zero raises here
+                    pa, qa = self.code(left, out)
+                    return self.times(pa, r.numerator), self.product(out, qa, r.denominator)
+                pb, qb = self.code(right, out)
+                if not pb.isidentifier():
+                    pb = self.let(out, pb)
+                out.append(f"if not {pb}: _zero()")
+                pa, qa = self.code(left, out)
+                qb = self.den(qb)
+                sign = self.let(out, f"{qb} if {pb} > 0 else -{qb}")
+                size = f"abs({pb})" if qa == 1 else f"abs({pb}) * {self.den(qa)}"
+                return self.times(pa, sign), self.let(out, size)
             case BinOp("*", left, right):
-                (a, da), (b, db) = self.code(left), self.code(right)
-                return f"({a} * {b})", da * db
+                (pa, qa), (pb, qb) = self.code(left, out), self.code(right, out)
+                return f"({pa} * {pb})", self.product(out, qa, qb)
             case BinOp("+" | "-" as op, left, right) | Comparison(
                 "<" | "<=" | ">" | ">=" as op, left, right
             ):
-                (a, b), den = self.common(left, right)
-                return f"({a} {op} {b})", den
+                parts = [self.code(left, out), self.code(right, out)]
+                summed = isinstance(node, BinOp)
+                texts, den = self.common(parts)
+                if den is not None:
+                    return f"({texts[0]} {op} {texts[1]})", den
+                (pa, qa), (pb, qb) = parts
+                if not summed or 1 in (qa, qb):  # cross-multiplied
+                    text = f"({self.times(pa, qb)} {op} {self.times(pb, qa)})"
+                    return text, self.product(out, qa, qb) if summed else 1
+                qa, qb = self.den(qa), self.den(qb)
+                g = self.let(out, f"_gcd({qa}, {qb})")
+                s = self.let(out, f"{qa} // {g}")
+                text = f"({pa} * ({qb} // {g}) {op} {pb} * {s})"
+                return text, self.let(out, f"{s} * {qb}")
             case Call("abs", (arg,)):
-                text, den = self.code(arg)
-                return f"abs({text})", den
+                p, q = self.code(arg, out)
+                return f"abs({p})", q
             case Call("min" | "max" as func, args):
-                texts, den = self.common(*args)
-                return f"{func}({', '.join(texts)})", den
+                parts = [self.code(arg, out) for arg in args]
+                texts, den = self.common(parts)
+                if den is not None:
+                    return f"{func}({', '.join(texts)})", den
+                (p, q), *rest = parts
+                best, best_q = self.temp(), self.temp()
+                out.append(f"{best}, {best_q} = {p}, {self.den(q)}")
+                beats = "<" if func == "min" else ">"
+                for p, q in rest:
+                    if not p.isidentifier():
+                        p = self.let(out, p)
+                    out.append(
+                        f"if {self.times(p, best_q)} {beats} {self.times(best, q)}:"
+                        f" {best}, {best_q} = {p}, {self.den(q)}"
+                    )
+                return best, best_q
             case Piecewise():
-                body, den = self.body(node)
-                return self.define(body), den
+                lines, den = self.body(node)
+                call = self.define(lines)
+                if den is not None:
+                    return call, den
+                p, q = self.temp(), self.temp()
+                out.append(f"{p}, {q} = {call}")
+                return p, q
         raise ExprEvalError(f"cannot evaluate node {node!r}")
 
 
@@ -473,11 +613,11 @@ def _kernel(
     node: Expr, variables: tuple[str, ...], scale: int | None = None
 ) -> tuple[Callable, int]:
     """(kernel, den): ``node`` compiled to one Python function.  With no
-    ``scale`` it takes one exact fraction per variable and den is 1; with
-    a ``scale`` it takes the tuple of the values times ``scale``, as ints
-    (see :meth:`_Source.code`)."""
+    ``scale`` it takes one exact number per variable, a Fraction or an
+    int, and den is 1; with a ``scale`` it takes the tuple of the values
+    times ``scale``, as ints (see :meth:`_Source.code`)."""
     source = _Source(variables, scale)
-    body, den = source.body(node)
+    body, den = source.body(node, top=True)
     if scale is None:
         source.define(body, f"def kernel({source.args}):")
     else:
@@ -485,7 +625,7 @@ def _kernel(
         source.define([*unpack, *body], "def kernel(v):")
     code = compile("\n".join(source.defs), f"<kernel {next(_builds)}>", "exec")
     exec(code, source.names)
-    return source.names["kernel"], den
+    return source.names["kernel"], den or 1
 
 
 @dataclass(frozen=True)
@@ -504,7 +644,8 @@ class Formula:
 
     @functools.cached_property
     def exact(self) -> Callable[..., Fraction]:
-        """The kernel over exact fractions, one argument per variable."""
+        """The kernel over exact numbers, one Fraction or int per
+        variable, to a Fraction; a bare variable returns its argument."""
         return _kernel(self.ast, self.variables)[0]
 
     def __call__(self, *values: object) -> Fraction:

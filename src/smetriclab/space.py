@@ -235,6 +235,7 @@ class Space:
             raise ValueError("duplicate point labels in universe")
         self._by_value = {p.value: p for p in points if p.value is not None}
         self._s_memo: dict[tuple[Point, ...], _Memo | _FromMetric] = {}
+        self._passes: dict = {}  # circle passes read on the lattice
 
     @classmethod
     def finite(cls, points: list[object], smetric: SMetric) -> "Space":

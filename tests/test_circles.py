@@ -6,6 +6,7 @@ import pytest
 
 from conftest import identity_mapping
 
+from smetriclab import circles, run
 from smetriclab import (
     Space,
     TableMapping,
@@ -139,3 +140,31 @@ def test_moved_circle_point_under_clean_hypotheses_is_inconsistent():
         "v",
     ]
     assert report.inconsistent is True
+
+
+def _circle_records(path, names):
+    spec = load_experiment(path)
+    spec.checks = [c for c in spec.checks if c.name in names]
+    return run(spec).report["checks"]
+
+
+def test_a_fixed_circle_after_a_zamfirescu_reuses_its_lattice_pass(monkeypatch):
+    path = fixture_path("example_3_3.json")
+    fresh = [
+        *_circle_records(path, {"zamfirescu"}),
+        *_circle_records(path, {"fixed_circle"}),
+    ]
+    reads, read = [], circles._read
+    monkeypatch.setattr(circles, "_read", lambda *a: reads.append(a) or read(*a))
+    shared = _circle_records(path, {"zamfirescu", "fixed_circle"})
+    assert len(reads) == 1
+    assert shared == fresh
+
+
+def test_off_the_lattice_each_circle_check_reads_its_own_pass(four_space, monkeypatch):
+    table = TableMapping({"0": "4", "2": "4", "4": "4", "8": "2"})  # no int kernel
+    reads, read = [], circles._read
+    monkeypatch.setattr(circles, "_read", lambda *a: reads.append(a) or read(*a))
+    verify_zamfirescu_x0(four_space, table, 0, 0, 4)
+    check_fixed_circle(four_space, table, 0, 0, 4)
+    assert len(reads) == 2

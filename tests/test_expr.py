@@ -1,6 +1,8 @@
 """Parser, evaluator, and canonical printer for the expression language."""
 
 import json
+import math
+import numbers
 import re
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from smetriclab import (
     parse,
     pretty,
 )
+from smetriclab.experiment import SequenceSpec
 from smetriclab.expr import (
     MAX_DEPTH,
     BinOp,
@@ -246,12 +249,29 @@ def test_pretty_parse_is_a_fixed_point(ast):
     assert pretty(parse(text, ("x", "y"))) == text
 
 
-@given(_ast_strategy(), st.integers(-3, 3), st.integers(-3, 3))
+#: integers, and fractions of either sign with dens up to 12
+VALUES = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=12)
+)
+
+
+def xy(text):
+    return parse(text, ("x", "y"))
+
+
+@given(_ast_strategy(), VALUES, VALUES)
 @example(BinOp("/", Var("y"), BinOp("/", Num(Fraction(1)), Var("x"))), 0, 1)
+# a negative variable divisor, read by a comparison, min, max and abs
+@example(xy("piecewise(1/(x - 3) < 0 : 1, else : 0)"), 1, 0)
+@example(xy("max(1/(x - 3), -1/(x - 2))"), 1, 0)
+@example(xy("min(y/(x - 3), 1/(x - 2), x)"), Fraction(-5, 12), Fraction(7, 4))
+@example(xy("abs(1/(x - 3)) + x/(y - x)"), Fraction(1, 2), Fraction(-2, 3))
 def test_compiled_formula_matches_the_reference(ast, xv, yv):
     env = {"x": Fraction(xv), "y": Fraction(yv)}
     want = outcome(lambda: reference(ast, env))
-    assert outcome(lambda: Formula(ast, ("x", "y"))(xv, yv)) == want
+    got = outcome(lambda: Formula(ast, ("x", "y"))(xv, yv))
+    assert got == want
+    assert type(got) is type(want)  # a Fraction, or the same error text
 
 
 @given(_ast_strategy(), st.integers(-3, 3), st.integers(-3, 3))
@@ -283,23 +303,34 @@ def branches(count):
     return f"piecewise({tests}, else : 5)"
 
 
+def thousand_term_sum():
+    """``x + x + ...`` with 1,000 terms, grouped ten by ten so that it
+    nests within ``MAX_DEPTH``."""
+    tens = " + ".join(["x"] * 10)
+    hundreds = " + ".join([f"({tens})"] * 10)
+    return " + ".join([f"({hundreds})"] * 10)
+
+
 LIMITS = {
     "3,000 branches": branches(3000),
     # each level adds a *k wrap of the sum so far in the scaled kernel
     "prime chain": "x" + "".join(f" + 1/{p}" for p in primes(MAX_DEPTH - 2)),
     "1,000-argument min": f"min({', '.join(f'x - {k}' for k in range(1000))})",
     "nested piecewise": nested_piecewise(MAX_DEPTH - 2),
+    "1,000-term sum": thousand_term_sum(),
 }
 
 
 @pytest.mark.parametrize("text", LIMITS.values(), ids=LIMITS.keys())
 def test_formulas_at_the_limits_compile_exact_and_scaled(text):
     formula = Formula.parse(text, ("x",))
-    kernel, den = formula.scaled(6)
-    for x in (Fraction(-2999), Fraction(-7, 2), Fraction(0), Fraction(5, 3), 6):
+    tiny = Fraction(1, 2**8191 + 1)  # a den past the lattice bound
+    for x in (Fraction(-2999), Fraction(-7, 2), Fraction(0), Fraction(5, 3), 6, tiny):
         want = reference(formula.ast, {"x": x})
         assert formula(x) == want
-        assert Fraction(kernel((int(x * 6),)), den) == want
+        scale = math.lcm(6, Fraction(x).denominator)
+        kernel, den = formula.scaled(scale)
+        assert Fraction(kernel((int(x * scale),)), den) == want
 
 
 def test_a_3000_branch_map_runs_from_the_command_line(tmp_path):
@@ -375,3 +406,42 @@ def test_no_formula_text_reaches_the_kernel_source():
     assert formula.scaled(4)[0]((20, 8)) == 12
     with pytest.raises(ExprEvalError, match="cannot evaluate node"):
         Formula(Call("exec", (Num(Fraction(1)), Num(Fraction(2)))), ())()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.75*x + 1/3", "piecewise(x < 1/2 : x/7, else : -x)", "max(x, 1/x) - 2.5",
+     "min(x/3, 1e-2) * abs(x - 2/9)", "1/(1/x - 5/4)"],
+)
+def test_an_exact_kernel_reads_int_pairs_and_builds_one_fraction(text, monkeypatch):
+    kernel = Formula.parse(text, ("x",)).exact
+    constants = [v for v in kernel.__globals__.values() if isinstance(v, numbers.Number)]
+    assert constants and all(type(v) is int for v in constants)
+    want = kernel(Fraction(3))
+    built = []
+    new = Fraction.__new__
+    monkeypatch.setattr(
+        Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)
+    )
+    got = kernel(3)
+    monkeypatch.undo()
+    assert got == want and type(got) is type(want) is Fraction
+    assert len(built) == 1  # at return, from the pair
+
+
+def test_a_bare_variable_returns_its_argument_as_it_is():
+    kernel = Formula.parse("eps", ("eps",)).exact
+    for value in (Fraction(1, 3), 7):
+        assert kernel(value) is value
+    through_call = Formula.parse("eps", ("eps",))(7)
+    assert through_call == 7 and type(through_call) is Fraction
+
+
+def test_a_sequence_expands_over_int_n():
+    formula = Formula.parse("1 + 1/n", ("n",))
+    kernel, seen = formula.exact, []
+    formula.__dict__["exact"] = lambda n: seen.append(type(n)) or kernel(n)
+    terms = SequenceSpec(expr=formula, n_from=1, n_to=1000).expand()
+    assert set(seen) == {int} and len(seen) == 1000  # no Fraction(n) per term
+    assert terms == [1 + Fraction(1, n) for n in range(1, 1001)]
+    assert {type(t) for t in terms} == {Fraction}

@@ -17,8 +17,14 @@ For each workload and end-to-end metric (the ``end_to_end`` list of
 CHANGE's ``BENCHMARK.json``) it prints both medians over the pairs, the
 interquartile range of the parent's runs, the change's relative delta, the
 pairs the change won (strictly better, in the direction the metric names)
-out of those run, and the failed and attempted ops of each side.  The
-last line is the same summary as one JSON object.  Stdlib only.
+out of those run, a verdict, and the failed and attempted ops of each
+side.  The verdict (``verdict``) is ``gain`` when at least ten pairs ran,
+the change won at least nine tenths of them and the medians differ by
+more than the parent's IQR; ``regression`` when the change's median is worse by more than the
+metric's ``bound`` in ``BENCHMARK.json``; ``unresolved`` when the parent's
+IQR is wider than that bound and not every run of the change is better
+than every run of the parent; else ``same``.  The last line is the same
+summary as one JSON object.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -64,6 +70,20 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+def verdict(row: dict, metric: dict) -> str:
+    """``gain``, ``regression``, ``unresolved`` or ``same`` for one
+    summary row of ``metric`` (a ``BENCHMARK.json`` entry)."""
+    old, new, iqr = row["parent_median"], row["change_median"], row["parent_iqr"]
+    better = old - new if metric["better"] == "lower" else new - old
+    if row["pairs"] >= 10 and 10 * row["wins"] >= 9 * row["pairs"] and better > iqr:
+        return "gain"
+    if -better > metric["bound"] * abs(old):
+        return "regression"
+    if iqr > metric["bound"] * abs(old) and not row["all_better"]:
+        return "unresolved"
+    return "same"
+
+
 def summarize(metrics: list[dict], runs: dict) -> dict:
     """Per workload and metric: medians, the parent's IQR and the wins."""
     summary = {}
@@ -76,13 +96,15 @@ def summarize(metrics: list[dict], runs: dict) -> dict:
             new = [r["metrics"][name]["value"] for r in change]
             q1, q3 = quartiles(old)
             wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
-            rows[name] = {
+            row = rows[name] = {
                 "parent_median": statistics.median(old),
                 "change_median": statistics.median(new),
                 "parent_iqr": q3 - q1,
                 "wins": wins,
                 "pairs": len(new),
+                "all_better": max(new) < min(old) if lower else min(new) > max(old),
             }
+            row["verdict"] = verdict(row, metric)
         summary[workload] = {
             "metrics": rows,
             "failed": {side: sum(r["failed"] for r in sides[side]) for side in sides},
@@ -95,14 +117,14 @@ def summarize(metrics: list[dict], runs: dict) -> dict:
 
 def report(summary: dict) -> None:
     print(f"{'workload':<13}{'metric':<13}{'parent':>12}{'change':>12}"
-          f"{'parent IQR':>12}{'delta':>9}{'wins':>8}")
+          f"{'parent IQR':>12}{'delta':>9}{'wins':>8}  verdict")
     for workload, result in summary.items():
         for name, row in result["metrics"].items():
             old, new = row["parent_median"], row["change_median"]
             delta = f"{100 * (new - old) / old:+.1f}%" if old else "n/a"
             print(f"{workload:<13}{name:<13}{old:>12.6g}{new:>12.6g}"
                   f"{row['parent_iqr']:>12.4g}{delta:>9}"
-                  f"{row['wins']:>5}/{row['pairs']}")
+                  f"{row['wins']:>5}/{row['pairs']}  {row['verdict']}")
         failed, attempted = result["failed"], result["attempted"]
         print(f"{workload:<13}failed/attempted  parent "
               f"{failed['parent']}/{attempted['parent']}  change "
