@@ -25,14 +25,16 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
+from .evidence import Rows
 from .experiment import (
+    MAX_EVIDENCE,
     CheckSpec,
     ConfigError,
     ExperimentSpec,
     build_check,
+    evidence_cap,
     load_experiment,
     positive,
     read_literal,
@@ -47,6 +49,16 @@ def _tolerance_arg(text: str) -> Fraction:
         return positive(read_literal(text), "tolerance", None)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    except ConfigError as e:
+        raise argparse.ArgumentTypeError(f"{e.path} {e.reason}") from None
+
+
+def _max_evidence_arg(text: str) -> int:
+    """``--max-evidence``, read by the rules of the check option."""
+    try:
+        return evidence_cap(read_literal(text, int), "max_evidence", None)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     except ConfigError as e:
         raise argparse.ArgumentTypeError(f"{e.path} {e.reason}") from None
 
@@ -71,6 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report here instead of stdout")
         p.add_argument("--tolerance", type=_tolerance_arg, default=None,
                        help="override the experiment tolerance")
+        p.add_argument("--max-evidence", type=_max_evidence_arg, default=None,
+                       help="override the evidence records each condition "
+                       f"check keeps (at most {MAX_EVIDENCE})")
         p.add_argument("--format", choices=("json", "text"), default="json",
                        help="report format (default json)")
     return parser
@@ -123,6 +138,10 @@ def _execute(args: argparse.Namespace) -> RunReport:
             spec.checks = _synthesize(spec, args.command)
     if args.tolerance is not None:
         spec.tolerance = args.tolerance
+    if args.max_evidence is not None:
+        for check in spec.checks:
+            if "max_evidence" in check.options:
+                check.options["max_evidence"] = args.max_evidence
     return run(spec)
 
 
@@ -141,56 +160,42 @@ _LEAVES = {
     type(None): lambda value: "null",
 }
 
-#: Records per batch of a record list, and the pending pieces past which
-#: any other list is written out: what the writer holds at once.
+#: Records per batch of an evidence list, and the items of any other list
+#: after which its pending pieces, once that many, are written out: what
+#: the writer holds at once.
 _BATCH = 4096
 
 
-def _encoder(values):
-    """The leaf encoder of every one of ``values``, or None unless they
-    all have one leaf type."""
-    kinds = set(map(type, values))
-    return _LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+def _text(value, indent: str) -> str:
+    """The JSON text of ``value`` at ``indent``."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    written, pieces = [], []
+    _write_value(value, indent, pieces, written.append)
+    return "".join(written + pieces)
 
 
-def _record_template(records: list, indent: str) -> str | None:
-    """``%`` template of one of ``records`` at ``indent``, or None unless
-    they are dicts with the same str keys in the same order and one leaf
-    type per key."""
-    if set(map(type, records)) != {dict}:
-        return None
-    keys = tuple(records[0])
-    if (set(map(type, keys)) != {str}
-            or not all(map(keys.__eq__, map(tuple, records)))
-            or any(_encoder(map(itemgetter(key), records)) is None
-                   for key in keys)):
-        return None
+def _write_rows(rows: Rows, indent: str, pieces: list, write) -> None:
+    """Write the records of ``rows`` at ``indent``, a batch and a column at
+    a time, each distinct raw value of a cached column turned into text
+    once."""
     inner = indent + "  "
-    fields = ",".join(
+    template = indent + "{" + ",".join(
         inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
-        for key in keys
-    )
-    return indent + "{" + fields + indent + "}"
-
-
-def _column(encode, values: list):
-    """The JSON texts of ``values``, all of one leaf type, each distinct
-    value encoded once: evidence columns repeat a few values.  A NaN,
-    equal to nothing, is looked up as the same object."""
-    texts = {value: encode(value) for value in set(values)}
-    if 0.0 in texts:  # 0.0 == -0.0, so one text would stand for both
-        return map(encode, values)
-    return map(texts.__getitem__, values)
-
-
-def _write_records(records: list, template: str, pieces: list, write) -> None:
-    """Write the items of a record list, a batch and a column at a time."""
-    getters = [itemgetter(key) for key in records[0]]
-    encoders = [_LEAVES[type(value)] for value in records[0].values()]
-    for start in range(0, len(records), _BATCH):
-        batch = records[start:start + _BATCH]
-        columns = [_column(encode, list(map(getter, batch)))
-                   for encode, getter in zip(encoders, getters)]
+        for key in rows.keys
+    ) + indent + "}"
+    texts = [{} if column.cached else None for column in rows.columns]
+    for start in range(0, len(rows), _BATCH):
+        columns = []
+        for column, known in zip(rows.columns, texts):
+            values = column.values[start:start + _BATCH]
+            if known is None:
+                columns.append([_text(column.leaf(v), inner) for v in values])
+                continue
+            for v in set(values).difference(known):
+                known[v] = _text(column.leaf(v), inner)
+            columns.append(map(known.__getitem__, values))
         text = ",".join(map(template.__mod__, zip(*columns)))
         pieces.append("," + text if start else text)
         write("".join(pieces))
@@ -214,22 +219,20 @@ def _write_value(value, indent: str, pieces: list, write) -> None:
             _write_value(item, inner, pieces, write)
             opening = ","
         pieces.append(indent + "}")
-    elif kind is list:
+    elif kind is list or kind is Rows:
         if not value:
             pieces.append("[]")
             return
-        inner = indent + "  "
+        inner, last = indent + "  ", len(value)
         pieces.append("[")
-        template = _record_template(value, inner)
-        if template is not None:
-            _write_records(value, template, pieces, write)
+        if kind is Rows:
+            _write_rows(value, inner, pieces, write)
         else:
-            opening = inner
-            for item in value:
-                pieces.append(opening)
+            for count, item in enumerate(value, 1):
+                pieces.append(inner if count == 1 else "," + inner)
                 _write_value(item, inner, pieces, write)
-                opening = "," + inner
-                if len(pieces) >= _BATCH:
+                if len(pieces) >= _BATCH and (count % _BATCH == 0
+                                              or count == last):
                     write("".join(pieces))
                     pieces.clear()
         pieces.append(indent + "]")
@@ -240,10 +243,12 @@ def _write_value(value, indent: str, pieces: list, write) -> None:
 def write_json(value, write) -> None:
     """Send ``json.dumps(value, indent=2) + "\\n"`` to ``write`` in pieces.
 
-    Leaves are spelled by their exact type as ``json`` spells them, and a
-    list of uniform records is filled from one template per list, a batch
-    at a time.  Any other value goes through ``json.dumps`` itself, so the
-    bytes match for every tree it accepts.
+    Leaves are spelled by their exact type as ``json`` spells them, and
+    the records of an evidence list (``evidence.Rows``) are filled from one
+    template per list, a batch at a time, each raw value turned into text
+    as it is written; a ``Rows`` is written as the list of its records.
+    Any other value goes through ``json.dumps`` itself, so the bytes match
+    for every tree it accepts.
     """
     pieces = []
     _write_value(value, "\n", pieces, write)

@@ -20,7 +20,9 @@ gets the additive tolerance.  Both checks read one row per pair, M(x, y)
 and S(Tx, Tx, Ty) as ints over one denominator den, through
 ``space._read`` (README, "Tolerance semantics"), and compare them with
 bounds by ``space._cut``.  (ii) sorts the rows by M once and bisects each
-probe's window.  The derived contraction factor
+probe's window.  Both return their violations as ``evidence.Rows`` over
+those ints, the first ``max_evidence`` of them when a cap is given, with
+the exact total.  The derived contraction factor
 
     xi = max(a, b / (2 - b), c / (2 - 2c))
 
@@ -31,12 +33,13 @@ decay of displacements along an orbit.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .evidence import Indexed, Rows, Scaled
 from .expr import Formula
 from .mapping import Mapping
 from .numeric import DEFAULT_TOL, to_fraction
@@ -143,8 +146,9 @@ def verify_phi_gauge(
 
 
 def _pair_rows(space, mapping, pairs, params):
-    """Rows (x, y, reference, S(Tx, Tx, Ty)) per pair, in sample order,
-    the two values as ints over the returned den.
+    """(points, xs, ys, refs, s_ts, den): per pair, in sample order, the
+    indices of x and y in ``points``, and the reference and
+    S(Tx, Tx, Ty) as ints over den.
 
     The reference is M(x, y) under ``params``, or S(x, x, y) when
     ``params`` is None; a, b/2 and c/2 are folded into one integer
@@ -154,12 +158,13 @@ def _pair_rows(space, mapping, pairs, params):
     """
     if pairs is None:
         points = list(space.points)
-        indices = itertools.product(range(len(points)), repeat=2)
+        n = len(points)
+        xs, ys = [i for i in range(n) for _ in range(n)], list(range(n)) * n
     else:
         pairs = [(space.coerce(x), space.coerce(y)) for x, y in pairs]
         points = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
         at = {p: i for i, p in enumerate(points)}
-        indices = [(at[x], at[y]) for x, y in pairs]
+        xs, ys = [at[x] for x, _ in pairs], [at[y] for _, y in pairs]
     weights = (1, 1, 0, 0) if params is None else _folded(params)
     w = weights[0]
     read = _read(space, mapping, points)
@@ -168,17 +173,27 @@ def _pair_rows(space, mapping, pairs, params):
             return points[i], read.t(points[i])
     else:
         lookup = list(zip(read.points, map(read.t, read.points))).__getitem__
-    s, rows = read.s, []
-    for i, j in indices:
+    s, refs, s_ts = read.s, [], []
+    for i, j in zip(xs, ys):
         (x, tx), (y, ty) = lookup(i), lookup(j)
-        m = _m_folded(s, weights, x, y, tx, ty)
-        rows.append((points[i], points[j], m, w * s((tx, tx, ty))))
+        refs.append(_m_folded(s, weights, x, y, tx, ty))
+        s_ts.append(w * s((tx, tx, ty)))
     den = read.den * w
     if read.scale is None:
-        one, *flat = _scaled([1, *(v for r in rows for v in r[2:])])
-        rows = [(*r[:2], m, v) for r, m, v in zip(rows, flat[::2], flat[1::2])]
+        one, *flat = _scaled([1, *refs, *s_ts])
+        refs, s_ts = flat[:len(refs)], flat[len(refs):]
         den *= one
-    return rows, den
+    return points, xs, ys, refs, s_ts, den
+
+
+def _evidence(points, xs, ys, kept, columns, total):
+    """Rows of the ``kept`` pairs: x and y as indices into ``points``,
+    then ``columns``."""
+    return Rows([
+        Indexed([xs[k] for k in kept], points),
+        Indexed([ys[k] for k in kept], points),
+        *columns,
+    ], total=total)
 
 
 def verify_condition_i(
@@ -189,36 +204,43 @@ def verify_condition_i(
     pairs: list[tuple[object, object]] | None = None,
     mode: str = "full",
     tol: object = DEFAULT_TOL,
-) -> list[tuple]:
+    max_evidence: int | None = None,
+) -> Rows:
     """Check the pointwise bound (i) over a pair sample.
 
     Modes: "full" compares S(Tx, Tx, Ty) against phi(M(x, y)); "simple"
     against phi(S(x, x, y)); "strict" against M(x, y) itself with margin
     tol, skipping pairs where M(x, y) <= tol (nothing is claimed there).
     Returns the (x, y, reference, S(Tx, Tx, Ty)) rows of the violating
-    pairs, in sample order.
+    pairs, in sample order: the first ``max_evidence`` of them, when
+    given, with ``total`` counting them all.
     """
     if mode not in ("full", "simple", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("full", "simple") and (gauge is None or gauge.phi is None):
         raise ValueError(f"mode {mode!r} needs a phi gauge")
     tol = to_fraction(tol)
-    rows, den = _pair_rows(
+    points, xs, ys, refs, s_ts, den = _pair_rows(
         space, mapping, pairs, None if mode == "simple" else params
     )
     # S(Tx, Tx, Ty) > t exactly when its int v > floor(t * den)
     if mode == "strict":  # s_t <= M - tol, checked with slack
         low, slack = _cut(tol, den), _cut(-tol, den)
-        cut = {m: m + slack for _, _, m, _ in rows if m > low}
+        cut = {m: m + slack for m in refs if m > low}
     else:
         cut = {
             m: _cut(gauge.phi(Fraction(m, den)) + tol, den)
-            for m in dict.fromkeys(m for _, _, m, _ in rows)
+            for m in dict.fromkeys(refs)
         }
-    return [
-        (px, py, Fraction(m, den), Fraction(v, den))
-        for px, py, m, v in rows if v > cut.get(m, math.inf)
+    failing = [
+        k for k, (m, v) in enumerate(zip(refs, s_ts))
+        if v > cut.get(m, math.inf)
     ]
+    kept = failing[:max_evidence]
+    return _evidence(points, xs, ys, kept, [
+        Scaled([refs[k] for k in kept], den),
+        Scaled([s_ts[k] for k in kept], den),
+    ], len(failing))
 
 
 def eps_grid(
@@ -245,6 +267,35 @@ def eps_grid(
     return sorted(p for p in probes if p > 0)
 
 
+def _windows_total(s_ts, order, windows):
+    """How many rows lie in each window with S(Tx, Tx, Ty) past its cap,
+    summed over the windows, without listing them: windows by cap and rows
+    by S(Tx, Tx, Ty), both descending, each row entered at its M-rank in a
+    Fenwick tree before the windows it exceeds count it."""
+    n = len(order)
+    by_rank = [s_ts[i] for i in order]
+    entering = sorted(range(n), key=by_rank.__getitem__, reverse=True)
+    tree, total, entered = [0] * (n + 1), 0, 0
+
+    def before(rank):  # rows entered with an M-rank below ``rank``
+        count = 0
+        while rank:
+            count += tree[rank]
+            rank &= rank - 1
+        return count
+
+    for start, end, cap in sorted(windows, key=operator.itemgetter(2),
+                                  reverse=True):
+        while entered < n and by_rank[entering[entered]] > cap:
+            rank = entering[entered] + 1
+            while rank <= n:
+                tree[rank] += 1
+                rank += rank & -rank
+            entered += 1
+        total += before(end) - before(start)
+    return total
+
+
 def condition_ii_probe(
     space: Space,
     mapping: Mapping,
@@ -253,7 +304,8 @@ def condition_ii_probe(
     pairs: list[tuple[object, object]] | None = None,
     eps_values: list[object] | None = None,
     tol: object = DEFAULT_TOL,
-) -> tuple[list[Fraction], list[tuple]]:
+    max_evidence: int | None = None,
+) -> tuple[list[Fraction], Rows]:
     """Check the window condition (ii) over the eps probe grid.
 
     For each probe eps the window is (eps, eps + delta(eps)), membership
@@ -263,19 +315,21 @@ def condition_ii_probe(
     S(Tx, Tx, Ty) exceeds eps + tol, in pair order.  A probe with
     delta(eps) <= 0 is a configuration error.  Returns the probe grid and
     the violations as (x, y, eps, M(x, y), S(Tx, Tx, Ty)), ordered by
-    eps, then by pair position.
+    eps, then by pair position: the first ``max_evidence`` of them, when
+    given, with ``total`` counting them all.  Once that many are kept, the
+    probes only bisect their windows, and the total is counted by
+    ``_windows_total``.
     """
     if gauge.delta is None:
         raise ValueError("condition (ii) needs a delta gauge")
     tol = to_fraction(tol)
-    rows, den = _pair_rows(space, mapping, pairs, params)
-    ms = [m for _, _, m, _ in rows]
+    points, xs, ys, ms, s_ts, den = _pair_rows(space, mapping, pairs, params)
     grid = eps_grid([Fraction(m, den) for m in set(ms)], eps_values, tol)
-    order = sorted(range(len(rows)), key=ms.__getitem__)
+    order = sorted(range(len(ms)), key=ms.__getitem__)
     keys = [ms[i] for i in order]
-    exact = functools.cache(lambda v: Fraction(v, den))
-    violations = []
-    for eps in grid:
+    room = len(grid) * len(ms) if max_evidence is None else max_evidence
+    windows, probes, kept = [], [], []
+    for k, eps in enumerate(grid):
         width = gauge.delta(eps)
         if width <= 0:
             raise GaugeDomainError(
@@ -284,7 +338,17 @@ def condition_ii_probe(
         start = bisect.bisect_right(keys, _cut(eps, den))
         end = bisect.bisect_left(keys, -_cut(-eps - width, den))
         cap = _cut(eps + tol, den)
-        for i in sorted(i for i in order[start:end] if rows[i][3] > cap):
-            px, py, m, v = rows[i]
-            violations.append((px, py, eps, exact(m), exact(v)))
-    return grid, violations
+        windows.append((start, end, cap))
+        if len(kept) < room:
+            inside = sorted(i for i in order[start:end] if s_ts[i] > cap)
+            inside = inside[:room - len(kept)]
+            kept += inside
+            probes += [k] * len(inside)
+    total = len(kept)
+    if total == room:  # the cap may have cut some
+        total = _windows_total(s_ts, order, windows)
+    return grid, _evidence(points, xs, ys, kept, [
+        Indexed(probes, grid),
+        Scaled([ms[i] for i in kept], den),
+        Scaled([s_ts[i] for i in kept], den),
+    ], total)

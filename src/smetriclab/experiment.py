@@ -50,6 +50,9 @@ from .space import (
 #: per step, for at most len(universe) + 1 steps before it cycles or converges).
 MAX_GRID_NODES = 100_000
 MAX_SWEEP = 100_000
+#: Evidence records a condition check keeps, unless its ``max_evidence``
+#: sets fewer; past it the report gives the exact total instead.
+MAX_EVIDENCE = MAX_SWEEP
 MAX_SEQUENCE_TERMS = 100_000
 MAX_POWER_APPLICATIONS = 1_000_000
 
@@ -523,6 +526,13 @@ def positive_int(raw: object, path: str, declared: Declared) -> int:
     return raw
 
 
+def evidence_cap(raw: object, path: str, declared: Declared) -> int:
+    """``max_evidence``: a positive int, at most ``MAX_EVIDENCE``."""
+    cap = positive_int(raw, path, declared)
+    _require(cap <= MAX_EVIDENCE, path, f"is over the cap of {MAX_EVIDENCE}")
+    return cap
+
+
 def power(raw: object, path: str, declared: Declared) -> int:
     """The m of ``solve_power``, held to ``MAX_POWER_APPLICATIONS``."""
     m = positive_int(raw, path, declared)
@@ -623,21 +633,3 @@ def _exact(node: object) -> object:
     if isinstance(node, list):
         return [_exact(value) for value in node]
     return node
-
-
-def describe(value: object) -> object:
-    """JSON-ready form of a check option or evidence value.
-
-    Points become their labels and exact numbers floats, a Fraction or
-    an int as its literal was read; lists and tuples are converted element
-    by element; anything else (bools, strings, None) is kept as is.
-    """
-    kind = type(value)  # exact types first: reports convert many values
-    if kind is Fraction or kind is int:
-        # what float(value) computes, without its Python-level method call
-        return value.numerator / value.denominator
-    if kind is Point:
-        return value.label
-    if kind is list or kind is tuple:
-        return [describe(v) for v in value]
-    return value

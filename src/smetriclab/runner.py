@@ -31,12 +31,14 @@ from .contraction import (
     verify_phi_gauge,
     xi,
 )
+from .evidence import describe, records
 from .experiment import (
+    MAX_EVIDENCE,
     ExperimentSpec,
     boolean,
     coefficient,
     default,
-    describe,
+    evidence_cap,
     list_of,
     not_negative,
     number,
@@ -152,7 +154,8 @@ class Check:
     family: str  # the subcommand that runs it
     #: option key -> reader (see ``experiment``), in the order reports list them
     options: dict[str, Callable]
-    #: (spec, options, tol) -> (passed, JSON-ready evidence)
+    #: (spec, options, tol) -> (passed, JSON-ready evidence); an evidence
+    #: list is an ``evidence.Rows`` of records
     execute: Callable
     #: JSON-ready record of a passed or failed run -> one line of text
     summary: Callable[[dict], str]
@@ -181,8 +184,9 @@ def _check(name, family, options, summary, **rest):
 
 
 # Execute functions call the kernels through this module's names and
-# return evidence made JSON-ready with ``describe``, key by key, so a
-# value that overflows a float aborts its check.
+# return evidence made JSON-ready with ``describe``, or as ``Rows`` that
+# the report writer reads column by column.  Either way a value that
+# overflows a float aborts its check.
 
 _SAMPLE = {"sample": optional(list_of(point))}
 _PAIRS = {"pairs": optional(list_of(pair)), **_SAMPLE}
@@ -200,16 +204,8 @@ _CENTER = {
 
 
 def _violations(record):
-    return f"{len(record['violations'])} violations"
-
-
-def _record(keys, row):
-    """Evidence record of one of a kernel's result tuples."""
-    return {key: describe(value) for key, value in zip(keys, row)}
-
-
-def _rows(keys, rows):
-    return [_record(keys, row) for row in rows]
+    total = record.get("violations_total", len(record["violations"]))
+    return f"{total} violations"
 
 
 def _fields(result, keys):
@@ -237,8 +233,8 @@ def _meets(options, key, actual, details):
 def _run_axioms(spec, options, tol):
     report = check_axioms(spec.space, options["sample"], tol)
     return report.passed, {
-        "s1_violations": _rows(("triple", "value"), report.s1_violations),
-        "s2_violations": _rows(
+        "s1_violations": records(("triple", "value"), report.s1_violations),
+        "s2_violations": records(
             ("quadruple", "lhs", "rhs"), report.s2_violations
         ),
         "triples_checked": report.triples_checked,
@@ -250,7 +246,7 @@ def _run_axioms(spec, options, tol):
 def _run_symmetry(spec, options, tol):
     bad = check_symmetry(spec.space, options["sample"], tol)
     return not bad, {
-        "violations": _rows(("x", "y", "forward", "backward"), bad)
+        "violations": records(("x", "y", "forward", "backward"), bad)
     }
 
 
@@ -258,7 +254,7 @@ def _run_symmetry(spec, options, tol):
 def _run_triangle(spec, options, tol):
     bad = check_triangle(spec.space, options["sample"], tol)
     return not bad, {
-        "violations": _rows(("triple", "lhs", "rhs"), bad),
+        "violations": records(("triple", "lhs", "rhs"), bad),
         "triples_checked": len(set(options["sample"] or spec.space.points)) ** 3,
     }
 
@@ -271,9 +267,9 @@ def _run_generated(spec, options, tol):
     report = generating_metric_check(spec.space, options["sample"], tol)
     details = {
         "generated": report.generated,
-        "witness": None if report.witness is None else _record(
-            ("triple", "s_value", "candidate_value"), report.witness
-        ),
+        "witness": None if report.witness is None else dict(zip(
+            ("triple", "s_value", "candidate_value"), describe(report.witness)
+        )),
         "triples_checked": report.triples_checked,
     }
     return _meets(options, "expect", report.generated, details), details
@@ -295,7 +291,7 @@ def _run_phi_gauge(spec, options, tol):
     bad = verify_phi_gauge(spec.gauge, options["t_values"], tol)
     return not bad, {
         "t_values": describe(options["t_values"]),
-        "violations": _rows(("t", "phi"), bad),
+        "violations": records(("t", "phi"), bad),
     }
 
 
@@ -308,6 +304,16 @@ def _explicit_pairs(spec, options):
 
 
 _MODES = ("full", "simple", "strict")
+_CAP = {"max_evidence": default(MAX_EVIDENCE, evidence_cap)}
+
+
+def _capped(keys, rows):
+    """The ``violations`` of a condition kernel's ``Rows`` under ``keys``,
+    with their total and a truncation flag when the cap cut them."""
+    details = {"violations": rows.named(keys)}
+    if rows.total > len(rows):
+        details.update(violations_total=rows.total, truncated=True)
+    return details
 
 
 def _mode_needs(options):
@@ -323,6 +329,7 @@ def _mode_needs(options):
             "full", one_of(_MODES, "must be 'full', 'simple', or 'strict'")
         ),
         **_PAIRS,
+        **_CAP,
     },
     _violations, needs=("a map", "params"), option_needs=_mode_needs,
     label="condition_i[{mode}]", sweep=2,
@@ -331,12 +338,12 @@ def _run_condition_i(spec, options, tol):
     pairs, checked = _explicit_pairs(spec, options)
     violations = verify_condition_i(
         spec.space, spec.mapping, spec.params, spec.gauge,
-        pairs, options["mode"], tol,
+        pairs, options["mode"], tol, options["max_evidence"],
     )
     return not violations, {
         "mode": options["mode"],
         "pairs_checked": checked,
-        "violations": _rows(("x", "y", "m", "s_t"), violations),
+        **_capped(("x", "y", "m", "s_t"), violations),
     }
 
 
@@ -349,7 +356,8 @@ def _first_window_violation(record):
 
 
 @_check(
-    "condition_ii", "verify", {"eps": optional(list_of(positive)), **_PAIRS},
+    "condition_ii", "verify",
+    {"eps": optional(list_of(positive)), **_PAIRS, **_CAP},
     _first_window_violation, needs=("a map", "params", "gauge.delta"),
     sweep=2,
 )
@@ -357,12 +365,12 @@ def _run_condition_ii(spec, options, tol):
     pairs, checked = _explicit_pairs(spec, options)
     grid, violations = condition_ii_probe(
         spec.space, spec.mapping, spec.params, spec.gauge,
-        pairs, options["eps"], tol,
+        pairs, options["eps"], tol, options["max_evidence"],
     )
     return not violations, {
         "pairs_checked": checked,
         "eps_grid": describe(grid),
-        "violations": _rows(("x", "y", "eps", "m", "s_t"), violations),
+        **_capped(("x", "y", "eps", "m", "s_t"), violations),
     }
 
 
@@ -503,7 +511,7 @@ def _run_zamfirescu(spec, options, tol):
     return not violations, {
         **_center(options),
         "points_checked": len(sample) if sample else len(spec.space),
-        "violations": _rows(("x", "lhs", "rhs"), violations),
+        "violations": records(("x", "lhs", "rhs"), violations),
     }
 
 
@@ -530,10 +538,10 @@ def _run_fixed_circle(spec, options, tol):
         "tol_circle": describe(report.tol_circle),
         "circle": describe(report.circle_points),
         "disc": describe(report.disc_points),
-        "zamfirescu_violations": _rows(
+        "zamfirescu_violations": records(
             ("x", "lhs", "rhs"), report.zamfirescu_violations
         ),
-        "hypothesis_violations": _rows(
+        "hypothesis_violations": records(
             ("x", "s_t_x0"), report.hypothesis_violations
         ),
         "hypotheses_hold": report.hypotheses_hold,
