@@ -29,12 +29,10 @@ from pathlib import Path
 
 from .evidence import Rows
 from .experiment import (
-    MAX_EVIDENCE,
     CheckSpec,
     ConfigError,
     ExperimentSpec,
     build_check,
-    evidence_cap,
     load_experiment,
     positive,
     read_literal,
@@ -49,16 +47,6 @@ def _tolerance_arg(text: str) -> Fraction:
         return positive(read_literal(text), "tolerance", None)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    except ConfigError as e:
-        raise argparse.ArgumentTypeError(f"{e.path} {e.reason}") from None
-
-
-def _max_evidence_arg(text: str) -> int:
-    """``--max-evidence``, read by the rules of the check option."""
-    try:
-        return evidence_cap(read_literal(text, int), "max_evidence", None)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     except ConfigError as e:
         raise argparse.ArgumentTypeError(f"{e.path} {e.reason}") from None
 
@@ -83,9 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report here instead of stdout")
         p.add_argument("--tolerance", type=_tolerance_arg, default=None,
                        help="override the experiment tolerance")
-        p.add_argument("--max-evidence", type=_max_evidence_arg, default=None,
-                       help="override the evidence records each condition "
-                       f"check keeps (at most {MAX_EVIDENCE})")
         p.add_argument("--format", choices=("json", "text"), default="json",
                        help="report format (default json)")
     return parser
@@ -138,10 +123,6 @@ def _execute(args: argparse.Namespace) -> RunReport:
             spec.checks = _synthesize(spec, args.command)
     if args.tolerance is not None:
         spec.tolerance = args.tolerance
-    if args.max_evidence is not None:
-        for check in spec.checks:
-            if "max_evidence" in check.options:
-                check.options["max_evidence"] = args.max_evidence
     return run(spec)
 
 
@@ -178,21 +159,17 @@ def _text(value, indent: str) -> str:
 
 def _write_rows(rows: Rows, indent: str, pieces: list, write) -> None:
     """Write the records of ``rows`` at ``indent``, a batch and a column at
-    a time, each distinct raw value of a cached column turned into text
-    once."""
+    a time, each distinct raw value of a column turned into text once."""
     inner = indent + "  "
     template = indent + "{" + ",".join(
         inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
         for key in rows.keys
     ) + indent + "}"
-    texts = [{} if column.cached else None for column in rows.columns]
+    texts = [{} for _ in rows.columns]
     for start in range(0, len(rows), _BATCH):
         columns = []
         for column, known in zip(rows.columns, texts):
             values = column.values[start:start + _BATCH]
-            if known is None:
-                columns.append([_text(column.leaf(v), inner) for v in values])
-                continue
             for v in set(values).difference(known):
                 known[v] = _text(column.leaf(v), inner)
             columns.append(map(known.__getitem__, values))

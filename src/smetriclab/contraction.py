@@ -186,6 +186,21 @@ def _pair_rows(space, mapping, pairs, params):
     return points, xs, ys, refs, s_ts, den
 
 
+def _column(values, den, kept, violating=None):
+    """The ``kept`` rows of ``values`` as a ``Scaled`` column.  When the
+    cap cut some violations, ``violating()`` yields the rows of them all,
+    and the column's ``largest`` covers them: the largest |v| over every
+    row when its float is in range, else over those rows."""
+    largest = None
+    if violating is not None:
+        largest = max(map(abs, values), default=0)
+        try:
+            largest / den
+        except OverflowError:
+            largest = max((abs(values[i]) for i in violating()), default=0)
+    return Scaled([values[k] for k in kept], den, largest)
+
+
 def _evidence(points, xs, ys, kept, columns, total):
     """Rows of the ``kept`` pairs: x and y as indices into ``points``,
     then ``columns``."""
@@ -237,9 +252,10 @@ def verify_condition_i(
         if v > cut.get(m, math.inf)
     ]
     kept = failing[:max_evidence]
+    violating = None if len(kept) == len(failing) else lambda: failing
     return _evidence(points, xs, ys, kept, [
-        Scaled([refs[k] for k in kept], den),
-        Scaled([s_ts[k] for k in kept], den),
+        _column(refs, den, kept, violating),
+        _column(s_ts, den, kept, violating),
     ], len(failing))
 
 
@@ -344,11 +360,16 @@ def condition_ii_probe(
             inside = inside[:room - len(kept)]
             kept += inside
             probes += [k] * len(inside)
-    total = len(kept)
+    total, violating = len(kept), None
     if total == room:  # the cap may have cut some
         total = _windows_total(s_ts, order, windows)
+
+        def violating():
+            for start, end, cap in windows:
+                yield from (i for i in order[start:end] if s_ts[i] > cap)
+
     return grid, _evidence(points, xs, ys, kept, [
         Indexed(probes, grid),
-        Scaled([ms[i] for i in kept], den),
-        Scaled([s_ts[i] for i in kept], den),
+        _column(ms, den, kept, violating),
+        _column(s_ts, den, kept, violating),
     ], total)

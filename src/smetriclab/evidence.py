@@ -1,15 +1,16 @@
 """Evidence records, held as columns until the report is written.
 
-A check's evidence list is a ``Rows``: one column per field, each holding
-one raw value per record.  The condition kernels keep their raw values
-as ints: a point or a probe as its index into the kernel's list, a
-number as an int over the kernel's den.  ``cli.write_json`` turns each
-raw value into text as it writes it, once per distinct value of a
+A condition check's evidence list is a ``Rows``: one column per field,
+each holding one raw value per record.  The condition kernels keep their
+raw values as ints: a point or a probe as its index into the kernel's
+list, a number as an int over the kernel's den.  ``cli.write_json`` turns
+each raw value into text as it writes it, once per distinct value of a
 column, so a float is ``p / den``: CPython divides ints with correct
 rounding, as ``Fraction.__float__`` does.  Indexing builds one record
 when asked: a tuple of the kernel's exact values, or, once ``named``, a
 dict of JSON-ready values, so that a ``Rows`` compares equal to the list
-the kernel or the report held before.
+the kernel or the report held before.  Other checks' evidence lists are
+plain lists of such dicts (``records``).
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ def describe(value: object) -> object:
 class Indexed:
     """A column of indices into ``items``, a kernel's points or probes."""
 
-    cached = True  # the writer keeps one text per distinct value
-
     def __init__(self, values: list[int], items: list):
         self.values, self.items = values, items
 
@@ -60,12 +59,13 @@ class Indexed:
 
 
 class Scaled:
-    """A column of ints over ``den``."""
+    """A column of ints over ``den``.  ``largest`` bounds |v| over every
+    record found, kept or not, and is past float range over ``den`` when
+    one of them is; by default it is the largest |v| of ``values``."""
 
-    cached = True
-
-    def __init__(self, values: list[int], den: int):
+    def __init__(self, values: list[int], den: int, largest: int | None = None):
         self.values, self.den = values, den
+        self.largest = max(map(abs, values), default=0) if largest is None else largest
 
     def exact(self, v):
         return Fraction(v, self.den)
@@ -76,19 +76,7 @@ class Scaled:
     def check(self) -> None:
         """Raise OverflowError when a value's float is past float range:
         the largest |v| gives the largest float."""
-        max(map(abs, self.values), default=0) / self.den
-
-
-class Plain:
-    """A column of values already JSON-ready, for ``records``."""
-
-    cached = False  # its values may be lists, or both zeros
-
-    def __init__(self, values: list):
-        self.values = values
-
-    def leaf(self, value):
-        return value
+        self.largest / self.den
 
 
 class Rows(Sequence):
@@ -133,8 +121,7 @@ class Rows(Sequence):
         return repr(list(self))
 
 
-def records(keys: tuple[str, ...], rows: list[tuple]) -> Rows:
+def records(keys: tuple[str, ...], rows: list[tuple]) -> list[dict]:
     """Records of a kernel's result tuples under ``keys``, each value made
     JSON-ready now, so that one past float range raises here."""
-    columns = zip(*rows) if rows else [()] * len(keys)
-    return Rows([Plain(list(map(describe, c))) for c in columns], keys)
+    return [dict(zip(keys, map(describe, row))) for row in rows]

@@ -50,8 +50,8 @@ from .space import (
 #: per step, for at most len(universe) + 1 steps before it cycles or converges).
 MAX_GRID_NODES = 100_000
 MAX_SWEEP = 100_000
-#: Evidence records a condition check keeps, unless its ``max_evidence``
-#: sets fewer; past it the report gives the exact total instead.
+#: Evidence records a condition check keeps; past them its report gives
+#: the exact total instead.
 MAX_EVIDENCE = MAX_SWEEP
 MAX_SEQUENCE_TERMS = 100_000
 MAX_POWER_APPLICATIONS = 1_000_000
@@ -524,13 +524,6 @@ def positive_int(raw: object, path: str, declared: Declared) -> int:
     )
     number(raw, path)  # held to float range like every other number
     return raw
-
-
-def evidence_cap(raw: object, path: str, declared: Declared) -> int:
-    """``max_evidence``: a positive int, at most ``MAX_EVIDENCE``."""
-    cap = positive_int(raw, path, declared)
-    _require(cap <= MAX_EVIDENCE, path, f"is over the cap of {MAX_EVIDENCE}")
-    return cap
 
 
 def power(raw: object, path: str, declared: Declared) -> int:

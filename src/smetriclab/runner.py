@@ -38,7 +38,6 @@ from .experiment import (
     boolean,
     coefficient,
     default,
-    evidence_cap,
     list_of,
     not_negative,
     number,
@@ -154,8 +153,8 @@ class Check:
     family: str  # the subcommand that runs it
     #: option key -> reader (see ``experiment``), in the order reports list them
     options: dict[str, Callable]
-    #: (spec, options, tol) -> (passed, JSON-ready evidence); an evidence
-    #: list is an ``evidence.Rows`` of records
+    #: (spec, options, tol) -> (passed, JSON-ready evidence); a condition
+    #: check's evidence list is an ``evidence.Rows`` of records
     execute: Callable
     #: JSON-ready record of a passed or failed run -> one line of text
     summary: Callable[[dict], str]
@@ -184,9 +183,9 @@ def _check(name, family, options, summary, **rest):
 
 
 # Execute functions call the kernels through this module's names and
-# return evidence made JSON-ready with ``describe``, or as ``Rows`` that
-# the report writer reads column by column.  Either way a value that
-# overflows a float aborts its check.
+# return evidence made JSON-ready with ``describe``, or, for the
+# conditions, as ``Rows`` that the report writer reads column by column.
+# Either way a value that overflows a float aborts its check.
 
 _SAMPLE = {"sample": optional(list_of(point))}
 _PAIRS = {"pairs": optional(list_of(pair)), **_SAMPLE}
@@ -304,7 +303,6 @@ def _explicit_pairs(spec, options):
 
 
 _MODES = ("full", "simple", "strict")
-_CAP = {"max_evidence": default(MAX_EVIDENCE, evidence_cap)}
 
 
 def _capped(keys, rows):
@@ -329,7 +327,6 @@ def _mode_needs(options):
             "full", one_of(_MODES, "must be 'full', 'simple', or 'strict'")
         ),
         **_PAIRS,
-        **_CAP,
     },
     _violations, needs=("a map", "params"), option_needs=_mode_needs,
     label="condition_i[{mode}]", sweep=2,
@@ -338,7 +335,7 @@ def _run_condition_i(spec, options, tol):
     pairs, checked = _explicit_pairs(spec, options)
     violations = verify_condition_i(
         spec.space, spec.mapping, spec.params, spec.gauge,
-        pairs, options["mode"], tol, options["max_evidence"],
+        pairs, options["mode"], tol, MAX_EVIDENCE,
     )
     return not violations, {
         "mode": options["mode"],
@@ -357,7 +354,7 @@ def _first_window_violation(record):
 
 @_check(
     "condition_ii", "verify",
-    {"eps": optional(list_of(positive)), **_PAIRS, **_CAP},
+    {"eps": optional(list_of(positive)), **_PAIRS},
     _first_window_violation, needs=("a map", "params", "gauge.delta"),
     sweep=2,
 )
@@ -365,7 +362,7 @@ def _run_condition_ii(spec, options, tol):
     pairs, checked = _explicit_pairs(spec, options)
     grid, violations = condition_ii_probe(
         spec.space, spec.mapping, spec.params, spec.gauge,
-        pairs, options["eps"], tol, options["max_evidence"],
+        pairs, options["eps"], tol, MAX_EVIDENCE,
     )
     return not violations, {
         "pairs_checked": checked,

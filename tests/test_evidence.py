@@ -8,8 +8,6 @@ kernels of ``test_lattice``; run it under more examples with
 ``--hypothesis-profile oracle``.
 """
 
-import contextlib
-import io
 import json
 import subprocess
 import sys
@@ -36,6 +34,7 @@ from smetriclab import (
     condition_ii_probe,
     render_text,
     run,
+    runner,
     verify_condition_i,
 )
 from smetriclab.evidence import Rows
@@ -142,7 +141,7 @@ def test_int_rows_write_the_bytes_of_the_old_records(
     assert (list(capped), capped.total) == (violations[:cap], len(violations))
 
 
-def _grid_doc(**cap):
+def _grid_doc():
     """Condition (ii) on the 21-node grid of ``grid_verify``: 1,230
     violations."""
     return {
@@ -151,14 +150,15 @@ def _grid_doc(**cap):
         "map": {"kind": "formula", "expr": "x / 2 + 1"},
         "params": {"a": Fraction(3, 4), "b": 0, "c": 0},
         "gauge": {"phi": "2 * t / 3", "delta": "eps"},
-        "checks": [{"check": "condition_i", "mode": "strict", **cap},
-                   {"check": "condition_ii", **cap}],
+        "checks": [{"check": "condition_i", "mode": "strict"},
+                   {"check": "condition_ii"}],
     }
 
 
-def test_a_capped_record_keeps_the_first_records_and_gives_the_total():
+def test_a_capped_record_keeps_the_first_records_and_gives_the_total(monkeypatch):
     whole = run(build_experiment(_grid_doc())).report["checks"]
-    report = run(build_experiment(_grid_doc(max_evidence=7))).report
+    monkeypatch.setattr(runner, "MAX_EVIDENCE", 7)
+    report = run(build_experiment(_grid_doc())).report
     capped = report["checks"]
     assert "violations_total" not in whole[1] and "truncated" not in whole[1]
     assert len(whole[1]["violations"]) == 1230
@@ -170,31 +170,6 @@ def test_a_capped_record_keeps_the_first_records_and_gives_the_total():
     assert "[FAIL] condition_ii: 1230 violations; first pair (-10, -7) at eps 2.7" in (
         render_text(report)
     )
-
-
-def test_the_max_evidence_flag_caps_every_condition_check(tmp_path):
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(_grid_doc(), default=float))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["verify", "--input", str(path), "--max-evidence", "3"])
-    records = json.loads(out.getvalue())["checks"]
-    assert code == 1
-    assert [len(r["violations"]) for r in records] == [0, 3]
-    assert records[1]["violations_total"] == 1230
-
-
-@pytest.mark.parametrize(("text", "error"), [
-    ("0", "max_evidence must be a positive integer"),
-    ("-2", "max_evidence must be a positive integer"),
-    ("100001", "max_evidence is over the cap of 100000"),
-    ("2.5", "not an integer: '2.5'"),
-])
-def test_a_bad_max_evidence_flag_is_an_argument_error(text, error, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(["run", "--input", "x.json", "--max-evidence", text])
-    assert exit_info.value.code == 2
-    assert f"argument --max-evidence: {error}\n" in capsys.readouterr().err
 
 
 def test_a_condition_value_past_float_range_aborts_its_check():
@@ -214,6 +189,46 @@ def test_a_condition_value_past_float_range_aborts_its_check():
         "verdict": "aborted",
         "error": "OverflowError: integer division result too large for a float",
     }]
+
+
+@pytest.mark.parametrize("check", [
+    {"check": "condition_i", "mode": "strict"}, {"check": "condition_ii"},
+])
+def test_a_value_past_float_range_after_the_cap_aborts_its_check(check, monkeypatch):
+    # with M = |x - y|, the check fails first on the pair (0, 1), in range,
+    # and later on pairs with 3, whose image 10^400 has no float
+    spec = build_experiment({
+        "space": {"kind": "finite", "points": [0, 1, 2, 3],
+                  "smetric": {"kind": "formula", "expr": SUM_ABS}},
+        "map": {"kind": "formula",
+                "expr": f"piecewise(x <= 0 : 0, x <= 2 : 5, else : {10 ** 400})"},
+        "params": {"a": Fraction(1, 2), "b": 0, "c": 0},
+        "gauge": {"delta": "eps"},
+        "checks": [check],
+    })
+    monkeypatch.setattr(runner, "MAX_EVIDENCE", 1)
+    outcome = run(spec)
+    assert outcome.exit_code == 2
+    assert outcome.report["checks"][0]["error"] == (
+        "OverflowError: integer division result too large for a float"
+    )
+
+
+def test_a_value_past_float_range_in_no_violation_does_not_abort(monkeypatch):
+    # the pair (0, 10^400) has an M past float range, but T sends both to
+    # 0, so only pairs among 0, 1 and 2 fail
+    spec = build_experiment({
+        "space": {"kind": "finite", "points": [0, 1, 2, 10 ** 400],
+                  "smetric": {"kind": "formula", "expr": SUM_ABS}},
+        "map": {"kind": "formula", "expr": "piecewise(x <= 0 : 0, x <= 2 : 5, else : 0)"},
+        "params": {"a": Fraction(1, 2), "b": 0, "c": 0},
+        "checks": [{"check": "condition_i", "mode": "strict"}],
+    })
+    monkeypatch.setattr(runner, "MAX_EVIDENCE", 1)
+    outcome = run(spec)
+    record = outcome.report["checks"][0]
+    assert (outcome.exit_code, record["violations_total"]) == (1, 4)
+    assert record["violations"] == [{"x": "0", "y": "1", "m": 1.0, "s_t": 10.0}]
 
 
 def test_rows_read_like_the_lists_they_stand_for():
@@ -237,7 +252,7 @@ def test_rows_read_like_the_lists_they_stand_for():
 def test_scale_run_reports_a_small_grid():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "scale_run.py"), "jump",
-         "--step", "0.5", "--max-evidence", "5"],
+         "--step", "0.5"],
         capture_output=True, text=True, timeout=120, check=True,
     )
     result = json.loads(done.stdout.splitlines()[-1])

@@ -134,24 +134,6 @@ def _doc(entry, drop=(), **overrides):
     return doc
 
 
-MAX_EVIDENCE_ERRORS = [
-    ("condition_i zero max_evidence",
-     _doc({"check": "condition_i", "max_evidence": 0}),
-     "checks[0].max_evidence: must be a positive integer"),
-    ("condition_ii negative max_evidence",
-     _doc({"check": "condition_ii", "max_evidence": -3}),
-     "checks[0].max_evidence: must be a positive integer"),
-    ("condition_ii fractional max_evidence",
-     _doc({"check": "condition_ii", "max_evidence": Fraction(5, 2)}),
-     "checks[0].max_evidence: must be a positive integer"),
-    ("condition_i text max_evidence",
-     _doc({"check": "condition_i", "max_evidence": "10"}),
-     "checks[0].max_evidence: must be a positive integer"),
-    ("condition_ii max_evidence past the cap",
-     _doc({"check": "condition_ii", "max_evidence": 100_001}),
-     "checks[0].max_evidence: is over the cap of 100000"),
-]
-
 ERRORS = [
     ("not an object", _doc("axioms"), "checks[0]: must be an object"),
     ("unknown check", _doc({"check": "levitate"}),
@@ -247,8 +229,6 @@ ERRORS = [
     ("condition_i pairs and sample",
      _doc({"check": "condition_i", "pairs": [[0, 2]], "sample": [0, 2, 4, 8]}),
      "checks[0]: takes pairs or sample, not both"),
-    # the evidence cap of both conditions
-    *MAX_EVIDENCE_ERRORS,
     # solve
     ("solve unknown option", _doc({"check": "solve", "x0": 0, "m": 2}),
      "checks[0].m: unknown option"),
@@ -572,20 +552,6 @@ def test_check_errors_keep_their_text(doc, message):
     with pytest.raises(ConfigError) as excinfo:
         build_experiment(doc)
     assert str(excinfo.value) == message
-
-
-@pytest.mark.parametrize(
-    ("doc", "message"),
-    [pytest.param(doc, message, id=case)
-     for case, doc, message in MAX_EVIDENCE_ERRORS],
-)
-def test_a_bad_max_evidence_exits_2_without_a_traceback(tmp_path, doc, message):
-    path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc, default=float))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(["run", "--input", str(path)])
-    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {message}\n")
 
 
 def test_a_file_whose_top_level_is_not_an_object_exits_2(tmp_path):

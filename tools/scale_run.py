@@ -1,7 +1,7 @@
 """Run the CLI on a scaled experiment and report what the run cost.
 
     python3 tools/scale_run.py {grid,jump} [--step STEP] [--format json|text]
-                               [--max-evidence N] [--limit-mb MB]
+                               [--limit-mb MB]
 
 ``grid`` is the 201-node grid: [-10, 10] at step 0.1, S = |x - z| + |y - z|,
 map x/2 + 1, a = 3/4, phi = 2t/3 and delta = eps, checked by condition (i)
@@ -65,11 +65,8 @@ def document(name: str, step: str | None) -> tuple[dict, str]:
     }, step or "0.01"
 
 
-def write_document(name: str, step: str | None, directory: Path,
-                   max_evidence: int | None) -> Path:
+def write_document(name: str, step: str | None, directory: Path) -> Path:
     doc, step = document(name, step)
-    if max_evidence is not None:
-        doc["checks"] = [{**c, "max_evidence": max_evidence} for c in doc["checks"]]
     path = directory / f"{doc['name']}.json"
     path.write_text(json.dumps(doc, indent=2).replace('"@STEP@"', step))
     return path
@@ -109,15 +106,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--step", type=_decimal, default=None,
                         help="grid step as a decimal (default 0.1 or 0.01)")
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--max-evidence", type=int, default=None,
-                        help="the checks' max_evidence option")
     parser.add_argument("--limit-mb", type=int, default=None,
                         help="address-space limit of the child, in MB")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        path = write_document(args.document, args.step, work, args.max_evidence)
+        path = write_document(args.document, args.step, work)
         report = work / "report.out"
         env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
         started = time.perf_counter()
