@@ -147,16 +147,6 @@ _LEAVES = {
 _BATCH = 4096
 
 
-def _text(value, indent: str) -> str:
-    """The JSON text of ``value`` at ``indent``."""
-    leaf = _LEAVES.get(type(value))
-    if leaf is not None:
-        return leaf(value)
-    written, pieces = [], []
-    _write_value(value, indent, pieces, written.append)
-    return "".join(written + pieces)
-
-
 def _write_rows(rows: Rows, indent: str, pieces: list, write) -> None:
     """Write the records of ``rows`` at ``indent``, a batch and a column at
     a time, each distinct raw value of a column turned into text once."""
@@ -171,7 +161,8 @@ def _write_rows(rows: Rows, indent: str, pieces: list, write) -> None:
         for column, known in zip(rows.columns, texts):
             values = column.values[start:start + _BATCH]
             for v in set(values).difference(known):
-                known[v] = _text(column.leaf(v), inner)
+                leaf = column.leaf(v)  # a label or a float
+                known[v] = _LEAVES[type(leaf)](leaf)
             columns.append(map(known.__getitem__, values))
         text = ",".join(map(template.__mod__, zip(*columns)))
         pieces.append("," + text if start else text)
@@ -221,9 +212,10 @@ def write_json(value, write) -> None:
     """Send ``json.dumps(value, indent=2) + "\\n"`` to ``write`` in pieces.
 
     Leaves are spelled by their exact type as ``json`` spells them, and
-    the records of an evidence list (``evidence.Rows``) are filled from one
-    template per list, a batch at a time, each raw value turned into text
-    as it is written; a ``Rows`` is written as the list of its records.
+    the records of a condition check's evidence (``evidence.Rows``) are
+    filled from one template per list, a batch at a time, each raw value
+    turned into text as it is written; a ``Rows`` is written as the list
+    of its records.
     Any other value goes through ``json.dumps`` itself, so the bytes match
     for every tree it accepts.
     """
