@@ -43,18 +43,32 @@ from .space import Point, Space, _read
 
 @dataclass(slots=True)
 class _Row:
-    """One sampled point and the values the verdicts read."""
+    """The values the verdicts read for one sampled point."""
 
-    point: Point
     image: object  # Tx
     moved: object  # S(Tx, Tx, x)
     dist: object = None  # S(x, x, x0)
     image_dist: object = None  # S(Tx, Tx, x0)
 
 
+@dataclass
+class _Pass:
+    """One pass over the sample: ``rows[k]`` holds the values of
+    ``points[k]``, read by ``read`` as ``xs[k]``; ``center`` is x0 read
+    the same way.  ``points`` is the universe's own when there is no
+    sample, so a grid node's ``Point`` is made only for a reported row."""
+
+    read: object
+    center: object
+    points: object
+    xs: object
+    rows: list
+    violations: list
+
+
 def _rows(space, mapping, a, b, center, sample, tol, every_dist):
-    """How the call reads its values, the row of each sampled point, in
-    sample order, and the (point, lhs, rhs) violations of the x0-bound.
+    """The ``_Pass`` of the sample, in sample order, with the
+    (point, lhs, rhs) violations of the x0-bound.
 
     A point that moves gets every term of the x0-bound; S(x, x, x0) is
     taken on the others only when ``every_dist`` asks for it, or when the
@@ -62,23 +76,30 @@ def _rows(space, mapping, a, b, center, sample, tol, every_dist):
     reading it on every point is not observable, and the space keeps the
     pass under these options for the next check to reuse (the map and S
     are taken not to change).  Off the lattice each call reads its own.
+    Without a sample the universe is read whole and x0 taken from it.
     """
     # the x0-bound times w, so that a and b/2 become integers
     w, wa, wb, _ = _folded(ContractionParams(a, b, 0))  # checks a and b
-    pts = space.sampled(sample)
+    points = space.sampled(sample) if sample else space.points
     key = (mapping, a, b, center.label, tol,
-           tuple(p.label for p in pts) if sample else None)
+           tuple(p.label for p in points) if sample else None)
     if key in space._passes:
         return space._passes[key]
-    read = _read(space, mapping, [center, *pts])
+    if sample:
+        read = _read(space, mapping, [center, *points])
+        c, *xs = read.points
+    else:
+        read = _read(space, mapping, points)
+        xs = read.points
+        c = xs[points.index(center)]
     every_dist = every_dist or read.scale is not None
-    s, (c, *xs) = read.s, read.points
+    s = read.s
     tc = read.t(c)
     moves, slack = read.cut(tol), read.cut(tol * w)
     rows, violations = [], []
-    for p, x in zip(pts, xs):
+    for k, x in enumerate(xs):
         image = read.t(x)
-        row = _Row(p, image, s((image, image, x)))
+        row = _Row(image, s((image, image, x)))
         if every_dist or row.moved > moves:
             row.dist = s((x, x, c))
         if row.moved > moves:
@@ -86,18 +107,21 @@ def _rows(space, mapping, a, b, center, sample, tol, every_dist):
             row.image_dist = s((image, image, c))
             bound = max(wa * row.dist, wb * (back + row.image_dist))
             if row.moved * w > bound + slack:
-                violations.append((p, read.exact(row.moved), read.exact(bound, w)))
+                violations.append((points[k], read.exact(row.moved),
+                                   read.exact(bound, w)))
         rows.append(row)
+    done = _Pass(read, c, points, xs, rows, violations)
     if read.scale is not None:
-        space._passes[key] = read, rows, violations
-    return read, rows, violations
+        space._passes[key] = done
+    return done
 
 
-def _grid_margin(space, read, rows, tol):
+def _grid_margin(space, done, tol):
     """Half the steepest slope of S(., ., x0) between neighbouring sample
     coordinates, times the grid step; never below tol."""
-    xs = read.points[1:] if read.scale else [r.point.value for r in rows]
-    by_value = sorted(dict(zip(xs, (r.dist for r in rows))).items())
+    read = done.read
+    xs = done.xs if read.scale else [x.value for x in done.xs]
+    by_value = sorted(dict(zip(xs, (r.dist for r in done.rows))).items())
     rise, run = 0, 1
     for (c0, d0), (c1, d1) in itertools.pairwise(by_value):
         if abs(d1 - d0) * run > rise * (c1 - c0):
@@ -121,10 +145,10 @@ def verify_zamfirescu_x0(
     lhs = S(Tx, Tx, x) exceeds rhs + tol.
     """
     tol = to_fraction(tol)
-    _, _, violations = _rows(
+    done = _rows(
         space, mapping, a, b, space.resolve(x0), sample, tol, every_dist=False
     )
-    return list(violations)
+    return list(done.violations)
 
 
 @dataclass
@@ -167,41 +191,43 @@ def check_fixed_circle(
     """
     tol = to_fraction(tol)
     center = space.resolve(x0)
-    read, rows, zam = _rows(
-        space, mapping, a, b, center, sample, tol, every_dist=True
-    )
+    done = _rows(space, mapping, a, b, center, sample, tol, every_dist=True)
+    read, rows, points = done.read, done.rows, done.points
     moves = read.cut(tol)
     radius = min((r.moved for r in rows if r.moved > moves), default=0)
     if tol_circle is not None:
         margin = to_fraction(tol_circle)
     elif space.kind == "real_grid":
-        margin = _grid_margin(space, read, rows, tol)
+        margin = _grid_margin(space, done, tol)
     else:
         margin = tol
     width = read.cut(margin)
-    circle = [r for r in rows if abs(r.dist - radius) <= width]
     reach, limit = radius + width, radius + moves
-    disc = [r for r in rows if r.dist <= reach]
+    disc = [k for k, r in enumerate(rows) if r.dist <= reach]
+    circle = [k for k in disc if abs(rows[k].dist - radius) <= width]
 
-    s, c = read.s, read.points[0]
-    for r in disc:
+    s, c = read.s, done.center
+    for k in disc:
+        r = rows[k]
         if r.image_dist is None:
             r.image_dist = s((r.image, r.image, c))
+    disc_points = {k: points[k] for k in disc}
     hypothesis_violations = [
-        (r.point, read.exact(r.image_dist)) for r in disc if r.image_dist > limit
+        (disc_points[k], read.exact(rows[k].image_dist))
+        for k in disc if rows[k].image_dist > limit
     ]
-    nonfixed = [r.point for r in disc if r.moved > moves]
-    circle_fixed = all(r.moved <= moves for r in circle)
-    hyp_ok_on_circle = all(r.image_dist <= limit for r in circle)
-    inconsistent = not zam and (
+    nonfixed = [disc_points[k] for k in disc if rows[k].moved > moves]
+    circle_fixed = all(rows[k].moved <= moves for k in circle)
+    hyp_ok_on_circle = all(rows[k].image_dist <= limit for k in circle)
+    inconsistent = not done.violations and (
         (hyp_ok_on_circle and not circle_fixed)
         or (not hypothesis_violations and bool(nonfixed))
     )
     return CircleReport(
         rho=read.exact(radius),
-        circle_points=[r.point for r in circle],
-        disc_points=[r.point for r in disc],
-        zamfirescu_violations=list(zam),
+        circle_points=[disc_points[k] for k in circle],
+        disc_points=list(disc_points.values()),
+        zamfirescu_violations=list(done.violations),
         hypothesis_violations=hypothesis_violations,
         circle_fixed=circle_fixed,
         disc_fixed=not nonfixed,

@@ -157,7 +157,7 @@ def _pair_rows(space, mapping, pairs, params):
     order of ``_m_folded``, then scaled.
     """
     if pairs is None:
-        points = list(space.points)
+        points = space.points
         n = len(points)
         xs, ys = [i for i in range(n) for _ in range(n)], list(range(n)) * n
     else:
@@ -170,7 +170,7 @@ def _pair_rows(space, mapping, pairs, params):
     read = _read(space, mapping, points)
     if read.scale is None:
         def lookup(i):
-            return points[i], read.t(points[i])
+            return read.points[i], read.t(read.points[i])
     else:
         lookup = list(zip(read.points, map(read.t, read.points))).__getitem__
     s, refs, s_ts = read.s, [], []

@@ -324,7 +324,8 @@ def _build_mapping(node: object, space: Space) -> Mapping:
     kind = _kind(node, "map", _FORMULA_OR_TABLE, "must be 'formula' or 'table'")
     if kind == "formula":
         formula = _formula(node.get("expr"), ("x",), "map.expr")
-        if any(p.value is None for p in space.points):
+        # every grid node has a coordinate
+        if space.kind == "finite" and any(p.value is None for p in space.points):
             raise ConfigError("map.expr", "a formula map needs numeric points")
         return FormulaMapping(formula)
     entries = node.get("entries")

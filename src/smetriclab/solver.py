@@ -19,7 +19,6 @@ and ``space.on_lattice`` (README, "Tolerance semantics").
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -108,9 +107,8 @@ def _land(space: Space, origin: Point, image: Point) -> Point:
     except UnknownPointError:
         pass
     if space.kind == "real_grid" and image.value is not None:
-        offset = (image.value - space.points[0].value) / space.step
-        i = min(max(math.ceil(offset - Fraction(1, 2)), 0), len(space) - 1)
-        if abs(image.value - space.points[i].value) < space.step:
+        i = space.points.snap(image.value)
+        if i is not None:
             return space.points[i]
         raise MappingRangeError(
             f"image {image.label} of {origin.label} leaves the grid"
@@ -129,7 +127,7 @@ def fix_set(space: Space, mapping: Mapping) -> list[Point]:
     """
     if lattice := on_lattice(mapping, space.points):
         _, xs, t = lattice
-        return [p for p, x in zip(space.points, xs) if t(x) == x]
+        return [space.points[i] for i, x in enumerate(xs) if t(x) == x]
     return [p for p in space.points if mapping.apply(space, p) == p]
 
 

@@ -1,7 +1,10 @@
 """Point universes and the distance structures defined on them.
 
 A space is a finite list of points (either bare labels or exact rational
-coordinates) or a closed decimal grid [lo, hi] with a fixed step.  On top
+coordinates) or a closed decimal grid [lo, hi] with a fixed step.  A grid
+is kept as four ints (first, stride, count, den), node i being
+(first + i * stride) / den (``Grid``); it looks nodes up by arithmetic and
+makes a node's ``Point`` only when the node is indexed or named.  On top
 of the universe sits a three-argument distance S(x, y, z), given by an
 explicit table, by a formula in x, y, z, or generated from an ordinary
 two-argument metric d via
@@ -36,14 +39,16 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
 from typing import Callable
 
 from .expr import ExprError, Formula
 from .numeric import (
-    DEFAULT_TOL, decimal_writer, format_decimal, lattice_scale, to_fraction,
+    DEFAULT_TOL, MAX_LATTICE_BITS, decimal_writer, format_decimal,
+    lattice_scale, read_number, to_fraction,
 )
 
 
@@ -210,19 +215,103 @@ def _coordinate(p: Point) -> Fraction:
     return p.value
 
 
+class Grid(Sequence):
+    """The nodes (first + i * stride) / den of a grid, for i < count, as
+    ints; indexing or iterating makes a node's ``Point``, labelled by
+    ``decimal_writer(den)``.  ``count``, the number of nodes, stands in
+    for ``Sequence.count``, a tally that is 1 for every node."""
+
+    def __init__(self, first: int, stride: int, count: int, den: int):
+        self.first, self.stride, self.count, self.den = first, stride, count, den
+        self.label = decimal_writer(den)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(self.count)[index]]
+        k = self.first + range(self.count)[index] * self.stride
+        return Point(self.label(k), Fraction(k, self.den))
+
+    def __iter__(self):
+        label, den = self.label, self.den
+        for k in self.over(self.den):
+            yield Point(label(k), Fraction(k, den))
+
+    def index(self, point: object) -> int:
+        """The position of the node equal to ``point``; ValueError when
+        no node is."""
+        i = None
+        if isinstance(point, Point) and point.value is not None:
+            i = self.position(point.value)
+        if i is None or self[i] != point:
+            raise ValueError(f"{point!r} is not a grid node")
+        return i
+
+    def position(self, value: object) -> int | None:
+        """The index of the node at coordinate ``value``, or None."""
+        q = value if type(value) is int else to_fraction(value)
+        k, off = divmod(q.numerator * self.den, q.denominator)
+        i, off_stride = divmod(k - self.first, self.stride)
+        if off or off_stride or not 0 <= i < self.count:
+            return None
+        return i
+
+    def at(self, value: object) -> Point | None:
+        """The node at coordinate ``value``, or None."""
+        i = self.position(value)
+        return None if i is None else self[i]
+
+    def labelled(self, label: str) -> Point | None:
+        """The node whose canonical label is ``label``, or None: "1.50"
+        and "1e0" name no node, though they read as one's coordinate."""
+        try:
+            value = read_number(label)
+        except (ValueError, ZeroDivisionError):
+            return None
+        node = self.at(value)
+        return node if node is not None and node.label == label else None
+
+    def snap(self, value: object) -> int | None:
+        """The index of the node nearest ``value``, the lower one on a tie,
+        when it lies less than one step away; else None."""
+        q = to_fraction(value)
+        # value - node i is (a - i * b) / (den * q.denominator), a step b
+        a = q.numerator * self.den - self.first * q.denominator
+        b = self.stride * q.denominator
+        i = min(max(-((b - 2 * a) // (2 * b)), 0), self.count - 1)
+        return i if abs(a - i * b) < b else None
+
+    @property
+    def scale(self) -> int:
+        """The least common denominator of the nodes' coordinates."""
+        return self.den // math.gcd(
+            self.den, self.first, self.stride if self.count > 1 else 0
+        )
+
+    def over(self, scale: int) -> range:
+        """The nodes as ints ``scale`` times their coordinates, for a
+        ``scale`` that is a multiple of ``self.scale``."""
+        start = self.first * scale // self.den
+        step = self.stride * scale // self.den or 1  # 0 only for one node
+        return range(start, start + self.count * step, step)
+
+
 class Space:
     """A universe of points with an S-metric attached.
 
     ``kind`` is "finite" for an explicit point list and "real_grid" for the
-    uniform decimal grid.  A grid universe is still a finite collection;
-    the kind controls grid-specific behavior such as snapping map images
-    and the default circle-membership tolerance.
+    uniform decimal grid, whose ``points`` are a ``Grid``.  A grid universe
+    is still a finite collection; the kind controls grid-specific behavior
+    such as snapping map images and the default circle-membership
+    tolerance.
     """
 
     def __init__(
         self,
         kind: str,
-        points: tuple[Point, ...],
+        points: tuple[Point, ...] | Grid,
         smetric: SMetric,
         step: Fraction | None = None,
     ):
@@ -230,10 +319,15 @@ class Space:
         self.points = points
         self.smetric = smetric
         self.step = step
-        self._by_label = {p.label: p for p in points}
-        if len(self._by_label) != len(points):
-            raise ValueError("duplicate point labels in universe")
-        self._by_value = {p.value: p for p in points if p.value is not None}
+        # label -> point and coordinate -> point, or None where there is none
+        if isinstance(points, Grid):
+            self._labelled, self._at = points.labelled, points.at
+        else:
+            by_label = {p.label: p for p in points}
+            if len(by_label) != len(points):
+                raise ValueError("duplicate point labels in universe")
+            self._labelled = by_label.get
+            self._at = {p.value: p for p in points if p.value is not None}.get
         self._s_memo: dict[tuple[Point, ...], _Memo | _FromMetric] = {}
         self._passes: dict = {}  # circle passes read on the lattice
 
@@ -248,16 +342,11 @@ class Space:
         """The nodes lo + i * step up to hi, read as ints k over the least
         den of lo and step: each node is k/den, labelled from k."""
         lo_f, hi_f, step_f = to_fraction(lo), to_fraction(hi), to_fraction(step)
-        count = grid_steps(lo_f, hi_f, step_f)
+        count = grid_steps(lo_f, hi_f, step_f) + 1
         den = math.lcm(lo_f.denominator, step_f.denominator)
         first = lo_f.numerator * (den // lo_f.denominator)
         stride = step_f.numerator * (den // step_f.denominator)
-        label = decimal_writer(den)
-        points = tuple(
-            Point(label(k), Fraction(k, den))
-            for k in range(first, first + count * stride + 1, stride)
-        )
-        return cls("real_grid", points, smetric, step_f)
+        return cls("real_grid", Grid(first, stride, count, den), smetric, step_f)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -274,25 +363,25 @@ class Space:
         if isinstance(ref, Point):
             ref = ref.label if ref.value is None else ref.value
         if isinstance(ref, str):
-            try:
-                return self._by_label[ref]
-            except KeyError:
-                raise UnknownPointError(f"unknown point label {ref!r}") from None
-        try:  # equal numbers hash alike, whatever their type
-            return self._by_value[ref]
-        except KeyError:
+            point = self._labelled(ref)
+            if point is None:
+                raise UnknownPointError(f"unknown point label {ref!r}")
+            return point
+        point = self._at(ref)  # equal numbers hash alike, whatever their type
+        if point is None:
             raise UnknownPointError(
                 f"no point at coordinate {format_decimal(to_fraction(ref))}"
-            ) from None
+            )
+        return point
 
     def coerce(self, ref: object) -> Point:
         """Like :meth:`resolve`, but coordinates off the universe are kept
         as free-standing points so formula distances can still evaluate."""
         if isinstance(ref, Point):
-            return self._by_label.get(ref.label, ref)
+            return self._labelled(ref.label) or ref
         if isinstance(ref, str):
             return self.resolve(ref)
-        return self._by_value.get(ref) or as_point(ref)
+        return self._at(ref) or as_point(ref)
 
     def sampled(self, sample: list[object] | None) -> list[Point]:
         """The sample's points, or the whole universe when none is given."""
@@ -316,7 +405,8 @@ class Space:
 
 @dataclass
 class AxiomReport:
-    """Outcome of the S1/S2 sweep with every violating tuple listed."""
+    """Outcome of the S1/S2 sweep with every violating tuple listed, but
+    for S2 past a cap: ``s2_total`` counts every S2 violation found."""
 
     s1_violations: list[tuple[tuple[Point, Point, Point], Fraction]]
     s2_violations: list[
@@ -324,10 +414,15 @@ class AxiomReport:
     ]
     triples_checked: int
     quadruples_checked: int
+    s2_total: int | None = field(default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.s2_total is None:
+            self.s2_total = len(self.s2_violations)
 
     @property
     def passed(self) -> bool:
-        return not self.s1_violations and not self.s2_violations
+        return not self.s1_violations and not self.s2_total
 
 
 def _scaled(values: list[Fraction]) -> list[int]:
@@ -386,15 +481,21 @@ class _FromMetric:
         return self.d[i][k] + self.d[j][k]
 
 
-def on_lattice(mapping, points: list) -> tuple | None:
+def on_lattice(mapping, points) -> tuple | None:
     """``(scale, xs, t)``: the points' coordinates as ints over the least
     scale that holds them and their images under ``mapping`` exactly, and
     ``t``, the map on such ints (None when ``mapping`` is None).  A point
-    is a ``Point`` or its coordinate.  None for a map without an int
-    kernel (``Mapping.scaled``), a point without a coordinate, or a scale
-    past ``numeric.MAX_LATTICE_BITS``."""
-    values = [p.value if isinstance(p, Point) else p for p in points]
-    lattice = lattice_scale(values)
+    is a ``Point`` or its coordinate; a ``Grid`` gives its scale from its
+    ints, and its coordinates as a ``range``.  None for a map without an
+    int kernel (``Mapping.scaled``), a point without a coordinate, or a
+    scale past ``numeric.MAX_LATTICE_BITS``."""
+    if isinstance(points, Grid):
+        lattice = points.scale
+        if lattice.bit_length() > MAX_LATTICE_BITS:
+            lattice = None
+    else:
+        values = [p.value if isinstance(p, Point) else p for p in points]
+        lattice = lattice_scale(values)
     compiled = lattice and (mapping is None or mapping.scaled(lattice))
     if not compiled:
         return None
@@ -407,6 +508,8 @@ def on_lattice(mapping, points: list) -> tuple | None:
         def t(x):
             return image((x // up,)) * image_up
 
+    if isinstance(points, Grid):
+        return lattice, points.over(lattice), t
     return lattice, [v.numerator * (lattice // v.denominator) for v in values], t
 
 
@@ -430,11 +533,11 @@ class _Reading:
         return Fraction(value, self.den * weight)
 
 
-def _read(space: Space, mapping, points: list) -> _Reading:
-    """The one reader: ``points``, each a ``Point`` or a coordinate, their
-    images under ``mapping`` (S alone when it is None) and S, on the
-    lattice when the map and S both have int kernels there; else each
-    point coerced to a point of the space."""
+def _read(space: Space, mapping, points) -> _Reading:
+    """The one reader: ``points``, each a ``Point`` or a coordinate, or
+    the space's ``Grid``, their images under ``mapping`` (S alone when it
+    is None) and S, on the lattice when the map and S both have int
+    kernels there; else each point coerced to a point of the space."""
     smetric = space.smetric
     lattice = on_lattice(mapping, points)
     compiled = lattice and smetric.scaled(lattice[0])
@@ -442,7 +545,8 @@ def _read(space: Space, mapping, points: list) -> _Reading:
         scale, xs, t = lattice
         return _Reading(xs, t, *compiled, scale)
     return _Reading(
-        [space.coerce(p) for p in points],
+        list(points) if isinstance(points, Grid)
+        else [space.coerce(p) for p in points],
         mapping and functools.partial(mapping.apply, space),
         lambda xyz: smetric.triple(*xyz),
     )
@@ -467,6 +571,7 @@ def check_axioms(
     space: Space,
     sample: list[object] | None = None,
     tol: object = DEFAULT_TOL,
+    max_evidence: int | None = None,
 ) -> AxiomReport:
     """Exhaustively test S1 and S2 over a sample (default: the universe).
 
@@ -475,6 +580,9 @@ def check_axioms(
     quadruples with additive slack tol.  S is read once per triple, in
     ``itertools.product`` order; S2 is certified per triple over all a,
     whose least right-hand side is taken once per unordered triple.
+    Every S2 violation is counted, and the first ``max_evidence`` of them,
+    when given, are listed; a value of any of them past float range
+    raises OverflowError, as listing it would.
     """
     tol = to_fraction(tol)
     pts, reads = space._s_on(sample)
@@ -500,16 +608,26 @@ def check_axioms(
                             (k, i, j), (k, j, i)):
                 least[(p * n + q) * n + r] = m
     s2: list[tuple[tuple[Point, Point, Point, Point], Fraction, Fraction]] = []
+    room = n**4 if max_evidence is None else max_evidence
+    total = largest = 0  # largest: |lhs| or |rhs| of the violations not listed
     for (i, j, k), w, m in zip(triples, scaled, least):
         if w - t > m:
+            rhs = list(map(add, map(add, rows[i], rows[j]), rows[k]))
+            failing = [a for a, v in enumerate(rhs) if w - t > v]
+            total += len(failing)
+            kept = failing[:room - len(s2)]
             s2 += [
                 ((pts[i], pts[j], pts[k], pts[a]), reads.exact(i, j, k),
                  reads.exact(i, i, a) + reads.exact(j, j, a)
                  + reads.exact(k, k, a))
-                for a, (x, y, z) in enumerate(zip(rows[i], rows[j], rows[k]))
-                if w - t > x + y + z
+                for a in kept
             ]
-    return AxiomReport(s1, s2, n**3, n**4)
+            if len(kept) < len(failing):
+                largest = max(largest, abs(w),
+                              *(abs(rhs[a]) for a in failing[len(kept):]))
+    if total > len(s2):
+        largest / den  # past float range: OverflowError, as a listed one raises
+    return AxiomReport(s1, s2, n**3, n**4, total)
 
 
 def _pair_reads(reads: _Memo | _FromMetric, pairs: list[tuple[int, int]]):

@@ -1,11 +1,12 @@
 """Integer closures, the integer circle, fix-set, condition (i)/(ii) and
-discontinuity kernels and the integer grid labels, each against the
-Fraction code it replaced, kept here as the oracle.
+discontinuity kernels, the integer grid labels and the grid lookups, each
+against the code it replaced, kept here as the oracle.
 
 Run these under more examples with ``--hypothesis-profile oracle``.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,11 +25,13 @@ from smetriclab import (
     GaugeSpec,
     GeneratedSMetric,
     Mapping,
+    Point,
     SMetric,
     Space,
     SpaceError,
     TableMapping,
     TableSMetric,
+    UnknownPointError,
     check_fixed_circle,
     condition_ii_probe,
     discontinuity_criterion,
@@ -44,7 +47,9 @@ from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
 from smetriclab.numeric import (
     DEFAULT_TOL, MAX_LATTICE_BITS, format_decimal, to_fraction,
 )
-from smetriclab.solver import DiscontinuityVerdict, SequenceLimit
+from smetriclab import as_point, fixture_path, load_experiment, run
+from smetriclab.mapping import MappingRangeError
+from smetriclab.solver import DiscontinuityVerdict, SequenceLimit, _land
 from smetriclab.space import _read, on_lattice
 
 
@@ -992,3 +997,175 @@ def test_grid_labels_are_format_decimal(lo, step, steps, extra):
         (format_decimal(v), v) for v in values
     ]
     assert all(type(p.value) is Fraction for p in space.points)
+
+
+# -- the grid lookups, against the per-node dicts they replaced ---------
+
+
+class DictGrid:
+    """A grid's nodes held as they were: a tuple of points and two dicts
+    over every node, with ``_land``'s nearest node taken over Fractions."""
+
+    def __init__(self, lo, step, count):
+        self.step = step
+        self.points = tuple(
+            Point(format_decimal(lo + i * step), lo + i * step)
+            for i in range(count)
+        )
+        self._by_label = {p.label: p for p in self.points}
+        self._by_value = {p.value: p for p in self.points}
+
+    def resolve(self, ref):
+        if isinstance(ref, Point):
+            ref = ref.label if ref.value is None else ref.value
+        if isinstance(ref, str):
+            try:
+                return self._by_label[ref]
+            except KeyError:
+                raise UnknownPointError(f"unknown point label {ref!r}") from None
+        try:
+            return self._by_value[ref]
+        except KeyError:
+            raise UnknownPointError(
+                f"no point at coordinate {format_decimal(to_fraction(ref))}"
+            ) from None
+
+    def coerce(self, ref):
+        if isinstance(ref, Point):
+            return self._by_label.get(ref.label, ref)
+        if isinstance(ref, str):
+            return self.resolve(ref)
+        return self._by_value.get(ref) or as_point(ref)
+
+    def land(self, origin, image):
+        try:
+            return self.resolve(image)
+        except UnknownPointError:
+            pass
+        offset = (image.value - self.points[0].value) / self.step
+        i = min(max(math.ceil(offset - Fraction(1, 2)), 0), len(self.points) - 1)
+        if abs(image.value - self.points[i].value) < self.step:
+            return self.points[i]
+        raise MappingRangeError(
+            f"image {image.label} of {origin.label} leaves the grid"
+        )
+
+
+def _looked_up(call):
+    """A lookup's point with its coordinate's type, or its error's text."""
+    try:
+        point = call()
+    except (UnknownPointError, MappingRangeError, IndexError) as e:
+        return type(e).__name__, str(e) if not isinstance(e, IndexError) else ""
+    return point.label, point.value, type(point.value)
+
+
+#: int steps, decimal steps and thirds
+LOOKUP_STEPS = st.sampled_from([
+    Fraction(1), Fraction(2), Fraction(7), Fraction(1, 10), Fraction(1, 4),
+    Fraction(3, 40), Fraction(5, 4), Fraction(1, 100), Fraction(1, 3),
+    Fraction(2, 3), Fraction(1, 6),
+])
+
+
+@st.composite
+def grid_lookups(draw):
+    """A grid with lo mostly negative and hi mostly off a node, the old
+    dicts over it, and references to look up: canonical and other labels,
+    coordinates on and off the grid as ints, Fractions and floats, and
+    points."""
+    step = draw(LOOKUP_STEPS)
+    lo = draw(st.fractions(min_value=-5, max_value=2, max_denominator=10))
+    steps = draw(st.integers(0, 30))
+    hi = lo + step * steps + step * draw(
+        st.fractions(min_value=0, max_value=Fraction(19, 20), max_denominator=20))
+    space = Space.real_grid(lo, hi, step, FormulaSMetric(
+        Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z"))))
+    old = DictGrid(lo, step, steps + 1)
+    node = st.sampled_from(old.points)
+    value = node.map(lambda p: p.value)
+    label = node.map(lambda p: p.label)
+    written = st.sampled_from([
+        "{}0", "{}.0", "+{}", "{}e0", " {}", "{} ", "0{}", "{}/1", "{}_0",
+    ])
+    other = st.tuples(written, label).map(lambda wl: wl[0].format(wl[1]))
+    off = st.fractions(min_value=-8, max_value=8, max_denominator=30)
+    exact = (
+        value | off | st.integers(-12, 12)
+        | value.map(lambda v: v.numerator if v.denominator == 1 else v)
+    )
+    number = exact | value.map(float) | st.sampled_from([0.5, -1.25, 2.0, 0.1])
+    text = label | other | off.map(format_decimal) | st.sampled_from(
+        ["p", "", "1/0", "nan", "1e5000", "-0", "0.0"])
+    points = st.builds(Point, text, st.none() | exact.map(to_fraction))
+    refs = draw(st.lists(number | text | points | node, min_size=1, max_size=12))
+    images = draw(st.lists(
+        off | value.map(lambda v: v + step / 2) | st.tuples(
+            value, st.fractions(min_value=-1, max_value=1, max_denominator=12)
+        ).map(lambda vf: vf[0] + vf[1] * step),
+        min_size=1, max_size=6))
+    return space, old, refs, images
+
+
+@settings(deadline=None)
+@given(grid_lookups())
+@example((
+    Space.real_grid(Fraction(-3, 2), Fraction(13, 10), Fraction(1, 3), FormulaSMetric(
+        Formula.parse("abs(x - z)", ("x", "y", "z")))),
+    DictGrid(Fraction(-3, 2), Fraction(1, 3), 9),
+    ["-0.5", "-1/2", "1.50", "+1", "1e0", Fraction(-7, 6), Fraction(-1, 6), 1, 2,
+     Point("-7/6", Fraction(-7, 6)), Point("-1.5", None)],
+    [Fraction(-4, 3), Fraction(-3, 2) + Fraction(1, 6), Fraction(3, 2), -2, 2],
+))
+def test_grid_lookups_match_the_per_node_dicts(instance):
+    space, old, refs, images = instance
+    assert len(space) == len(space.points) == len(old.points)
+    assert list(space.points) == list(old.points)
+    for i in range(-len(old.points) - 1, len(old.points) + 1):
+        assert _looked_up(lambda: space.points[i]) == _looked_up(
+            lambda: old.points[i])
+    for ref in refs:
+        assert _looked_up(lambda: space.resolve(ref)) == _looked_up(
+            lambda: old.resolve(ref))
+        assert _looked_up(lambda: space.coerce(ref)) == _looked_up(
+            lambda: old.coerce(ref))
+        assert (ref in space) == (_looked_up(lambda: old.resolve(ref))[0]
+                                  != "UnknownPointError")
+        if isinstance(ref, Point):
+            assert (ref in space.points) == (ref in old.points)
+    origin = old.points[0]
+    for value in images:
+        image = as_point(value)
+        assert _looked_up(lambda: _land(space, origin, image)) == _looked_up(
+            lambda: old.land(origin, image))
+
+
+def test_a_grid_lands_an_image_on_a_tie_on_the_lower_node():
+    space = Space.real_grid(-1, 1, Fraction(1, 3), FormulaSMetric(
+        Formula.parse("abs(x - z)", ("x", "y", "z"))))
+    origin = space.points[0]
+    assert _land(space, origin, as_point(Fraction(-1, 2))).label == "-2/3"
+    assert _land(space, origin, as_point(Fraction(-1, 2) + Fraction(
+        1, 10**9))).label == "-1/3"
+
+
+def test_example_3_3_makes_a_point_only_for_a_node_it_names(monkeypatch):
+    # building its grid makes none; its report names 601 fixed nodes, a
+    # disc of 201, a circle of 2 and a sample of 7 of the 2,001 nodes
+    built = []
+    init = Point.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Point, "__init__", counting)
+    Space.real_grid(-10, 10, Fraction(1, 100), FormulaSMetric(
+        Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z"))))
+    assert not built
+    report = run(load_experiment(fixture_path("example_3_3.json"))).report
+    monkeypatch.undo()
+    checks = {r["check"]: r for r in report["checks"]}
+    assert [len(checks["fix_set"]["fixed"]), len(checks["fixed_circle"]["disc"]),
+            len(checks["fixed_circle"]["circle"])] == [601, 201, 2]
+    assert len(built) < 1000

@@ -40,7 +40,7 @@ from smetriclab import (
     generating_metric_check,
     s_from_metric,
 )
-from smetriclab import cli
+from smetriclab import build_experiment, cli, render_text, run, runner
 from smetriclab.expr import ExprEvalError
 from smetriclab.numeric import format_decimal, to_fraction
 
@@ -728,3 +728,51 @@ def test_sweeps_abort_alike_whichever_runs_first(order):
     for kernel in order:
         with pytest.raises(ExprEvalError, match="^division by zero$"):
             kernel(space)
+
+
+SQUARES = "(x - z) * (x - z) + (y - z) * (y - z)"
+
+
+def test_a_capped_s2_list_keeps_the_first_violations_and_counts_them_all():
+    space = Space.finite([0, 1, 3, 6], FormulaSMetric(
+        Formula.parse(SQUARES, ("x", "y", "z"))))
+    whole = check_axioms(space)
+    capped = check_axioms(space, max_evidence=7)
+    assert (whole.s2_total, len(whole.s2_violations)) == (20, 20)
+    assert capped.s2_violations == whole.s2_violations[:7]
+    assert (capped.s2_total, capped.passed) == (20, False)
+
+
+def test_an_s2_value_past_float_range_aborts_past_the_cap(monkeypatch):
+    # the first S2 violation is in range; later ones at 10^200 square to
+    # values past it, and abort the check as they did when listed
+    spec = build_experiment({
+        "space": {"kind": "finite", "points": [0, 1, 3, 10**200],
+                  "smetric": {"kind": "formula", "expr": SQUARES}},
+        "checks": [{"check": "axioms"}],
+    })
+    monkeypatch.setattr(runner, "MAX_EVIDENCE", 1)
+    outcome = run(spec)
+    assert outcome.exit_code == 2
+    assert outcome.report["checks"][0]["error"] == (
+        "OverflowError: integer division result too large for a float"
+    )
+
+
+def test_the_46_node_s2_sweep_reports_its_total_in_a_bounded_report(tmp_path):
+    # 505,170 S2 violations: 100,000 listed, where all of them once made
+    # an 89.5 MB report
+    path, out = tmp_path / "squares.json", tmp_path / "report.json"
+    path.write_text(json.dumps({
+        "space": {"kind": "real_grid", "lo": 0, "hi": 45, "step": 1,
+                  "smetric": {"kind": "formula", "expr": SQUARES}},
+        "checks": [{"check": "axioms"}],
+    }))
+    assert cli.main(["run", "--input", str(path), "--output", str(out)]) == 1
+    report = json.loads(out.read_text())
+    record = report["checks"][0]
+    assert list(record)[4:7] == ["s2_violations", "s2_violations_total", "truncated"]
+    assert (record["s2_violations_total"], record["truncated"]) == (505170, True)
+    assert len(record["s2_violations"]) == runner.MAX_EVIDENCE
+    assert out.stat().st_size < 20 * 2**20
+    assert "[FAIL] axioms: 505170 violations" in render_text(report)
