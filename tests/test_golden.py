@@ -32,7 +32,8 @@ FIXTURES = (
 )
 EXTRA = (
     "aborted", "evidence", "fix_set_default", "lattice", "lattice_fallback",
-    "lattice_thirds", "no_map", "overflow", "snap", "swap", "table",
+    "lattice_thirds", "no_map", "overflow", "picard_finite", "picard_grid",
+    "snap", "swap", "table",
 )
 COMMANDS = ("axioms", "verify", "solve", "circle", "run")
 FORMATS = ("json", "text")
