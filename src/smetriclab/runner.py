@@ -447,12 +447,14 @@ def _run_solve_power(spec, options, tol):
     lambda r: f"{len(r['fixed'])} fixed points", needs=("a map",),
 )
 def _run_fix_set(spec, options, tol):
-    fixed = fix_set(spec.space, spec.mapping)
-    details = {"fixed": describe(fixed)}
+    fixed = fix_set(spec.space, spec.mapping, labels=True)
+    details = {"fixed": fixed}
     expect = options["expect"]
     if expect is not None:
         details["expect"] = describe(expect)
-    return expect is None or set(expect) == set(fixed), details
+    # labels are canonical and unique within a space, so they compare as
+    # the points do
+    return expect is None or set(details["expect"]) == set(fixed), details
 
 
 _CLASSIFICATIONS = ("continuous_at_u", "discontinuous_at_u", "inconclusive")

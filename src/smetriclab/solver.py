@@ -12,8 +12,12 @@ Convergence is always confirmed against the raw (pre-snap) image so that
 snapping can never invent a fixed point; an image that only snaps back
 onto the point it came from stalls the orbit there.
 
-The discontinuity criterion and ``fix_set`` read through ``space._read``
-and ``space.on_lattice`` (README, "Tolerance semantics").
+``picard``, the discontinuity criterion and ``fix_set`` read through
+``space._read`` and ``space.on_lattice`` (README, "Tolerance
+semantics").  On the lattice an orbit runs on node positions and makes
+a ``Point`` only for an orbit node and a stall's raw image; ``fix_set``
+can give a report its nodes' labels with no ``Point``.  Any other case,
+``solve_power``'s m-fold composition among them, iterates over points.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from fractions import Fraction
 from .contraction import ContractionParams, _folded, _m_folded
 from .mapping import Mapping, MappingRangeError, PowerMapping
 from .numeric import DEFAULT_TOL, to_fraction
-from .space import Point, Space, UnknownPointError, _read, on_lattice
+from .space import (
+    Point, Space, UnknownPointError, _lattice_read, _read, as_point, on_lattice,
+)
 
 
 @dataclass
@@ -66,6 +72,8 @@ def picard(
     """
     tol = to_fraction(tol)
     start = space.resolve(x0)
+    if (universe := _universe(space, mapping)) is not None:
+        return _lattice_picard(space, universe, start, max_iter, tol)
     points = [start]
     alphas: list[Fraction] = []
     visited = {start: 0}
@@ -97,6 +105,65 @@ def picard(
     return IterationTrace(points, alphas, Outcome("max_iter_reached"))
 
 
+def _universe(space: Space, mapping: Mapping) -> tuple | None:
+    """``(read, where)``: the universe and its images read on the lattice,
+    and ``where``, a read int -> the position of the node it is, or None;
+    None off the lattice.  Kept on the space per map (the map and S are
+    taken not to change), so that a solve then costs O(steps)."""
+    if mapping not in space._orbits:
+        read = universe = _lattice_read(space, mapping, space.points)
+        if read is not None:
+            xs = read.points
+            if isinstance(xs, range):  # a grid's nodes
+                def where(y):
+                    return xs.index(y) if y in xs else None
+            else:
+                where = {x: i for i, x in enumerate(xs)}.get
+            universe = read, where
+        space._orbits[mapping] = universe
+    return space._orbits[mapping]
+
+
+def _lattice_picard(
+    space: Space, universe: tuple, start: Point, max_iter: int, tol: Fraction
+) -> IterationTrace:
+    """``picard`` on node positions: the same steps and outcomes, with a
+    ``Point`` made only for an orbit node and a stall's raw image."""
+    read, where = universe
+    xs, t, s, cut = read.points, read.t, read.s, read.cut(tol)
+    value = start.value
+    nodes = [where(value.numerator * (read.scale // value.denominator))]
+    alphas = []
+    visited = {nodes[0]: 0}
+    outcome = Outcome("max_iter_reached")
+    for n in range(max_iter):
+        i = nodes[-1]
+        x = xs[i]
+        y = t(x)
+        j = where(y)
+        if j is None:
+            j = _snapped(space, space.points[i], as_point(Fraction(y, read.scale)))
+        alpha = s((x, x, xs[j]))
+        nodes.append(j)
+        alphas.append(alpha)
+        # confirm against the raw image so snapping cannot fake a fix
+        if alpha <= cut and (xs[j] == y or s((x, x, y)) <= cut):
+            outcome = Outcome("converged", steps=n)
+            break
+        if j == i and y != x:
+            outcome = Outcome("snap_stalled",
+                              image=as_point(Fraction(y, read.scale)))
+            break
+        if j in visited:
+            outcome = Outcome("cycle_detected", period=(n + 1) - visited[j])
+            break
+        visited[j] = n + 1
+    points = [start, *(space.points[j] for j in nodes[1:])]
+    if outcome.status == "converged":
+        outcome.u = points[-2]
+    return IterationTrace(points, [read.exact(a) for a in alphas], outcome)
+
+
 def _land(space: Space, origin: Point, image: Point) -> Point:
     """Force an orbit step back onto the universe, or fail loudly.
 
@@ -106,10 +173,15 @@ def _land(space: Space, origin: Point, image: Point) -> Point:
         return space.resolve(image)
     except UnknownPointError:
         pass
+    return space.points[_snapped(space, origin, image)]
+
+
+def _snapped(space: Space, origin: Point, image: Point) -> int:
+    """The position of the grid node an image off the universe snaps to."""
     if space.kind == "real_grid" and image.value is not None:
         i = space.points.snap(image.value)
         if i is not None:
-            return space.points[i]
+            return i
         raise MappingRangeError(
             f"image {image.label} of {origin.label} leaves the grid"
         )
@@ -118,8 +190,12 @@ def _land(space: Space, origin: Point, image: Point) -> Point:
     )
 
 
-def fix_set(space: Space, mapping: Mapping) -> list[Point]:
-    """All universe points fixed by the map, in universe order.
+def fix_set(
+    space: Space, mapping: Mapping, labels: bool = False
+) -> list[Point] | list[str]:
+    """All universe points fixed by the map, in universe order; with
+    ``labels``, their labels, written from their positions with no
+    ``Point`` made (``Space.labels``).
 
     The comparison T(x) = x is exact, over integers when the map is a
     formula that compiles on the universe's lattice; images that leave
@@ -127,8 +203,11 @@ def fix_set(space: Space, mapping: Mapping) -> list[Point]:
     """
     if lattice := on_lattice(mapping, space.points):
         _, xs, t = lattice
-        return [space.points[i] for i, x in enumerate(xs) if t(x) == x]
-    return [p for p in space.points if mapping.apply(space, p) == p]
+        nodes = [i for i, x in enumerate(xs) if t(x) == x]
+    else:
+        nodes = [i for i, p in enumerate(space.points)
+                 if mapping.apply(space, p) == p]
+    return space.labels(nodes) if labels else [space.points[i] for i in nodes]
 
 
 @dataclass

@@ -330,6 +330,7 @@ class Space:
             self._at = {p.value: p for p in points if p.value is not None}.get
         self._s_memo: dict[tuple[Point, ...], _Memo | _FromMetric] = {}
         self._passes: dict = {}  # circle passes read on the lattice
+        self._orbits: dict = {}  # per map, the universe as Picard reads it
 
     @classmethod
     def finite(cls, points: list[object], smetric: SMetric) -> "Space":
@@ -382,6 +383,15 @@ class Space:
         if isinstance(ref, str):
             return self.resolve(ref)
         return self._at(ref) or as_point(ref)
+
+    def labels(self, indices: list[int]) -> list[str]:
+        """The labels of the universe's nodes at ``indices``; a grid writes
+        them from its ints, with no ``Point``."""
+        points = self.points
+        if isinstance(points, Grid):
+            first, stride, label = points.first, points.stride, points.label
+            return [label(first + i * stride) for i in indices]
+        return [points[i].label for i in indices]
 
     def sampled(self, sample: list[object] | None) -> list[Point]:
         """The sample's points, or the whole universe when none is given."""
@@ -539,17 +549,23 @@ def _read(space: Space, mapping, points) -> _Reading:
     is None) and S, on the lattice when the map and S both have int
     kernels there; else each point coerced to a point of the space."""
     smetric = space.smetric
-    lattice = on_lattice(mapping, points)
-    compiled = lattice and smetric.scaled(lattice[0])
-    if compiled:
-        scale, xs, t = lattice
-        return _Reading(xs, t, *compiled, scale)
-    return _Reading(
+    return _lattice_read(space, mapping, points) or _Reading(
         list(points) if isinstance(points, Grid)
         else [space.coerce(p) for p in points],
         mapping and functools.partial(mapping.apply, space),
         lambda xyz: smetric.triple(*xyz),
     )
+
+
+def _lattice_read(space: Space, mapping, points) -> _Reading | None:
+    """``_read`` on the lattice, or None where it reads points of the
+    space."""
+    lattice = on_lattice(mapping, points)
+    compiled = lattice and space.smetric.scaled(lattice[0])
+    if not compiled:
+        return None
+    scale, xs, t = lattice
+    return _Reading(xs, t, *compiled, scale)
 
 
 def _read_s(space: Space, pts: tuple[Point, ...]) -> _Memo | _FromMetric:

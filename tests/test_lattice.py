@@ -1,6 +1,6 @@
-"""Integer closures, the integer circle, fix-set, condition (i)/(ii) and
-discontinuity kernels, the integer grid labels and the grid lookups, each
-against the code it replaced, kept here as the oracle.
+"""Integer closures, the integer circle, fix-set, condition (i)/(ii),
+discontinuity and Picard kernels, the integer grid labels and the grid
+lookups, each against the code it replaced, kept here as the oracle.
 
 Run these under more examples with ``--hypothesis-profile oracle``.
 """
@@ -9,6 +9,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +39,7 @@ from smetriclab import (
     eps_grid,
     fix_set,
     m_z_s,
+    picard,
     verify_condition_i,
     verify_zamfirescu_x0,
 )
@@ -47,7 +49,7 @@ from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
 from smetriclab.numeric import (
     DEFAULT_TOL, MAX_LATTICE_BITS, format_decimal, to_fraction,
 )
-from smetriclab import as_point, fixture_path, load_experiment, run
+from smetriclab import as_point, expr, fixture_path, load_experiment, run
 from smetriclab.mapping import MappingRangeError
 from smetriclab.solver import DiscontinuityVerdict, SequenceLimit, _land
 from smetriclab.space import _read, on_lattice
@@ -543,6 +545,9 @@ def test_integer_circle_pass_matches_the_fraction_kernels(
     assert _exactly(fix_set(space, mapping)) == _exactly(
         reference_fix_set(space, mapping)
     )
+    assert fix_set(space, mapping, labels=True) == [
+        p.label for p in reference_fix_set(space, mapping)
+    ]
     # the integer pass ran: both formulas compile on the universe's lattice
     lattice = on_lattice(mapping, space.points)
     assert lattice and space.smetric.formula.scaled(lattice[0])
@@ -569,6 +574,9 @@ def test_fraction_fallback_reads_s_and_t_in_the_old_order(
     old_space, old_map, old = _recorded(space, mapping)
     assert fix_set(new_space, new_map) == reference_fix_set(old_space, old_map)
     assert new == old
+    assert fix_set(new_space, new_map, labels=True) == [
+        p.label for p in reference_fix_set(space, mapping)
+    ]
 
 
 # -- the condition (i) and (ii) kernels ----------------------------------
@@ -943,6 +951,78 @@ def test_discontinuity_finite_universe_note(sequences, options, classification, 
     assert (verdict.classification, verdict.note) == (classification, note)
 
 
+# -- Picard on node positions -------------------------------------------
+
+#: affine and piecewise maps whose images fall between nodes and past the
+#: ends of a grid, with fixed points, snap stalls and cycles among them
+PICARD_MAPS = (
+    "x/2 + 1",
+    "-x/3 + 1/5",
+    "x + 1/7",
+    "2*x - 1/3",
+    "1/2 - x",
+    "x",
+    "piecewise(x < -1 : -3 - x, x > 1 : 2*x, else : x/2 + 1/4)",
+    "piecewise(x <= 1/3 : x/3, else : 1 - x)",
+    "piecewise(x < 0 : x + 1/10, else : x/3 + 2/3)",
+)
+#: int, decimal and thirds dens
+PICARD_STEPS = st.sampled_from([
+    Fraction(1), Fraction(2), Fraction(1, 10), Fraction(1, 4), Fraction(1, 20),
+    Fraction(1, 3), Fraction(2, 3), Fraction(1, 6),
+])
+
+
+@st.composite
+def picard_instances(draw):
+    """A grid, or a finite universe of drawn points closed under a few
+    rounds of the map, so that an orbit moves before it may leave it; a
+    formula S and map, a start, max_iter and tol."""
+    s = FormulaSMetric(
+        Formula.parse(draw(st.sampled_from(S_FORMULAS)), ("x", "y", "z"))
+    )
+    formula = Formula.parse(draw(st.sampled_from(PICARD_MAPS)), ("x",))
+    mapping = FormulaMapping(formula)
+    if draw(st.booleans()):
+        step = draw(PICARD_STEPS)
+        lo = draw(st.fractions(min_value=-3, max_value=1, max_denominator=6))
+        space = Space.real_grid(lo, lo + step * draw(st.integers(0, 30)), step, s)
+    else:
+        values = set(draw(st.lists(COORDINATES, min_size=1, max_size=6)))
+        for _ in range(draw(st.integers(0, 4))):
+            values |= {formula(v) for v in values}
+        space = Space.finite(sorted(values), s)
+    x0 = draw(st.sampled_from([p.value for p in space.points]))
+    tol = draw(TOLERANCES | st.fractions(min_value=0, max_value=2, max_denominator=8))
+    return space, mapping, x0, draw(st.integers(0, 12)), tol
+
+
+def _fresh(space):
+    """A copy of ``space`` with nothing read on it yet."""
+    return Space(space.kind, space.points, space.smetric, space.step)
+
+
+@settings(deadline=None)
+@given(picard_instances())
+@example((Space.real_grid(-4, 4, Fraction(1, 2), FormulaSMetric(
+    Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z")))),
+    FormulaMapping(Formula.parse(PICARD_MAPS[6], ("x",))),
+    Fraction(0), 10, DEFAULT_TOL))  # snaps 1.25 onto 1, then leaves the grid
+@example((Space.real_grid(0, 0, 1, FormulaSMetric(
+    Formula.parse(S_FORMULAS[2], ("x", "y", "z")))),
+    FormulaMapping(Formula.parse("x + 1/7", ("x",))),
+    Fraction(0), 1, Fraction(0)))  # stalls on S(0, 0, 1/7) = 1/21, one unit past 0
+def test_lattice_picard_matches_the_fraction_path(instance):
+    space, mapping, x0, max_iter, tol = instance
+    lattice = _fresh(space)
+    got = _outcome(picard, lattice, mapping, x0, max_iter, tol)
+    with mock.patch.object(Formula, "scaled", lambda self, scale: None):
+        want = _outcome(picard, _fresh(space), mapping, x0, max_iter, tol)
+    assert got == want
+    # the orbit ran on node positions
+    assert lattice._orbits[mapping] is not None
+
+
 # -- the lattice bound ---------------------------------------------------
 
 
@@ -1150,8 +1230,9 @@ def test_a_grid_lands_an_image_on_a_tie_on_the_lower_node():
 
 
 def test_example_3_3_makes_a_point_only_for_a_node_it_names(monkeypatch):
-    # building its grid makes none; its report names 601 fixed nodes, a
-    # disc of 201, a circle of 2 and a sample of 7 of the 2,001 nodes
+    # building its grid makes none; its report names a disc of 201, a
+    # circle of 2 and a sample of 7 of the 2,001 nodes as points, and its
+    # 601 fixed nodes by their labels alone
     built = []
     init = Point.__init__
 
@@ -1168,4 +1249,24 @@ def test_example_3_3_makes_a_point_only_for_a_node_it_names(monkeypatch):
     checks = {r["check"]: r for r in report["checks"]}
     assert [len(checks["fix_set"]["fixed"]), len(checks["fixed_circle"]["disc"]),
             len(checks["fixed_circle"]["circle"])] == [601, 201, 2]
-    assert len(built) < 1000
+    assert len(built) < 300
+
+
+def test_example_2_2_solves_with_no_exact_kernel_of_s_or_the_map(monkeypatch):
+    # its three orbits run on the lattice, so S and the map are built at
+    # scale 1 for the integer sweeps and never as exact kernels
+    spec = load_experiment(fixture_path("example_2_2.json"))
+    ours = {spec.space.smetric.formula.ast, spec.mapping.formula.ast}
+    built = []
+    kernel = expr._kernel
+
+    def recording(node, variables, scale=None):
+        built.append((node in ours, scale))
+        return kernel(node, variables, scale)
+
+    monkeypatch.setattr(expr, "_kernel", recording)
+    report = run(spec).report
+    monkeypatch.undo()
+    solves = [r for r in report["checks"] if r["check"] == "solve"]
+    assert [r["outcome"]["status"] for r in solves] == ["converged"] * 3
+    assert sorted(scale for ours, scale in built if ours) == [1, 1]
