@@ -22,7 +22,9 @@ can give a report its nodes' labels with no ``Point``.  Any other case,
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +32,8 @@ from .contraction import ContractionParams, _folded, _m_folded
 from .mapping import Mapping, MappingRangeError, PowerMapping
 from .numeric import DEFAULT_TOL, to_fraction
 from .space import (
-    Point, Space, UnknownPointError, _lattice_read, _read, as_point, on_lattice,
+    Point, Space, UnknownPointError, _lattice_read, _read, _Reading, as_point,
+    on_lattice,
 )
 
 
@@ -72,96 +75,86 @@ def picard(
     """
     tol = to_fraction(tol)
     start = space.resolve(x0)
-    if (universe := _universe(space, mapping)) is not None:
-        return _lattice_picard(space, universe, start, max_iter, tol)
-    points = [start]
-    alphas: list[Fraction] = []
-    visited = {start: 0}
-    s = space.smetric.triple
-
-    for n in range(max_iter):
-        current = points[-1]
-        image = mapping.apply(space, current)
-        landed = _land(space, current, image)
-        alpha = s(current, current, landed)
-        points.append(landed)
-        alphas.append(alpha)
-        if alpha <= tol:
-            # confirm against the raw image so snapping cannot fake a fix
-            if landed == image or s(current, current, image) <= tol:
-                return IterationTrace(
-                    points, alphas, Outcome("converged", u=current, steps=n)
-                )
-        if landed == current != image:
-            return IterationTrace(
-                points, alphas, Outcome("snap_stalled", image=image)
-            )
-        if landed in visited:
-            period = (n + 1) - visited[landed]
-            return IterationTrace(
-                points, alphas, Outcome("cycle_detected", period=period)
-            )
-        visited[landed] = n + 1
-    return IterationTrace(points, alphas, Outcome("max_iter_reached"))
-
-
-def _universe(space: Space, mapping: Mapping) -> tuple | None:
-    """``(read, where)``: the universe and its images read on the lattice,
-    and ``where``, a read int -> the position of the node it is, or None;
-    None off the lattice.  Kept on the space per map (the map and S are
-    taken not to change), so that a solve then costs O(steps)."""
-    if mapping not in space._orbits:
-        read = universe = _lattice_read(space, mapping, space.points)
-        if read is not None:
-            xs = read.points
-            if isinstance(xs, range):  # a grid's nodes
-                def where(y):
-                    return xs.index(y) if y in xs else None
-            else:
-                where = {x: i for i, x in enumerate(xs)}.get
-            universe = read, where
-        space._orbits[mapping] = universe
-    return space._orbits[mapping]
-
-
-def _lattice_picard(
-    space: Space, universe: tuple, start: Point, max_iter: int, tol: Fraction
-) -> IterationTrace:
-    """``picard`` on node positions: the same steps and outcomes, with a
-    ``Point`` made only for an orbit node and a stall's raw image."""
-    read, where = universe
-    xs, t, s, cut = read.points, read.t, read.s, read.cut(tol)
-    value = start.value
-    nodes = [where(value.numerator * (read.scale // value.denominator))]
+    walk = _walk(space, mapping, start)
+    read = walk.read
+    t, s, cut, value = read.t, read.s, read.cut(tol), walk.value
+    nodes = [walk.start]
     alphas = []
-    visited = {nodes[0]: 0}
+    visited = {walk.start: 0}
     outcome = Outcome("max_iter_reached")
     for n in range(max_iter):
         i = nodes[-1]
-        x = xs[i]
+        x = value(i)
         y = t(x)
-        j = where(y)
-        if j is None:
-            j = _snapped(space, space.points[i], as_point(Fraction(y, read.scale)))
-        alpha = s((x, x, xs[j]))
+        j = walk.land(i, y)
+        landed = value(j)
+        alpha = s((x, x, landed))
         nodes.append(j)
         alphas.append(alpha)
         # confirm against the raw image so snapping cannot fake a fix
-        if alpha <= cut and (xs[j] == y or s((x, x, y)) <= cut):
+        if alpha <= cut and (landed == y or s((x, x, y)) <= cut):
             outcome = Outcome("converged", steps=n)
             break
         if j == i and y != x:
-            outcome = Outcome("snap_stalled",
-                              image=as_point(Fraction(y, read.scale)))
+            outcome = Outcome("snap_stalled", image=walk.image(y))
             break
         if j in visited:
             outcome = Outcome("cycle_detected", period=(n + 1) - visited[j])
             break
         visited[j] = n + 1
-    points = [start, *(space.points[j] for j in nodes[1:])]
+    points = [start, *map(walk.point, nodes[1:])]
     if outcome.status == "converged":
         outcome.u = points[-2]
     return IterationTrace(points, [read.exact(a) for a in alphas], outcome)
+
+
+@dataclass
+class _Walk:
+    """How ``picard`` reads an orbit.  On the lattice a node is its
+    position in the universe and its value the int ``read`` reads there;
+    else a node and its value are both the point itself."""
+
+    read: _Reading  # t, s, cut and exact, on values
+    start: object  # the start's node
+    value: Callable  # node -> its value
+    land: Callable  # (node, raw image) -> the node the image lands on
+    point: Callable  # node -> its Point
+    image: Callable  # raw image -> a Point, for a stall's report
+
+
+def _walk(space: Space, mapping: Mapping, start: Point) -> _Walk:
+    """The orbit read on the lattice when ``space._lattice_read`` reads
+    the universe there, else over points.  Read per call: O(1) on a grid,
+    whose ints are a ``range``, and O(n) on a finite universe of n."""
+    # an m-fold composition has no int kernel, so its read is not tried
+    read = not isinstance(mapping, PowerMapping) and _lattice_read(
+        space, mapping, space.points
+    )
+    if not read:
+        def same(p):
+            return p
+        triple = space.smetric.triple
+        read = _Reading([], functools.partial(mapping.apply, space),
+                        lambda xyz: triple(*xyz))
+        return _Walk(read, start, same, functools.partial(_land, space),
+                     same, same)
+    xs, scale = read.points, read.scale
+    if isinstance(xs, range):  # a grid's nodes
+        def where(y):
+            return xs.index(y) if y in xs else None
+    else:
+        where = {x: i for i, x in enumerate(xs)}.get
+
+    def image(y):
+        return as_point(Fraction(y, scale))
+
+    def land(i, y):
+        j = where(y)
+        return _snapped(space, space.points[i], image(y)) if j is None else j
+
+    v = start.value
+    return _Walk(read, where(v.numerator * (scale // v.denominator)),
+                 xs.__getitem__, land, space.points.__getitem__, image)
 
 
 def _land(space: Space, origin: Point, image: Point) -> Point:
@@ -193,9 +186,11 @@ def _snapped(space: Space, origin: Point, image: Point) -> int:
 def fix_set(
     space: Space, mapping: Mapping, labels: bool = False
 ) -> list[Point] | list[str]:
-    """All universe points fixed by the map, in universe order; with
-    ``labels``, their labels, written from their positions with no
-    ``Point`` made (``Space.labels``).
+    """All universe points fixed by the map, in universe order.
+
+    ``labels`` exists for the report, which names the fixed nodes only:
+    it returns their labels instead, written from their positions with
+    no ``Point`` made (``Space.labels``).
 
     The comparison T(x) = x is exact, over integers when the map is a
     formula that compiles on the universe's lattice; images that leave

@@ -330,7 +330,6 @@ class Space:
             self._at = {p.value: p for p in points if p.value is not None}.get
         self._s_memo: dict[tuple[Point, ...], _Memo | _FromMetric] = {}
         self._passes: dict = {}  # circle passes read on the lattice
-        self._orbits: dict = {}  # per map, the universe as Picard reads it
 
     @classmethod
     def finite(cls, points: list[object], smetric: SMetric) -> "Space":

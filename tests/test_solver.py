@@ -13,6 +13,7 @@ from smetriclab import (
     ContractionParams,
     Formula,
     FormulaMapping,
+    FormulaSMetric,
     MappingRangeError,
     Space,
     TableMapping,
@@ -118,6 +119,19 @@ def test_snapping_cannot_invent_a_fixed_point():
     assert trace.outcome.period is None and trace.outcome.u is None
     assert labels(trace) == ["0", "0"]
     assert trace.alphas == [0]
+
+
+def test_a_fixed_point_past_tol_is_a_cycle_not_a_stall():
+    # S(x, x, x) = 1 is past tol, yet the raw map fixes x, so nothing snapped
+    s = FormulaSMetric(Formula.parse("abs(x - z) + abs(y - z) + 1", ("x", "y", "z")))
+    for space, mapping in (
+        (Space.real_grid(0, 2, 1, s), FormulaMapping(Formula.parse("x", ("x",)))),
+        (Space.finite([0, 1, 2], s), TableMapping({"1": "1"})),
+    ):
+        trace = picard(space, mapping, 1)
+        assert labels(trace) == ["1", "1"]
+        assert trace.outcome.status == "cycle_detected"
+        assert trace.outcome.period == 1
 
 
 def test_fix_set_in_universe_order(four_space, four_map):
