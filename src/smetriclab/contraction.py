@@ -19,8 +19,10 @@ Window membership in (ii) is compared exactly; only the final inequality
 gets the additive tolerance.  Both checks read one row per pair, M(x, y)
 and S(Tx, Tx, Ty) as ints over one denominator den, through
 ``space._read`` (README, "Tolerance semantics"), and compare them with
-bounds by ``space._cut``.  (ii) sorts the rows by M once and bisects each
-probe's window.  Both return their violations as ``evidence.Rows`` over
+integer bounds.  A gauge is read at an int through ``_gauge_at``: phi at
+den, and delta at the probes' own den, a multiple of den over which every
+probe is an int.  (ii) sorts the rows by M once and bisects each probe's
+window.  Both return their violations as ``evidence.Rows`` over
 those ints, the first ``max_evidence`` of them when a cap is given, with
 the exact total.  The derived contraction factor
 
@@ -145,6 +147,21 @@ def verify_phi_gauge(
     return bad
 
 
+def _gauge_at(formula, scale):
+    """``formula`` as a function from an int v to its value at v / scale,
+    as a pair (p, q) worth p/q with q > 0: through the formula's kernel at
+    ``scale`` when it has one (``Formula.scaled``), else through its exact
+    kernel, which raises where the formula does."""
+    compiled = formula.scaled(scale)
+    if compiled is None:
+        def read(v):
+            value = formula.exact(Fraction(v, scale))
+            return value.numerator, value.denominator
+        return read
+    kernel, den = compiled
+    return lambda v: (kernel((v,)), den)
+
+
 def _pair_rows(space, mapping, pairs, params):
     """(points, xs, ys, refs, s_ts, den): per pair, in sample order, the
     indices of x and y in ``points``, and the reference and
@@ -242,11 +259,12 @@ def verify_condition_i(
     if mode == "strict":  # s_t <= M - tol, checked with slack
         low, slack = _cut(tol, den), _cut(-tol, den)
         cut = {m: m + slack for m in refs if m > low}
-    else:
-        cut = {
-            m: _cut(gauge.phi(Fraction(m, den)) + tol, den)
-            for m in dict.fromkeys(refs)
-        }
+    else:  # floor((phi(m / den) + tol) * den) over ints
+        phi, cut = _gauge_at(gauge.phi, den), {}
+        for m in dict.fromkeys(refs):
+            p, q = phi(m)
+            cut[m] = (p * tol.denominator + tol.numerator * q) * den \
+                // (q * tol.denominator)
     failing = [
         k for k, (m, v) in enumerate(zip(refs, s_ts))
         if v > cut.get(m, math.inf)
@@ -270,17 +288,26 @@ def eps_grid(
     0.9 * m_i, m_i - tol, and the midpoint of each consecutive gap, plus
     any caller-supplied probes, all filtered to be positive.
     """
-    tol = to_fraction(tol)
-    realized = sorted({to_fraction(m) for m in m_values if to_fraction(m) > 0})
-    probes: set[Fraction] = set()
-    for m in realized:
-        probes.add(m * Fraction(9, 10))
-        probes.add(m - tol)
-    for lower, upper in itertools.pairwise(realized):
-        probes.add((lower + upper) / 2)
-    for e in user_eps or []:
-        probes.add(to_fraction(e))
-    return sorted(p for p in probes if p > 0)
+    den, *ms = _scaled([1, *map(to_fraction, m_values)])
+    scale, probes = _probes(ms, den, user_eps, to_fraction(tol))
+    return [Fraction(e, scale) for e in probes]
+
+
+def _probes(ms, den, user_eps, tol):
+    """(scale, probes): ``eps_grid`` of the values m / den for m in
+    ``ms``, as sorted ints over scale = den * lcm(10, the dens of tol and
+    of each user probe), over which each probe is an int."""
+    user = [to_fraction(e) for e in user_eps or []]
+    k = math.lcm(10, tol.denominator, *(e.denominator for e in user))
+    scale = den * k
+    realized = sorted({m for m in ms if m > 0})
+    shift = tol.numerator * (scale // tol.denominator)
+    probes = {m * k - shift for m in realized}
+    probes.update(m * (k // 10 * 9) for m in realized)
+    probes.update((lower + upper) * (k // 2)
+                  for lower, upper in itertools.pairwise(realized))
+    probes.update(e.numerator * (scale // e.denominator) for e in user)
+    return scale, sorted(e for e in probes if e > 0)
 
 
 def _windows_total(s_ts, order, windows):
@@ -340,20 +367,25 @@ def condition_ii_probe(
         raise ValueError("condition (ii) needs a delta gauge")
     tol = to_fraction(tol)
     points, xs, ys, ms, s_ts, den = _pair_rows(space, mapping, pairs, params)
-    grid = eps_grid([Fraction(m, den) for m in set(ms)], eps_values, tol)
+    scale, eps_ints = _probes(ms, den, eps_values, tol)
+    grid = [Fraction(e, scale) for e in eps_ints]
     order = sorted(range(len(ms)), key=ms.__getitem__)
     keys = [ms[i] for i in order]
     room = len(grid) * len(ms) if max_evidence is None else max_evidence
+    # over den: eps is e / up, eps + tol is (e + shift) / up, and the
+    # window's end eps + p/q is (e * q + p * scale) / (up * q)
+    delta, up = _gauge_at(gauge.delta, scale), scale // den
+    shift = tol.numerator * (scale // tol.denominator)
     windows, probes, kept = [], [], []
-    for k, eps in enumerate(grid):
-        width = gauge.delta(eps)
-        if width <= 0:
+    for k, e in enumerate(eps_ints):
+        p, q = delta(e)
+        if p <= 0:
             raise GaugeDomainError(
-                f"delta({eps}) = {width} is not positive"
+                f"delta({grid[k]}) = {Fraction(p, q)} is not positive"
             )
-        start = bisect.bisect_right(keys, _cut(eps, den))
-        end = bisect.bisect_left(keys, -_cut(-eps - width, den))
-        cap = _cut(eps + tol, den)
+        start = bisect.bisect_right(keys, e // up)
+        end = bisect.bisect_left(keys, -(-(e * q + p * scale) // (up * q)))
+        cap = (e + shift) // up
         windows.append((start, end, cap))
         if len(kept) < room:
             inside = sorted(i for i in order[start:end] if s_ts[i] > cap)

@@ -1,10 +1,13 @@
 """Contraction parameters, displacement maxima, and both check modes."""
 
+import bisect
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CountingSMetric, identity_mapping, sum_abs_smetric
@@ -25,7 +28,18 @@ from smetriclab import (
     verify_phi_gauge,
     xi,
 )
-from smetriclab.contraction import _folded, _m_folded
+from smetriclab.contraction import (
+    _column,
+    _evidence,
+    _folded,
+    _m_folded,
+    _pair_rows,
+    _windows_total,
+)
+from smetriclab.evidence import Indexed
+from smetriclab.expr import ExprError
+from smetriclab.numeric import DEFAULT_TOL, to_fraction
+from smetriclab.space import _cut
 
 TOL = Fraction(1, 10**9)
 
@@ -215,6 +229,12 @@ def test_eps_grid_contents():
         }
     )
     assert grid == expected
+    # m's dens 3, 2 and 4, a user probe's 7 and tol's 3 share one probe
+    # den; 1/3 - tol = 0 is dropped
+    grid = eps_grid([Fraction(1, 3), Fraction(1, 2), Fraction(1, 2), Fraction(-1, 4)],
+                    user_eps=[Fraction(2, 7)], tol=Fraction(1, 3))
+    assert grid == [Fraction(1, 6), Fraction(2, 7), Fraction(3, 10),
+                    Fraction(5, 12), Fraction(9, 20)]
 
 
 def test_condition_ii_flags_the_loose_window(
@@ -296,4 +316,186 @@ def test_both_conditions_on_the_81_node_grid():
     assert (len(grid), len(violations)) == (len(probes), expected) == (231, 83_904)
     assert [eps for _, _, eps, _, _ in violations] == sorted(
         eps for _, _, eps, _, _ in violations
+    )
+
+
+# -- the integer probes and phi cuts against the Fraction loops -------------
+
+
+def fraction_eps_grid(m_values, user_eps, tol):
+    """``eps_grid`` over Fractions."""
+    realized = sorted({m for m in m_values if m > 0})
+    probes = set()
+    for m in realized:
+        probes.add(m * Fraction(9, 10))
+        probes.add(m - tol)
+    for lower, upper in itertools.pairwise(realized):
+        probes.add((lower + upper) / 2)
+    probes.update(map(to_fraction, user_eps or []))
+    return sorted(p for p in probes if p > 0)
+
+
+def fraction_condition_i(space, mapping, params, gauge, pairs, mode, tol,
+                         max_evidence):
+    """``verify_condition_i`` with each phi cut taken over Fractions."""
+    points, xs, ys, refs, s_ts, den = _pair_rows(
+        space, mapping, pairs, None if mode == "simple" else params
+    )
+    if mode == "strict":
+        low, slack = _cut(tol, den), _cut(-tol, den)
+        cut = {m: m + slack for m in refs if m > low}
+    else:
+        cut = {
+            m: _cut(gauge.phi(Fraction(m, den)) + tol, den)
+            for m in dict.fromkeys(refs)
+        }
+    failing = [
+        k for k, (m, v) in enumerate(zip(refs, s_ts))
+        if v > cut.get(m, math.inf)
+    ]
+    kept = failing[:max_evidence]
+    violating = None if len(kept) == len(failing) else lambda: failing
+    return _evidence(points, xs, ys, kept, [
+        _column(refs, den, kept, violating),
+        _column(s_ts, den, kept, violating),
+    ], len(failing))
+
+
+def fraction_condition_ii(space, mapping, params, gauge, pairs, eps_values,
+                          tol, max_evidence):
+    """``condition_ii_probe`` with its probes, delta and window bounds
+    taken over Fractions."""
+    points, xs, ys, ms, s_ts, den = _pair_rows(space, mapping, pairs, params)
+    grid = fraction_eps_grid([Fraction(m, den) for m in set(ms)], eps_values, tol)
+    order = sorted(range(len(ms)), key=ms.__getitem__)
+    keys = [ms[i] for i in order]
+    room = len(grid) * len(ms) if max_evidence is None else max_evidence
+    windows, probes, kept = [], [], []
+    for k, eps in enumerate(grid):
+        width = gauge.delta(eps)
+        if width <= 0:
+            raise GaugeDomainError(f"delta({eps}) = {width} is not positive")
+        start = bisect.bisect_right(keys, _cut(eps, den))
+        end = bisect.bisect_left(keys, -_cut(-eps - width, den))
+        cap = _cut(eps + tol, den)
+        windows.append((start, end, cap))
+        if len(kept) < room:
+            inside = sorted(i for i in order[start:end] if s_ts[i] > cap)
+            inside = inside[:room - len(kept)]
+            kept += inside
+            probes += [k] * len(inside)
+    total, violating = len(kept), None
+    if total == room:
+        total = _windows_total(s_ts, order, windows)
+
+        def violating():
+            for start, end, cap in windows:
+                yield from (i for i in order[start:end] if s_ts[i] > cap)
+
+    return grid, _evidence(points, xs, ys, kept, [
+        Indexed(probes, grid),
+        _column(ms, den, kept, violating),
+        _column(s_ts, den, kept, violating),
+    ], total)
+
+
+def _outcome(kernel, *args):
+    """The kernel's result, its numbers' types and its total, or its
+    error's type and text."""
+    try:
+        result = kernel(*args)
+    except (ExprError, ValueError) as error:
+        return type(error), str(error)
+    rows = result[1] if isinstance(result, tuple) else result
+    return result, repr(result), rows.total
+
+
+_GRID_STEPS = [Fraction(1, 3), Fraction(1, 2), Fraction(1, 10), Fraction(1)]
+_QUARTER = st.sampled_from([Fraction(k, 4) for k in range(4)])
+
+
+@st.composite
+def gauge_instances(draw):
+    """A grid or a finite universe, S, a map, weights and pairs: None or
+    pairs of the universe's points.  The map ``1/(x*x + 1)`` divides by
+    x, so its rows are read over Fractions."""
+    s = FormulaSMetric(Formula.parse(draw(st.sampled_from(
+        ["abs(x - z) + abs(y - z)", "2*abs(x - z) + abs(y - z)/3"]
+    )), ("x", "y", "z")))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from(_GRID_STEPS))
+        lo = Fraction(draw(st.integers(-4, 2)), 2)
+        space = Space.real_grid(lo, lo + step * draw(st.integers(0, 7)), step, s)
+    else:
+        points = draw(st.lists(_COORDS, min_size=1, max_size=6, unique=True))
+        space = Space.finite(points, s)
+    mapping = FormulaMapping(Formula.parse(draw(st.sampled_from(
+        ["x/2 + 1", "x/3 - 1/7", "piecewise(x <= 1 : 1, else : 0)", "1/(x*x + 1)"]
+    )), ("x",)))
+    params = ContractionParams(draw(_QUARTER), draw(_QUARTER),
+                               draw(st.sampled_from([0, Fraction(1, 4), Fraction(1, 2)])))
+    coordinate = st.sampled_from([p.value for p in space.points])
+    pairs = draw(st.none() | st.lists(
+        st.tuples(coordinate, coordinate), min_size=1, max_size=10
+    ))
+    return space, mapping, params, pairs
+
+
+# phi and delta that compile at a scale (affine and piecewise), and that
+# read through the exact kernel: a variable divisor, one that is 0 at 3,
+# and a constant zero divisor in a branch not taken; some deltas go <= 0
+PHIS = st.sampled_from([
+    "2*t/3", "t/2 + 1/7", "piecewise(t <= 1 : t/2, else : t - 1/4)",
+    "t/(t + 1)", "1/(t - 3)", "piecewise(t > 100 : t/0, else : t/3)",
+])
+DELTAS = st.sampled_from([
+    "eps", "eps/2 + 1/3", "piecewise(eps < 1 : 1 - eps, else : eps/3)",
+    "1/eps", "1/(eps - 3)", "piecewise(eps > 100 : eps/0, else : eps)",
+    "eps - 1", "2 - eps",
+])
+USER_EPS = st.none() | st.lists(
+    st.builds(Fraction, st.integers(-3, 30), st.sampled_from([1, 3, 7, 10])),
+    min_size=1, max_size=4,
+)
+TOLERANCES = st.sampled_from(
+    [Fraction(0), DEFAULT_TOL, Fraction(1, 7), Fraction(1, 3), Fraction(-1, 9)]
+)
+
+
+def _pair_line(points):
+    """``points`` with S = |x - z| + |y - z|, map x/2 + 1 and a = 3/4, so
+    M(x, y) = 3/2 |x - y|; pairs None."""
+    space = Space.finite(points, sum_abs_smetric())
+    mapping = FormulaMapping(Formula.parse("x/2 + 1", ("x",)))
+    return space, mapping, ContractionParams(Fraction(3, 4), 0, 0), None
+
+
+@settings(deadline=None)
+@given(gauge_instances(), PHIS, DELTAS, USER_EPS, TOLERANCES,
+       st.sampled_from(["full", "simple", "strict"]),
+       st.none() | st.integers(0, 6))
+# M = 3 divides phi by 0; the first probe, 27/10, gives delta < 0
+@example(_pair_line([0, 2]), "1/(t - 3)", "1/(eps - 3)", None, DEFAULT_TOL,
+         "full", None)
+# the first probe, the user's 3, divides delta by 0
+@example(_pair_line([0, 4]), "1/(t - 3)", "1/(eps - 3)", [Fraction(3)],
+         DEFAULT_TOL, "full", None)
+def test_integer_probes_and_phi_cuts_match_the_fraction_loops(
+    instance, phi, delta, user_eps, tol, mode, max_evidence
+):
+    space, mapping, params, pairs = instance
+    gauge = GaugeSpec(Formula.parse(phi, ("t",)), Formula.parse(delta, ("eps",)))
+    assert _outcome(
+        verify_condition_i, space, mapping, params, gauge, pairs, mode, tol,
+        max_evidence,
+    ) == _outcome(
+        fraction_condition_i, space, mapping, params, gauge, pairs, mode, tol,
+        max_evidence,
+    )
+    assert _outcome(
+        condition_ii_probe, space, mapping, params, gauge, pairs, user_eps, tol,
+        max_evidence,
+    ) == _outcome(
+        fraction_condition_ii, space, mapping, params, gauge, pairs, user_eps,
+        tol, max_evidence,
     )

@@ -259,4 +259,5 @@ def test_scale_run_reports_a_small_grid():
     assert (result["exit_code"], result["violations_total"]) == (
         1, {"condition_i[full]": 12, "condition_ii": 78}
     )
+    assert result["probes"] == {"condition_ii": 22}
     assert result["report_bytes"] > 0 and result["peak_rss_mb"] > 0

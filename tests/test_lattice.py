@@ -49,7 +49,9 @@ from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
 from smetriclab.numeric import (
     DEFAULT_TOL, MAX_LATTICE_BITS, format_decimal, to_fraction,
 )
-from smetriclab import as_point, expr, fixture_path, load_experiment, run
+from smetriclab import (
+    as_point, build_experiment, expr, fixture_path, load_experiment, run,
+)
 from smetriclab.mapping import MappingRangeError
 from smetriclab.solver import DiscontinuityVerdict, SequenceLimit, _land
 from smetriclab.space import _read, on_lattice
@@ -1269,3 +1271,31 @@ def test_example_2_2_solves_with_no_exact_kernel_of_s_or_the_map(monkeypatch):
     solves = [r for r in report["checks"] if r["check"] == "solve"]
     assert [r["outcome"]["status"] for r in solves] == ["converged"] * 3
     assert sorted(scale for ours, scale in built if ours) == [1, 1]
+
+
+def test_grid_conditions_read_phi_and_delta_with_no_exact_kernel(monkeypatch):
+    # the grid_verify benchmark's shape: phi is read at the pair rows' den
+    # and delta at the probes' den, so neither is built as an exact kernel
+    spec = build_experiment({
+        "space": {"kind": "real_grid", "lo": -10, "hi": 10, "step": 1,
+                  "smetric": {"kind": "formula", "expr": "abs(x - z) + abs(y - z)"}},
+        "map": {"kind": "formula", "expr": "x / 2 + 1"},
+        "params": {"a": Fraction(3, 4), "b": 0, "c": 0},
+        "gauge": {"phi": "2 * t / 3", "delta": "eps"},
+        "checks": [{"check": "condition_i", "mode": "full"},
+                   {"check": "condition_ii"}],
+    })
+    gauges = {spec.gauge.phi.ast: "phi", spec.gauge.delta.ast: "delta"}
+    built = []
+    kernel = expr._kernel
+
+    def recording(node, variables, scale=None):
+        if node in gauges:
+            built.append((gauges[node], scale is None))
+        return kernel(node, variables, scale)
+
+    monkeypatch.setattr(expr, "_kernel", recording)
+    report = run(spec).report
+    monkeypatch.undo()
+    assert [r["verdict"] for r in report["checks"]] == ["pass", "fail"]
+    assert built == [("phi", False), ("delta", False)]

@@ -17,8 +17,10 @@ runs on it in a child process from this checkout's ``src``.  With
 (``RLIMIT_AS``).  The last line printed is one JSON object: the child's
 exit code, its wall time, its peak resident set size, the report's size
 in bytes and each condition check's violation total (``violations_total``
-when the report gives one, else the number of records it lists).  Stdlib
-only; the limit and the peak RSS need a POSIX system.
+when the report gives one, else the number of records it lists); in the
+JSON format also each ``condition_ii`` check's probe count (``probes``,
+the length of its ``eps_grid``).  Stdlib only; the limit and the peak RSS
+need a POSIX system.
 """
 
 from __future__ import annotations
@@ -86,17 +88,23 @@ def _limit(megabytes: int):
     return apply
 
 
-def totals(report: Path, fmt: str) -> dict[str, int]:
-    """Each condition check's violation total, read from the report."""
+def counts(report: Path, fmt: str) -> dict[str, dict[str, int]]:
+    """Each condition check's violation total, read from the report, and
+    in the JSON format each ``condition_ii`` check's probe count."""
     if fmt == "text":
         found = re.findall(r"^\[\w+\] (condition_\S+): (\d+) violations",
                            report.read_text(), re.MULTILINE)
-        return {label: int(count) for label, count in found}
+        return {"violations_total": {label: int(count) for label, count in found}}
     checks = json.loads(report.read_text())["checks"]
     return {
-        r["label"]: r.get("violations_total", len(r["violations"]))
-        for r in checks if r["check"].startswith("condition_")
-        and "violations" in r
+        "violations_total": {
+            r["label"]: r.get("violations_total", len(r["violations"]))
+            for r in checks if r["check"].startswith("condition_")
+            and "violations" in r
+        },
+        "probes": {
+            r["label"]: len(r["eps_grid"]) for r in checks if "eps_grid" in r
+        },
     }
 
 
@@ -135,8 +143,10 @@ def main(argv: list[str] | None = None) -> int:
             "wall_s": round(wall, 3),
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # KB on Linux
             "report_bytes": size,
-            "violations_total": totals(report, args.format) if size else {},
+            "violations_total": {},
         }
+        if size:
+            result.update(counts(report, args.format))
     if stderr:
         print(stderr, end="", file=sys.stderr)
     print(json.dumps(result))
