@@ -149,22 +149,27 @@ _BATCH = 4096
 
 def _write_rows(rows: Rows, indent: str, pieces: list, write) -> None:
     """Write the records of ``rows`` at ``indent``, a batch and a column at
-    a time, each distinct raw value of a column turned into text once."""
+    a time.  Each distinct raw value of a column is turned once into a
+    fragment, its key and its text, with the record's ``{`` on the first
+    column's fragments and its ``}`` on the last's, so that a record is
+    its fragments joined."""
     inner = indent + "  "
-    template = indent + "{" + ",".join(
-        inner + encode_basestring_ascii(key).replace("%", "%%") + ": %s"
-        for key in rows.keys
-    ) + indent + "}"
-    texts = [{} for _ in rows.columns]
+    heads = ["," + inner + encode_basestring_ascii(key) + ": "
+             for key in rows.keys]
+    heads[0] = indent + "{" + heads[0][1:]
+    tails = [""] * len(heads)
+    tails[-1] = indent + "}"
+    fragments = [{} for _ in rows.columns]
     for start in range(0, len(rows), _BATCH):
         columns = []
-        for column, known in zip(rows.columns, texts):
+        for column, known, head, tail in zip(rows.columns, fragments,
+                                             heads, tails):
             values = column.values[start:start + _BATCH]
             for v in set(values).difference(known):
                 leaf = column.leaf(v)  # a label or a float
-                known[v] = _LEAVES[type(leaf)](leaf)
+                known[v] = head + _LEAVES[type(leaf)](leaf) + tail
             columns.append(map(known.__getitem__, values))
-        text = ",".join(map(template.__mod__, zip(*columns)))
+        text = ",".join(map("".join, zip(*columns)))
         pieces.append("," + text if start else text)
         write("".join(pieces))
         pieces.clear()
@@ -213,9 +218,9 @@ def write_json(value, write) -> None:
 
     Leaves are spelled by their exact type as ``json`` spells them, and
     the records of a condition check's evidence (``evidence.Rows``) are
-    filled from one template per list, a batch at a time, each raw value
-    turned into text as it is written; a ``Rows`` is written as the list
-    of its records.
+    joined from per-value fragments, a batch at a time, each distinct raw
+    value of a column turned into text once, with its key; a ``Rows`` is
+    written as the list of its records.
     Any other value goes through ``json.dumps`` itself, so the bytes match
     for every tree it accepts.
     """

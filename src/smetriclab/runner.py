@@ -75,11 +75,16 @@ class RunReport:
 
 
 def run(spec: ExperimentSpec) -> RunReport:
-    """Execute the experiment's checks at the experiment's tolerance."""
+    """Execute the experiment's checks at the experiment's tolerance.
+
+    The report's ``timing`` block gives the run's wall time and, under
+    ``checks``, each executed check's label and wall time, an aborted
+    check being the last."""
     started = time.perf_counter()
-    records = []
+    records, timings = [], []
     counts = {"pass": 0, "fail": 0, "aborted": 0}
     for check in spec.checks:
+        begun = time.perf_counter()
         try:
             passed, details = CHECKS[check.name].execute(
                 spec, check.options, spec.tolerance
@@ -92,6 +97,8 @@ def run(spec: ExperimentSpec) -> RunReport:
             {"check": check.name, "label": check.label, "verdict": verdict,
              **details}
         )
+        timings.append({"label": check.label,
+                        "elapsed_seconds": time.perf_counter() - begun})
         counts[verdict] += 1
         if verdict == "aborted":
             break
@@ -117,7 +124,7 @@ def run(spec: ExperimentSpec) -> RunReport:
             "aborted": counts["aborted"],
             "status": status,
         },
-        "timing": {"elapsed_seconds": elapsed},
+        "timing": {"elapsed_seconds": elapsed, "checks": timings},
     }
     return RunReport(report, status)
 

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -102,10 +103,16 @@ II_KEYS = ("x", "y", "eps", "m", "s_t")
 
 @settings(deadline=None)
 @given(finite_instances(), QUARTERS, QUARTERS, C_QUARTERS, MODES, PHIS, DELTAS,
-       USER_EPS, CONDITION_TOLERANCES, st.integers(1, 6))
+       USER_EPS, CONDITION_TOLERANCES, st.integers(1, 6), st.integers(1, 4))
 def test_int_rows_write_the_bytes_of_the_old_records(
-    instance, a, b, c, mode, phi, delta, user_eps, tol, cap
+    instance, a, b, c, mode, phi, delta, user_eps, tol, cap, batch
 ):
+    # records per batch from 1 to 4, so a Rows is written across batches
+    with mock.patch.object(cli, "_BATCH", batch):
+        _check_int_rows(instance, a, b, c, mode, phi, delta, user_eps, tol, cap)
+
+
+def _check_int_rows(instance, a, b, c, mode, phi, delta, user_eps, tol, cap):
     space, mapping = instance
     params = ContractionParams(a, b, c)
     gauge = GaugeSpec(Formula.parse(phi, ("t",)), Formula.parse(delta, ("eps",)))
@@ -261,3 +268,18 @@ def test_scale_run_reports_a_small_grid():
     )
     assert result["probes"] == {"condition_ii": 22}
     assert result["report_bytes"] > 0 and result["peak_rss_mb"] > 0
+
+    # with --runs, a line per run, then the median wall time and the
+    # largest peak RSS in the same shape
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "scale_run.py"), "jump",
+         "--step", "0.5", "--format", "text", "--runs", "3"],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    *runs, last = map(json.loads, done.stdout.splitlines())
+    assert len(runs) == 3 and last.keys() == runs[0].keys()
+    assert last["wall_s"] == sorted(r["wall_s"] for r in runs)[1]
+    assert last["peak_rss_mb"] == max(r["peak_rss_mb"] for r in runs)
+    for r in (*runs, last):
+        assert (r["exit_code"], r["violations_total"]) == (
+            1, {"condition_i[full]": 12, "condition_ii": 78})

@@ -525,6 +525,32 @@ def test_cli_reports_are_deterministic():
     assert a == b
 
 
+def _check_timings(report):
+    """The labels of ``timing.checks``, each entry a label and a wall time
+    that together stay within the run's."""
+    timing = report["timing"]
+    entries = timing["checks"]
+    assert all(e.keys() == {"label", "elapsed_seconds"} for e in entries)
+    assert all(e["elapsed_seconds"] >= 0 for e in entries)
+    assert sum(e["elapsed_seconds"] for e in entries) <= timing["elapsed_seconds"]
+    return [e["label"] for e in entries]
+
+
+def test_timing_gives_each_executed_check_its_wall_time():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["run", "--input", str(fixture_path("example_2_2.json"))]) == 1
+    report = json.loads(out.getvalue())
+    assert _check_timings(report) == [r["label"] for r in report["checks"]]
+    assert len(report["checks"]) == report["summary"]["total"] == 11
+
+    # an aborted run times the checks up to the aborted one, and no other
+    report = run(load_experiment(golden_input("aborted"))).report
+    assert [r["verdict"] for r in report["checks"]] == ["pass", "fail", "aborted"]
+    assert _check_timings(report) == ["xi", "condition_i[full]", "condition_ii"]
+    assert report["summary"]["total"] == 4
+
+
 def test_cli_family_and_output_options(tmp_path):
     path = str(fixture_path("discontinuity_0_2.json"))
     solved = run_cli("solve", "--input", path)

@@ -6,15 +6,18 @@ Run these under more examples with ``--hypothesis-profile oracle``.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import sum_abs_smetric
 from smetriclab import (
     ExprError,
     ExprEvalError,
@@ -51,6 +54,7 @@ from smetriclab.numeric import (
 )
 from smetriclab import (
     as_point, build_experiment, expr, fixture_path, load_experiment, run,
+    runner,
 )
 from smetriclab.mapping import MappingRangeError
 from smetriclab.solver import DiscontinuityVerdict, SequenceLimit, _land
@@ -614,9 +618,10 @@ def pair_instances(draw):
     return space, mapping, pairs
 
 
-def _line(points, map_text):
-    """``points`` with S = |x - z| + |y - z| and a formula map; pairs None."""
-    s = FormulaSMetric(Formula.parse("abs(x - z) + abs(y - z)", ("x", "y", "z")))
+def _line(points, map_text, s_text="abs(x - z) + abs(y - z)"):
+    """``points`` with S (|x - z| + |y - z| by default) and a formula map;
+    pairs None."""
+    s = FormulaSMetric(Formula.parse(s_text, ("x", "y", "z")))
     mapping = FormulaMapping(Formula.parse(map_text, ("x",)))
     return Space.finite(points, s), mapping, None
 
@@ -675,6 +680,10 @@ HALF = Fraction(1, 2)
 # strict with a = 3/4 flags M - S(Tx, Tx, Ty) = 1/2 < tol = 1/2 + 1e-9
 @example(_line([0, 1, 2, 3], "x/2"), Fraction(3, 4), 0, 0, "strict", "t", "eps",
          None, HALF + DEFAULT_TOL)
+# an S that goes negative: M = max(a * S(x, x, y), 0) under b = c = 0, so
+# the terms of the zero weights still enter the max as 0
+@example(_line([0, 1, 2, 3], "-x", "z - x"), HALF, 0, 0, "full", "t/2", "eps",
+         None, 0)
 def test_integer_condition_kernels_match_the_fraction_kernels(
     instance, a, b, c, mode, phi, delta, user_eps, tol
 ):
@@ -1299,3 +1308,83 @@ def test_grid_conditions_read_phi_and_delta_with_no_exact_kernel(monkeypatch):
     monkeypatch.undo()
     assert [r["verdict"] for r in report["checks"]] == ["pass", "fail"]
     assert built == [("phi", False), ("delta", False)]
+
+
+def _counted_reads(monkeypatch, names):
+    """Count each call of a scaled kernel of a formula in ``names``, a
+    dict from the formula's id to its name, under that name."""
+    calls = dict.fromkeys(names.values(), 0)
+    scaled = Formula.scaled
+
+    def counting(self, scale):
+        compiled = scaled(self, scale)
+        if compiled is None or id(self) not in names:
+            return compiled
+        kernel, den = compiled
+
+        def counted(values):
+            calls[names[id(self)]] += 1
+            return kernel(values)
+
+        return counted, den
+
+    monkeypatch.setattr(Formula, "scaled", counting)
+    return calls
+
+
+def test_the_conditions_read_one_set_of_rows_on_the_lattice(monkeypatch):
+    # 5 nodes, 25 pairs: T once per point, S(x, x, y) and S(Tx, Tx, Ty)
+    # once per pair under a = 3/4, b = c = 0
+    space = Space.real_grid(0, 4, 1, sum_abs_smetric())
+    mapping = FormulaMapping(Formula.parse("x / 2 + 1", ("x",)))
+    params = ContractionParams(Fraction(3, 4), 0, 0)
+    gauge = GaugeSpec(Formula.parse("2 * t / 3", ("t",)),
+                      Formula.parse("eps", ("eps",)))
+    calls = _counted_reads(monkeypatch, {
+        id(space.smetric.formula): "S", id(mapping.formula): "T"})
+
+    def reads(condition, *args, mapping=mapping):
+        before = dict(calls)
+        if condition == "i":
+            verify_condition_i(space, mapping, params, gauge, *args)
+        else:
+            condition_ii_probe(space, mapping, params, gauge, *args)
+        return {k: calls[k] - before[k] for k in calls}
+
+    one_set = {"S": 50, "T": 5}
+    assert reads("i", None, "full") == one_set
+    assert reads("ii") == {"S": 0, "T": 0}
+    assert reads("i", None, "strict") == {"S": 0, "T": 0}
+    assert reads("i", None, "simple") == one_set  # its rows weigh S(x, x, y) alone
+    pairs = [(0, 1), (2, 3), (0, 1)]
+    assert reads("ii", pairs) == {"S": 6, "T": 4}
+    assert reads("i", pairs, "full") == {"S": 0, "T": 0}
+    assert reads("ii", [(0, 1), (2, 4)]) == {"S": 4, "T": 4}
+    other = FormulaMapping(Formula.parse("x / 2 + 1", ("x",)))
+    assert reads("ii", mapping=other) == {"S": 50, "T": 0}  # its own T
+    # b/2 and c/2: S(x, x, Tx) once per point, the c terms once per pair
+    params = ContractionParams(Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
+    assert reads("ii") == {"S": 25 + 5 + 50 + 25, "T": 5}
+
+
+@pytest.mark.parametrize("name", ["example_2_2", "example_2_2_corrected"])
+def test_example_2_2_condition_ii_reuses_condition_i_rows(name, monkeypatch):
+    spec = load_experiment(fixture_path(f"{name}.json"))
+    calls = _counted_reads(monkeypatch, {
+        id(spec.space.smetric.formula): "S", id(spec.mapping.formula): "T"})
+    golden = json.loads(
+        (Path(__file__).parent / "golden" / f"{name}.run.json").read_text())
+    for check, record in zip(spec.checks, golden["checks"]):
+        if not check.name.startswith("condition_"):
+            continue
+        before = dict(calls)
+        passed, details = runner.CHECKS[check.name].execute(
+            spec, check.options, spec.tolerance)
+        read = {k: calls[k] - before[k] for k in calls}
+        # 4 points, 16 pairs; condition (ii) reads nothing of its own
+        assert read == ({"S": 32, "T": 4} if check.name == "condition_i"
+                        else {"S": 0, "T": 0})
+        assert json.loads(json.dumps(details, default=list)) == {
+            k: v for k, v in record.items()
+            if k not in ("check", "label", "verdict")}
+        assert record["verdict"] == ("pass" if passed else "fail")

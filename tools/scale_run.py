@@ -1,7 +1,7 @@
 """Run the CLI on a scaled experiment and report what the run cost.
 
     python3 tools/scale_run.py {grid,jump} [--step STEP] [--format json|text]
-                               [--limit-mb MB]
+                               [--limit-mb MB] [--runs N]
 
 ``grid`` is the 201-node grid: [-10, 10] at step 0.1, S = |x - z| + |y - z|,
 map x/2 + 1, a = 3/4, phi = 2t/3 and delta = eps, checked by condition (i)
@@ -19,8 +19,12 @@ exit code, its wall time, its peak resident set size, the report's size
 in bytes and each condition check's violation total (``violations_total``
 when the report gives one, else the number of records it lists); in the
 JSON format also each ``condition_ii`` check's probe count (``probes``,
-the length of its ``eps_grid``).  Stdlib only; the limit and the peak RSS
-need a POSIX system.
+the length of its ``eps_grid``).  With ``--runs N`` the document runs N
+times: each run prints its own line, and the last line, in the same
+shape, gives the median wall time and the largest peak RSS over the runs,
+with the other fields of the first run; it exits 1 when a run's exit
+code, totals or probe counts differ from the first's.  Stdlib only; the
+limit and the peak RSS need a POSIX system.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import os
 import re
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -81,6 +86,12 @@ def _decimal(text: str) -> str:
     return text
 
 
+def _count(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"not a positive count: {text!r}")
+    return int(text)
+
+
 def _limit(megabytes: int):
     def apply():
         size = megabytes * 2**20
@@ -108,6 +119,55 @@ def counts(report: Path, fmt: str) -> dict[str, dict[str, int]]:
     }
 
 
+def run_once(args: argparse.Namespace, path: Path, report: Path) -> dict:
+    """One ``smetriclab run`` of ``path`` in a child process, writing
+    ``report``: the result line of the module docstring, without the
+    report's counts.  The child's stderr is passed on."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
+    started = time.perf_counter()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "smetriclab", "run", "--input", str(path),
+         "--output", str(report), "--format", args.format],
+        env=env, stderr=subprocess.PIPE,
+        preexec_fn=None if args.limit_mb is None else _limit(args.limit_mb),
+    )
+    stderr = child.stderr.read().decode()
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - started
+    child.stderr.close()
+    child.returncode = code = os.waitstatus_to_exitcode(status)
+    size = report.stat().st_size if report.exists() else 0
+    result = {
+        "document": args.document,
+        "format": args.format,
+        "exit_code": code,
+        "wall_s": round(wall, 3),
+        "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # KB on Linux
+        "report_bytes": size,
+        "violations_total": {},
+    }
+    if stderr:
+        print(stderr, end="", file=sys.stderr)
+    return result
+
+
+def summary(results: list[dict]) -> dict:
+    """The first result, with the median wall time and the largest peak
+    RSS of them all."""
+    return {
+        **results[0],
+        "wall_s": round(statistics.median(r["wall_s"] for r in results), 3),
+        "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
+    }
+
+
+def _outcome(result: dict) -> tuple:
+    """What every run of one document must agree on; the report's size
+    varies with its timing block."""
+    return (result["exit_code"], result["violations_total"],
+            result.get("probes"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("document", choices=("grid", "jump"))
@@ -116,40 +176,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--limit-mb", type=int, default=None,
                         help="address-space limit of the child, in MB")
+    parser.add_argument("--runs", type=_count, default=1,
+                        help="how many times to run the document (default 1)")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         path = write_document(args.document, args.step, work)
-        report = work / "report.out"
-        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
-        started = time.perf_counter()
-        child = subprocess.Popen(
-            [sys.executable, "-m", "smetriclab", "run", "--input", str(path),
-             "--output", str(report), "--format", args.format],
-            env=env, stderr=subprocess.PIPE,
-            preexec_fn=None if args.limit_mb is None else _limit(args.limit_mb),
-        )
-        stderr = child.stderr.read().decode()
-        _, status, usage = os.wait4(child.pid, 0)
-        wall = time.perf_counter() - started
-        child.stderr.close()
-        child.returncode = code = os.waitstatus_to_exitcode(status)
-        size = report.stat().st_size if report.exists() else 0
-        result = {
-            "document": args.document,
-            "format": args.format,
-            "exit_code": code,
-            "wall_s": round(wall, 3),
-            "peak_rss_mb": round(usage.ru_maxrss / 1024, 1),  # KB on Linux
-            "report_bytes": size,
-            "violations_total": {},
-        }
-        if size:
-            result.update(counts(report, args.format))
-    if stderr:
-        print(stderr, end="", file=sys.stderr)
-    print(json.dumps(result))
+        reports = [work / f"report{k}.out" for k in range(args.runs)]
+        results = [run_once(args, path, report) for report in reports]
+        # read only after every run: a child's peak RSS counts this
+        # process's resident size when it was started
+        for result, report in zip(results, reports):
+            if result["report_bytes"]:
+                result.update(counts(report, args.format))
+            print(json.dumps(result))
+    if len(results) == 1:
+        return 0
+    print(json.dumps(summary(results)))
+    if any(_outcome(r) != _outcome(results[0]) for r in results[1:]):
+        print("error: the runs' outcomes differ", file=sys.stderr)
+        return 1
     return 0
 
 
