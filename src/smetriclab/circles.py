@@ -73,10 +73,7 @@ def _rows(space, mapping, a, b, center, sample, tol, every_dist):
     A point that moves gets every term of the x0-bound; S(x, x, x0) is
     taken on the others only when ``every_dist`` asks for it, or when the
     pass is read on the lattice.  There the int kernels cannot raise, so
-    reading it on every point, and skipping the b terms when b = 0 (as
-    ``contraction._m_folded`` skips a weight of 0), is not observable:
-    ``check_fixed_circle`` reads S(Tx, Tx, x0) on its disc where the pass
-    left it unread.  The space keeps the
+    reading it on every point is not observable, and the space keeps the
     pass under these options for the next check to reuse (the map and S
     are taken not to change).  Off the lattice each call reads its own.
     Without a sample the universe is read whole and x0 taken from it.
@@ -96,7 +93,6 @@ def _rows(space, mapping, a, b, center, sample, tol, every_dist):
         xs = read.points
         c = xs[points.index(center)]
     every_dist = every_dist or read.scale is not None
-    with_b = wb or read.scale is None
     s = read.s
     tc = read.t(c)
     moves, slack = read.cut(tol), read.cut(tol * w)
@@ -107,12 +103,9 @@ def _rows(space, mapping, a, b, center, sample, tol, every_dist):
         if every_dist or row.moved > moves:
             row.dist = s((x, x, c))
         if row.moved > moves:
-            b_term = 0
-            if with_b:
-                back = s((tc, tc, x))
-                row.image_dist = s((image, image, c))
-                b_term = wb * (back + row.image_dist)
-            bound = max(wa * row.dist, b_term)
+            back = s((tc, tc, x))
+            row.image_dist = s((image, image, c))
+            bound = max(wa * row.dist, wb * (back + row.image_dist))
             if row.moved * w > bound + slack:
                 violations.append((points[k], read.exact(row.moved),
                                    read.exact(bound, w)))

@@ -19,13 +19,14 @@ Window membership in (ii) is compared exactly; only the final inequality
 gets the additive tolerance.  Both checks read one row per pair, M(x, y)
 and S(Tx, Tx, Ty) as ints over one denominator den, through
 ``space._read`` (README, "Tolerance semantics"), and compare them with
-integer bounds; on the lattice the rows of one map, pair sample and
-weights are read once per space (``_pair_rows``).  A gauge is read at an int through ``_gauge_at``: phi at
-den, and delta at the probes' own den, a multiple of den over which every
-probe is an int.  (ii) sorts the rows by M once and bisects each probe's
-window.  Both return their violations as ``evidence.Rows`` over
-those ints, the first ``max_evidence`` of them when a cap is given, with
-the exact total.  The derived contraction factor
+integer bounds; on the lattice the next condition over the same map,
+pairs and weights reuses the rows (``_pair_rows``).  A gauge is read at
+an int through ``_gauge_at``: phi at den, and delta at the probes' own
+den, a multiple of den over which every probe is an int.  (ii) sorts the
+rows by M once and bisects each probe's window.  Both return their
+violations as ``evidence.Rows`` over those ints, the first
+``max_evidence`` of them when a cap is given, with the exact total.  The
+derived contraction factor
 
     xi = max(a, b / (2 - b), c / (2 - 2c))
 
@@ -94,7 +95,7 @@ def xi(params: ContractionParams) -> Fraction:
 
 def _folded(params):
     """(w, wa, wb, wc): ints with wa = a * w, wb = b/2 * w and wc = c/2 * w."""
-    return tuple(_scaled([1, params.a, params.b / 2, params.c / 2]))
+    return _scaled([1, params.a, params.b / 2, params.c / 2])
 
 
 def _m_folded(s, weights, px, py, tx, ty):
@@ -170,61 +171,47 @@ def _pair_rows(space, mapping, pairs, params):
 
     The reference is M(x, y) under ``params``, or S(x, x, y) when
     ``params`` is None; a, b/2 and c/2 are folded into one integer
-    weight.  On a lattice the rows are read as whole columns: T once per
-    point, each S term over the pairs' columns and none under a weight
-    of 0.  There the int kernels cannot raise, so neither how many values
-    are read nor their order is observable, and the space keeps the rows
-    under the map, the pairs and the weights for the next condition to
-    reuse (the map and S are taken not to change).  Off the lattice each
-    call reads its own rows as Fractions, pair by pair, T applied once to
-    each point of a pair and S read in the order of ``_m_folded``, then
-    scaled.
+    weight.  On a lattice the values are computed over ints, and the
+    space keeps the last rows read under the map, the weights and the
+    pairs, so that the next condition over them reuses the rows (the map
+    and S are taken not to change); there the int kernels cannot raise,
+    so the reads it saves are not observable.  Otherwise each call reads
+    its own rows as Fractions, T applied once to each point of a pair and
+    S read in the order of ``_m_folded``, then scaled.
     """
     if pairs is None:
         points = space.points
         n = len(points)
         xs, ys = [i for i in range(n) for _ in range(n)], list(range(n)) * n
-        key = None
     else:
         pairs = [(space.coerce(x), space.coerce(y)) for x, y in pairs]
         points = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
         at = {p: i for i, p in enumerate(points)}
         xs, ys = [at[x] for x, _ in pairs], [at[y] for _, y in pairs]
-        key = (tuple(points), tuple(xs), tuple(ys))
     weights = (1, 1, 0, 0) if params is None else _folded(params)
-    key = (mapping, weights, key)
-    if key in space._passes:
-        return space._passes[key]
-    w, wa, wb, wc = weights
+    key = (mapping, weights, None if pairs is None else (points, xs, ys))
+    if space._rows is not None and space._rows[0] == key:
+        return space._rows[1]
+    w = weights[0]
     read = _read(space, mapping, points)
-    s = read.s
     if read.scale is None:
-        refs, s_ts = [], []
-        for i, j in zip(xs, ys):
-            x, y = read.points[i], read.points[j]
-            tx, ty = read.t(x), read.t(y)
-            refs.append(_m_folded(s, weights, x, y, tx, ty))
-            s_ts.append(w * s((tx, tx, ty)))
+        def lookup(i):
+            return read.points[i], read.t(read.points[i])
+    else:
+        lookup = list(zip(read.points, map(read.t, read.points))).__getitem__
+    s, refs, s_ts = read.s, [], []
+    for i, j in zip(xs, ys):
+        (x, tx), (y, ty) = lookup(i), lookup(j)
+        refs.append(_m_folded(s, weights, x, y, tx, ty))
+        s_ts.append(w * s((tx, tx, ty)))
+    den = read.den * w
+    if read.scale is None:
         one, *flat = _scaled([1, *refs, *s_ts])
-        return points, xs, ys, flat[:len(refs)], flat[len(refs):], \
-            read.den * w * one
-    coords, images = list(read.points), list(map(read.t, read.points))
-    x, y = [coords[i] for i in xs], [coords[j] for j in ys]
-    tx, ty = [images[i] for i in xs], [images[j] for j in ys]
-    terms = []
-    if wa:
-        terms.append(map(wa.__mul__, map(s, zip(x, x, y))))
-    if wb:
-        moved = list(map(s, zip(coords, coords, images)))  # S(x, x, Tx)
-        terms.append(wb * (moved[i] + moved[j]) for i, j in zip(xs, ys))
-    if wc:
-        terms.append(map(wc.__mul__, map(
-            operator.add, map(s, zip(x, x, ty)), map(s, zip(y, y, tx)))))
-    if len(terms) < 3:  # the term of a weight 0 is 0
-        terms.append(itertools.repeat(0, len(xs)))
-    refs = list(map(max, *terms) if len(terms) > 1 else terms[0])
-    s_ts = list(map(w.__mul__, map(s, zip(tx, tx, ty))))
-    rows = space._passes[key] = (points, xs, ys, refs, s_ts, read.den * w)
+        refs, s_ts = flat[:len(refs)], flat[len(refs):]
+        den *= one
+    rows = points, xs, ys, refs, s_ts, den
+    if read.scale is not None:
+        space._rows = key, rows
     return rows
 
 

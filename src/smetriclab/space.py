@@ -329,8 +329,8 @@ class Space:
             self._labelled = by_label.get
             self._at = {p.value: p for p in points if p.value is not None}.get
         self._s_memo: dict[tuple[Point, ...], _Memo | _FromMetric] = {}
-        # circle passes and condition rows read on the lattice, for reuse
-        self._passes: dict = {}
+        self._passes: dict = {}  # circle passes read on the lattice
+        self._rows = None  # the last condition rows read on the lattice
 
     @classmethod
     def finite(cls, points: list[object], smetric: SMetric) -> "Space":
