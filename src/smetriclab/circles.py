@@ -19,10 +19,11 @@ separately; when every hypothesis verifies but a circle point still
 moves, that is flagged as a hard inconsistency rather than a plain
 failure, since it contradicts the theorem itself.
 
-One pass over the sample evaluates each of these values at most once
-per point, and on the lattice the two checks share it (``_rows``).  On a grid, membership has its own margin: half the steepest
-slope of S(., ., x0) between neighbouring sample coordinates, times the
-step.  Finite universes use the plain margin tol.
+One pass over the sample evaluates each of these values at most once per
+point; on the lattice the space keeps the last pass for the next check
+(``_rows``).  On a grid, membership has its own margin: half the
+steepest slope of S(., ., x0) between neighbouring sample coordinates,
+times the step.  Finite universes use the plain margin tol.
 
 The sample, the center and their images are read through
 ``space._read`` (README, "Tolerance semantics"), in the same order on and
@@ -74,46 +75,44 @@ def _rows(space, mapping, a, b, center, sample, tol, every_dist):
     taken on the others only when ``every_dist`` asks for it, or when the
     pass is read on the lattice.  There the int kernels cannot raise, so
     reading it on every point is not observable, and the space keeps the
-    pass under these options for the next check to reuse (the map and S
-    are taken not to change).  Off the lattice each call reads its own.
-    Without a sample the universe is read whole and x0 taken from it.
+    pass under these options (``Space.reuse``) for the next check to
+    reuse.  Off the lattice each call reads its own.  Without a sample
+    the universe is read whole and x0 taken from it.
     """
     # the x0-bound times w, so that a and b/2 become integers
     w, wa, wb, _ = _folded(ContractionParams(a, b, 0))  # checks a and b
     points = space.sampled(sample) if sample else space.points
-    key = (mapping, a, b, center.label, tol,
+    def read_pass():
+        if sample:
+            read = _read(space, mapping, [center, *points])
+            c, *xs = read.points
+        else:
+            read = _read(space, mapping, points)
+            xs = read.points
+            c = xs[points.index(center)]
+        every = every_dist or read.scale is not None
+        s = read.s
+        tc = read.t(c)
+        moves, slack = read.cut(tol), read.cut(tol * w)
+        rows, violations = [], []
+        for k, x in enumerate(xs):
+            image = read.t(x)
+            row = _Row(image, s((image, image, x)))
+            if every or row.moved > moves:
+                row.dist = s((x, x, c))
+            if row.moved > moves:
+                back = s((tc, tc, x))
+                row.image_dist = s((image, image, c))
+                bound = max(wa * row.dist, wb * (back + row.image_dist))
+                if row.moved * w > bound + slack:
+                    violations.append((points[k], read.exact(row.moved),
+                                       read.exact(bound, w)))
+            rows.append(row)
+        done = _Pass(read, c, points, xs, rows, violations)
+        return done, read.scale is not None
+    key = ("pass", mapping, a, b, center.label, tol,
            tuple(p.label for p in points) if sample else None)
-    if key in space._passes:
-        return space._passes[key]
-    if sample:
-        read = _read(space, mapping, [center, *points])
-        c, *xs = read.points
-    else:
-        read = _read(space, mapping, points)
-        xs = read.points
-        c = xs[points.index(center)]
-    every_dist = every_dist or read.scale is not None
-    s = read.s
-    tc = read.t(c)
-    moves, slack = read.cut(tol), read.cut(tol * w)
-    rows, violations = [], []
-    for k, x in enumerate(xs):
-        image = read.t(x)
-        row = _Row(image, s((image, image, x)))
-        if every_dist or row.moved > moves:
-            row.dist = s((x, x, c))
-        if row.moved > moves:
-            back = s((tc, tc, x))
-            row.image_dist = s((image, image, c))
-            bound = max(wa * row.dist, wb * (back + row.image_dist))
-            if row.moved * w > bound + slack:
-                violations.append((points[k], read.exact(row.moved),
-                                   read.exact(bound, w)))
-        rows.append(row)
-    done = _Pass(read, c, points, xs, rows, violations)
-    if read.scale is not None:
-        space._passes[key] = done
-    return done
+    return space.reuse(key, read_pass)
 
 
 def _grid_margin(space, done, tol):

@@ -19,14 +19,14 @@ Window membership in (ii) is compared exactly; only the final inequality
 gets the additive tolerance.  Both checks read one row per pair, M(x, y)
 and S(Tx, Tx, Ty) as ints over one denominator den, through
 ``space._read`` (README, "Tolerance semantics"), and compare them with
-integer bounds; on the lattice the next condition over the same map,
-pairs and weights reuses the rows (``_pair_rows``).  A gauge is read at
-an int through ``_gauge_at``: phi at den, and delta at the probes' own
-den, a multiple of den over which every probe is an int.  (ii) sorts the
-rows by M once and bisects each probe's window.  Both return their
-violations as ``evidence.Rows`` over those ints, the first
-``max_evidence`` of them when a cap is given, with the exact total.  The
-derived contraction factor
+integer bounds; on the lattice the space keeps the last rows read, and
+the next condition over the same map, pairs and weights reuses them
+(``_pair_rows``).  A gauge is read at an int through ``_gauge_at``: phi
+at den, and delta at the probes' own den, a multiple of den over which
+every probe is an int.  (ii) sorts the rows by M once and bisects each
+probe's window.  Both return their violations as ``evidence.Rows`` over
+those ints, the first ``max_evidence`` of them when a cap is given, with
+the exact total.  The derived contraction factor
 
     xi = max(a, b / (2 - b), c / (2 - 2c))
 
@@ -171,48 +171,47 @@ def _pair_rows(space, mapping, pairs, params):
 
     The reference is M(x, y) under ``params``, or S(x, x, y) when
     ``params`` is None; a, b/2 and c/2 are folded into one integer
-    weight.  On a lattice the values are computed over ints, and the
-    space keeps the last rows read under the map, the weights and the
-    pairs, so that the next condition over them reuses the rows (the map
-    and S are taken not to change); there the int kernels cannot raise,
-    so the reads it saves are not observable.  Otherwise each call reads
-    its own rows as Fractions, T applied once to each point of a pair and
-    S read in the order of ``_m_folded``, then scaled.
+    weight.  Each distinct reference is coerced once.  On a lattice the
+    values are computed over ints, and the space keeps the rows under the
+    map, the weights and the pairs (``Space.reuse``) for the next
+    condition over them; there the int kernels cannot raise, so the reads
+    it saves are not observable.  Otherwise each call reads its own rows
+    as Fractions, T applied once to each point of a pair and S read in
+    the order of ``_m_folded``, then scaled.
     """
     if pairs is None:
         points = space.points
         n = len(points)
         xs, ys = [i for i in range(n) for _ in range(n)], list(range(n)) * n
     else:
-        pairs = [(space.coerce(x), space.coerce(y)) for x, y in pairs]
-        points = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
-        at = {p: i for i, p in enumerate(points)}
-        xs, ys = [at[x] for x, _ in pairs], [at[y] for _, y in pairs]
+        ends = list(itertools.chain.from_iterable(pairs))
+        coerced = {r: space.coerce(r) for r in dict.fromkeys(ends)}
+        at = {p: i for i, p in enumerate(dict.fromkeys(coerced.values()))}
+        points, ends = list(at), [at[coerced[r]] for r in ends]
+        xs, ys = ends[0::2], ends[1::2]
     weights = (1, 1, 0, 0) if params is None else _folded(params)
-    key = (mapping, weights, None if pairs is None else (points, xs, ys))
-    if space._rows is not None and space._rows[0] == key:
-        return space._rows[1]
-    w = weights[0]
-    read = _read(space, mapping, points)
-    if read.scale is None:
-        def lookup(i):
-            return read.points[i], read.t(read.points[i])
-    else:
-        lookup = list(zip(read.points, map(read.t, read.points))).__getitem__
-    s, refs, s_ts = read.s, [], []
-    for i, j in zip(xs, ys):
-        (x, tx), (y, ty) = lookup(i), lookup(j)
-        refs.append(_m_folded(s, weights, x, y, tx, ty))
-        s_ts.append(w * s((tx, tx, ty)))
-    den = read.den * w
-    if read.scale is None:
-        one, *flat = _scaled([1, *refs, *s_ts])
-        refs, s_ts = flat[:len(refs)], flat[len(refs):]
-        den *= one
-    rows = points, xs, ys, refs, s_ts, den
-    if read.scale is not None:
-        space._rows = key, rows
-    return rows
+    def rows():
+        w = weights[0]
+        read = _read(space, mapping, points)
+        if read.scale is None:
+            def lookup(i):
+                return read.points[i], read.t(read.points[i])
+        else:
+            lookup = [*zip(read.points, map(read.t, read.points))].__getitem__
+        s, refs, s_ts = read.s, [], []
+        for i, j in zip(xs, ys):
+            (x, tx), (y, ty) = lookup(i), lookup(j)
+            refs.append(_m_folded(s, weights, x, y, tx, ty))
+            s_ts.append(w * s((tx, tx, ty)))
+        den = read.den * w
+        if read.scale is None:
+            one, *flat = _scaled([1, *refs, *s_ts])
+            refs, s_ts = flat[:len(refs)], flat[len(refs):]
+            den *= one
+        return (points, xs, ys, refs, s_ts, den), read.scale is not None
+    key = ("rows", mapping, weights,
+           None if pairs is None else (points, xs, ys))
+    return space.reuse(key, rows)
 
 
 def _column(values, den, kept, violating=None):

@@ -20,13 +20,13 @@ All checks take a strictness margin ``tol``: a strict inequality must
 clear its bound by at least ``tol`` to count as satisfied.
 
 The exhaustive sweeps compare exact integers: S (or d) over one common
-denominator D, and ``tol`` by its cut floor(tol * D).  A space reads S
-once per sample, and the four sweeps (axioms, symmetry, triangle,
-generated) share what it read: a generated S from the n^2 values of d,
-any other S through ``_read``, triple by triple, in the order the sweeps
-ask for it.  Per outer tuple, the least right-hand side over the inner
-index certifies it at once; only tuples that fail it are scanned,
-reporting exact values.
+denominator D, and ``tol`` by its cut floor(tol * D).  A space keeps one
+read, the last one kept (``Space.reuse``), so the four sweeps (axioms,
+symmetry, triangle, generated) in a row on one sample share S read on
+it: a generated S from the n^2 values of d, any other S through
+``_read``, triple by triple, in the order the sweeps ask for it.  Per
+outer tuple, the least right-hand side over the inner index certifies it
+at once; only tuples that fail it are scanned, reporting exact values.
 
 ``_read`` is the one reader of points, their images under a map and S,
 for these sweeps and the map kernels: as ints on one lattice when S and
@@ -328,9 +328,7 @@ class Space:
                 raise ValueError("duplicate point labels in universe")
             self._labelled = by_label.get
             self._at = {p.value: p for p in points if p.value is not None}.get
-        self._s_memo: dict[tuple[Point, ...], _Memo | _FromMetric] = {}
-        self._passes: dict = {}  # circle passes read on the lattice
-        self._rows = None  # the last condition rows read on the lattice
+        self._kept = None, None  # (key, value), the key led by its kind
 
     @classmethod
     def finite(cls, points: list[object], smetric: SMetric) -> "Space":
@@ -401,16 +399,25 @@ class Space:
         """S(x, y, z) for universe points, labels, or raw coordinates."""
         return self.smetric.triple(self.coerce(x), self.coerce(y), self.coerce(z))
 
+    def reuse(self, key: tuple, read: Callable) -> object:
+        """The value kept under ``key``, else ``read()``'s: it returns
+        (value, keep), and a kept value replaces the one before, so that a
+        space holds one read (S and the map are taken not to change)."""
+        kept, value = self._kept
+        if kept != key:
+            value, keep = read()
+            if keep:
+                self._kept = key, value
+        return value
+
     def _s_on(
         self, sample: list[object] | None
     ) -> tuple[tuple[Point, ...], _Memo | _FromMetric]:
         """The sample's distinct points, in first-seen order, and S read on
-        them, kept per sample so that the distance-structure checks read
-        each value of S once between them (S is taken not to change)."""
+        them, always kept, so that the distance-structure checks in a row
+        on one sample read each value of S once between them."""
         pts = tuple(dict.fromkeys(self.sampled(sample)))
-        if pts not in self._s_memo:
-            self._s_memo[pts] = _read_s(self, pts)
-        return pts, self._s_memo[pts]
+        return pts, self.reuse(("s", pts), lambda: (_read_s(self, pts), True))
 
 
 @dataclass

@@ -322,6 +322,21 @@ def test_both_conditions_on_the_81_node_grid():
 # -- the integer probes and phi cuts against the Fraction loops -------------
 
 
+def test_pair_rows_coerce_each_reference_once_and_index_each_point_once(
+    monkeypatch,
+):
+    # "2", 2 and Fraction(2) name one point of the space, and 7 none
+    space = Space.finite([0, 2, 4], sum_abs_smetric())
+    coerced, coerce = [], Space.coerce
+    monkeypatch.setattr(Space, "coerce", lambda self, ref: (
+        coerced.append(ref) or coerce(self, ref)))
+    pairs = [("2", 2), (Fraction(2), "0"), ("2", 7), (7, 2)]
+    points, xs, ys, *_ = _pair_rows(space, identity_mapping(), pairs, None)
+    assert coerced == ["2", 2, "0", 7]
+    assert [p.label for p in points] == ["2", "0", "7"]
+    assert (xs, ys) == ([0, 0, 0, 2], [0, 1, 2, 0])
+
+
 def fraction_eps_grid(m_values, user_eps, tol):
     """``eps_grid`` over Fractions."""
     realized = sorted({m for m in m_values if m > 0})

@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from smetriclab import cli
 
 from conftest import SUM_ABS, run_cli
 from test_golden import EXTRA as GOLDEN_EXTRA, FIXTURES as GOLDEN_FIXTURES
+from test_golden import GOLDEN
 from test_golden import _input as golden_input
 
 BAND_DOC = {
@@ -549,6 +551,64 @@ def test_timing_gives_each_executed_check_its_wall_time():
     assert [r["verdict"] for r in report["checks"]] == ["pass", "fail", "aborted"]
     assert _check_timings(report) == ["xi", "condition_i[full]", "condition_ii"]
     assert report["summary"]["total"] == 4
+
+
+def _golden_records(name):
+    return json.loads((GOLDEN / f"{name}.run.json").read_text())["checks"]
+
+
+# the documents whose golden run executes every check, so that any order
+# of their checks runs them all
+_UNABORTED = [
+    name for name in GOLDEN_FIXTURES + GOLDEN_EXTRA
+    if all(r["verdict"] != "aborted" for r in _golden_records(name))
+]
+
+
+@pytest.mark.parametrize("name", _UNABORTED)
+def test_checks_in_any_order_give_their_golden_records(name):
+    # a space keeps one read between checks: the checks run reversed,
+    # forward and reversed again in one run replace and reuse what it
+    # keeps in every order, and each record stays its golden record
+    spec = load_experiment(golden_input(name))
+    checks = spec.checks
+    spec.checks = checks[::-1] + checks + checks[::-1]
+    pieces = []
+    cli.write_json(run(spec).report, pieces.append)
+    records = json.loads("".join(pieces))["checks"]
+    golden = {r["label"]: r for r in _golden_records(name)}
+    assert len(records) == 3 * len(checks)
+    for record in records:
+        assert record == golden[record["label"]]
+
+
+def _traced_peak(doc):
+    """The tracemalloc peak, in bytes, of a run of ``doc``."""
+    spec = build_experiment(doc)
+    tracemalloc.start()
+    try:
+        run(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(("hi", "check"), [
+    (30, lambda i: {"check": "axioms", "sample": list(range(i, i + 16))}),
+    (5000, lambda i: {"check": "zamfirescu", "x0": i, "a": Fraction(1, 2),
+                      "b": 0}),
+], ids=["axioms", "zamfirescu"])
+def test_checks_with_distinct_reads_keep_the_peak_of_one(hi, check):
+    # ten checks on distinct samples or centers: the space keeps the last
+    # read alone, so the run peaks below three times a one-check run
+    doc = {
+        "space": {"kind": "real_grid", "lo": 0, "hi": hi, "step": 1,
+                  "smetric": {"kind": "formula", "expr": SUM_ABS}},
+        "map": {"kind": "formula", "expr": "x"},
+    }
+    one = _traced_peak({**doc, "checks": [check(0)]})
+    ten = _traced_peak({**doc, "checks": [check(i) for i in range(10)]})
+    assert ten < 3 * one
 
 
 def test_cli_family_and_output_options(tmp_path):

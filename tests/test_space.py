@@ -677,12 +677,17 @@ class CountingMetric(FormulaMetric):
 
 
 def test_a_generated_s_is_read_from_its_metric_once_per_sample(four_space):
+    # the space keeps S on the last sample swept: consecutive sweeps on one
+    # sample read d's n^2 values once, a sweep on another sample replaces
+    # what is kept, and going back to the first sample reads d again
     metric = CountingMetric("abs(x - y)")
     space = Space("finite", four_space.points, GeneratedSMetric(metric))
-    for kernel, _ in SWEEPS:
-        for sample in (None, ["0", "2"], None):
+    calls = []
+    for sample in (None, ["0", "2"], None):
+        for kernel, _ in SWEEPS:
             kernel(space, sample)
-    assert metric.calls == 4**2 + 2**2
+        calls.append(metric.calls)
+    assert calls == [4**2, 4**2 + 2**2, 2 * 4**2 + 2**2]
 
 
 # S divides by zero on the triple (1, 1, 1) only: the base-3 digits of
