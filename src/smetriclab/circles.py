@@ -15,15 +15,18 @@ the pointwise bound
 
 with a, b in [0, 1), and S(Tx, Tx, x0) <= rho on the circle (disc), then
 T fixes the circle (disc) pointwise.  The report tracks each hypothesis
-separately; when every hypothesis verifies but a circle point still
-moves, that is flagged as a hard inconsistency rather than a plain
-failure, since it contradicts the theorem itself.
+separately; when every hypothesis verifies but a point of the circle
+(disc) still moves, that is flagged as a hard inconsistency rather than
+a plain failure, since it contradicts the theorem itself.
 
 One pass over the sample evaluates each of these values at most once per
-point; on the lattice the space keeps the last pass for the next check
-(``_rows``).  On a grid, membership has its own margin: half the
-steepest slope of S(., ., x0) between neighbouring sample coordinates,
-times the step.  Finite universes use the plain margin tol.
+point, one kernel call each on the lattice, into parallel lists; there
+the space keeps the last pass for the next check (``_rows``).  On a
+grid, membership has its own margin: half the steepest slope of
+S(., ., x0) between neighbouring sample coordinates, times the step.
+Finite universes use the plain margin tol.  The margin widens what is
+reported, not what the theorem speaks of: only the members within tol
+of the circle (disc) can make an inconsistency.
 
 The sample, the center and their images are read through
 ``space._read`` (README, "Tolerance semantics"), in the same order on and
@@ -42,28 +45,22 @@ from .numeric import DEFAULT_TOL, to_fraction
 from .space import Point, Space, _read
 
 
-@dataclass(slots=True)
-class _Row:
-    """The values the verdicts read for one sampled point."""
-
-    image: object  # Tx
-    moved: object  # S(Tx, Tx, x)
-    dist: object = None  # S(x, x, x0)
-    image_dist: object = None  # S(Tx, Tx, x0)
-
-
 @dataclass
 class _Pass:
-    """One pass over the sample: ``rows[k]`` holds the values of
-    ``points[k]``, read by ``read`` as ``xs[k]``; ``center`` is x0 read
-    the same way.  ``points`` is the universe's own when there is no
-    sample, so a grid node's ``Point`` is made only for a reported row."""
+    """One pass over the sample, in parallel lists: index k holds the
+    values of ``points[k]``, read by ``read`` as ``xs[k]``, with None
+    where a value is not read; ``center`` is x0 read the same way.
+    ``points`` is the universe's own when there is no sample, so a grid
+    node's ``Point`` is made only for a reported one."""
 
     read: object
     center: object
     points: object
     xs: object
-    rows: list
+    images: list  # Tx
+    moved: list  # S(Tx, Tx, x)
+    dist: list  # S(x, x, x0)
+    image_dist: list  # S(Tx, Tx, x0)
     violations: list
 
 
@@ -91,24 +88,23 @@ def _rows(space, mapping, a, b, center, sample, tol, every_dist):
             xs = read.points
             c = xs[points.index(center)]
         every = every_dist or read.scale is not None
-        s = read.s
-        tc = read.t(c)
+        t, s = read.t, read.s
+        tc = t(c)
         moves, slack = read.cut(tol), read.cut(tol * w)
-        rows, violations = [], []
+        images, moved, violations = [], [], []
+        dist, image_dist = [None] * len(xs), [None] * len(xs)
         for k, x in enumerate(xs):
-            image = read.t(x)
-            row = _Row(image, s((image, image, x)))
-            if every or row.moved > moves:
-                row.dist = s((x, x, c))
-            if row.moved > moves:
-                back = s((tc, tc, x))
-                row.image_dist = s((image, image, c))
-                bound = max(wa * row.dist, wb * (back + row.image_dist))
-                if row.moved * w > bound + slack:
-                    violations.append((points[k], read.exact(row.moved),
-                                       read.exact(bound, w)))
-            rows.append(row)
-        done = _Pass(read, c, points, xs, rows, violations)
+            images.append(image := t(x))
+            moved.append(m := s(image, image, x))
+            if every or m > moves:
+                dist[k] = s(x, x, c)
+            if m > moves:
+                back = s(tc, tc, x)
+                image_dist[k] = s(image, image, c)
+                bound = max(wa * dist[k], wb * (back + image_dist[k]))
+                if m * w > bound + slack:
+                    violations.append((points[k], read.exact(m), read.exact(bound, w)))
+        done = _Pass(read, c, points, xs, images, moved, dist, image_dist, violations)
         return done, read.scale is not None
     key = ("pass", mapping, a, b, center.label, tol,
            tuple(p.label for p in points) if sample else None)
@@ -120,7 +116,7 @@ def _grid_margin(space, done, tol):
     coordinates, times the grid step; never below tol."""
     read = done.read
     xs = done.xs if read.scale else [x.value for x in done.xs]
-    by_value = sorted(dict(zip(xs, (r.dist for r in done.rows))).items())
+    by_value = sorted(dict(zip(xs, done.dist)).items())
     rise, run = 0, 1
     for (c0, d0), (c1, d1) in itertools.pairwise(by_value):
         if abs(d1 - d0) * run > rise * (c1 - c0):
@@ -185,15 +181,18 @@ def check_fixed_circle(
     the two hypotheses (the pointwise x0-bound everywhere, and
     S(Tx, Tx, x0) <= rho on the disc), then tests fixedness of every
     circle and disc point directly.  Verdicts never assume the theorem:
-    a moved circle point under fully verified hypotheses is reported as
-    an inconsistency.
+    when the x0-bound holds, the members within tol of the circle (disc)
+    all meet S(Tx, Tx, x0) <= rho + tol and one of them moves, that is
+    reported as an inconsistency.  A member within the margin alone
+    makes none, since the theorem does not speak of it.
     """
     tol = to_fraction(tol)
     center = space.resolve(x0)
     done = _rows(space, mapping, a, b, center, sample, tol, every_dist=True)
-    read, rows, points = done.read, done.rows, done.points
+    read, points = done.read, done.points
+    moved, dist, image_dist = done.moved, done.dist, done.image_dist
     moves = read.cut(tol)
-    radius = min((r.moved for r in rows if r.moved > moves), default=0)
+    radius = min((m for m in moved if m > moves), default=0)
     if tol_circle is not None:
         margin = to_fraction(tol_circle)
     elif space.kind == "real_grid":
@@ -202,25 +201,33 @@ def check_fixed_circle(
         margin = tol
     width = read.cut(margin)
     reach, limit = radius + width, radius + moves
-    disc = [k for k, r in enumerate(rows) if r.dist <= reach]
-    circle = [k for k in disc if abs(rows[k].dist - radius) <= width]
+    disc = [k for k, d in enumerate(dist) if d <= reach]
+    circle = [k for k in disc if abs(dist[k] - radius) <= width]
 
     s, c = read.s, done.center
     for k in disc:
-        r = rows[k]
-        if r.image_dist is None:
-            r.image_dist = s((r.image, r.image, c))
+        if image_dist[k] is None:
+            image = done.images[k]
+            image_dist[k] = s(image, image, c)
     disc_points = {k: points[k] for k in disc}
     hypothesis_violations = [
-        (disc_points[k], read.exact(rows[k].image_dist))
-        for k in disc if rows[k].image_dist > limit
+        (disc_points[k], read.exact(image_dist[k]))
+        for k in disc if image_dist[k] > limit
     ]
-    nonfixed = [disc_points[k] for k in disc if rows[k].moved > moves]
-    circle_fixed = all(rows[k].moved <= moves for k in circle)
-    hyp_ok_on_circle = all(rows[k].image_dist <= limit for k in circle)
+    nonfixed = [disc_points[k] for k in disc if moved[k] > moves]
+    circle_fixed = all(moved[k] <= moves for k in circle)
+
+    def contradicts(members):
+        """The theorem's hypothesis S(Tx, Tx, x0) <= rho holds on every
+        member, and yet some member moves."""
+        return (all(image_dist[k] <= limit for k in members)
+                and any(moved[k] > moves for k in members))
+
+    # the theorem speaks of the circle and disc themselves, so only the
+    # members within tol of them can contradict it, never the margin alone
     inconsistent = not done.violations and (
-        (hyp_ok_on_circle and not circle_fixed)
-        or (not hypothesis_violations and bool(nonfixed))
+        contradicts([k for k in circle if abs(dist[k] - radius) <= moves])
+        or contradicts([k for k in disc if dist[k] <= limit])
     )
     return CircleReport(
         rho=read.exact(radius),

@@ -99,15 +99,15 @@ def _folded(params):
 
 
 def _m_folded(s, weights, px, py, tx, ty):
-    """M(x, y) times w, each S value read by ``s`` from an (x, y, z) tuple,
-    in the order M names them; ``weights`` as from ``_folded``.  A weight
-    of exactly 0 makes its term exactly 0, so the S values under it are
-    not read."""
+    """M(x, y) times w, each S value read by ``s`` from x, y and z, one
+    argument each, in the order M names them; ``weights`` as from
+    ``_folded``.  A weight of exactly 0 makes its term exactly 0, so the
+    S values under it are not read."""
     _, wa, wb, wc = weights
     return max(
-        wa * s((px, px, py)) if wa else 0,
-        wb * (s((px, px, tx)) + s((py, py, ty))) if wb else 0,
-        wc * (s((px, px, ty)) + s((py, py, tx))) if wc else 0,
+        wa * s(px, px, py) if wa else 0,
+        wb * (s(px, px, tx) + s(py, py, ty)) if wb else 0,
+        wc * (s(px, px, ty) + s(py, py, tx)) if wc else 0,
     )
 
 
@@ -152,8 +152,8 @@ def verify_phi_gauge(
 def _gauge_at(formula, scale):
     """``formula`` as a function from an int v to its value at v / scale,
     as a pair (p, q) worth p/q with q > 0: through the formula's kernel at
-    ``scale`` when it has one (``Formula.scaled``), else through its exact
-    kernel, which raises where the formula does."""
+    ``scale``, called on v itself, when it has one (``Formula.scaled``),
+    else through its exact kernel, which raises where the formula does."""
     compiled = formula.scaled(scale)
     if compiled is None:
         def read(v):
@@ -161,7 +161,7 @@ def _gauge_at(formula, scale):
             return value.numerator, value.denominator
         return read
     kernel, den = compiled
-    return lambda v: (kernel((v,)), den)
+    return lambda v: (kernel(v), den)
 
 
 def _pair_rows(space, mapping, pairs, params):
@@ -202,7 +202,7 @@ def _pair_rows(space, mapping, pairs, params):
         for i, j in zip(xs, ys):
             (x, tx), (y, ty) = lookup(i), lookup(j)
             refs.append(_m_folded(s, weights, x, y, tx, ty))
-            s_ts.append(w * s((tx, tx, ty)))
+            s_ts.append(w * s(tx, tx, ty))
         den = read.den * w
         if read.scale is None:
             one, *flat = _scaled([1, *refs, *s_ts])

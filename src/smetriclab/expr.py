@@ -612,17 +612,13 @@ _builds = itertools.count(1)
 def _kernel(
     node: Expr, variables: tuple[str, ...], scale: int | None = None
 ) -> tuple[Callable, int]:
-    """(kernel, den): ``node`` compiled to one Python function.  With no
-    ``scale`` it takes one exact number per variable, a Fraction or an
-    int, and den is 1; with a ``scale`` it takes the tuple of the values
-    times ``scale``, as ints (see :meth:`_Source.code`)."""
+    """(kernel, den): ``node`` compiled to one Python function of one
+    argument per variable.  With no ``scale`` each is an exact number, a
+    Fraction or an int, and den is 1; with a ``scale`` each is one int,
+    the value times ``scale`` (see :meth:`_Source.code`)."""
     source = _Source(variables, scale)
     body, den = source.body(node, top=True)
-    if scale is None:
-        source.define(body, f"def kernel({source.args}):")
-    else:
-        unpack = [f"{source.args}, = v"] if variables else []
-        source.define([*unpack, *body], "def kernel(v):")
+    source.define(body, f"def kernel({source.args}):")
     code = compile("\n".join(source.defs), f"<kernel {next(_builds)}>", "exec")
     exec(code, source.names)
     return source.names["kernel"], den or 1
@@ -656,9 +652,9 @@ class Formula:
         return self.exact(*map(to_fraction, values))
 
     def scaled(self, scale: int) -> tuple[Callable, int] | None:
-        """(kernel, den): the formula from the tuple of its values times
-        ``scale`` to its value times den, over ints, built once per scale;
-        None when it divides by a variable or by 0."""
+        """(kernel, den): the formula from one int per variable, its value
+        times ``scale``, to its value times den, over ints, built once per
+        scale; None when it divides by a variable or by 0."""
         if scale not in self._kernels:
             try:
                 self._kernels[scale] = _kernel(self.ast, self.variables, scale)

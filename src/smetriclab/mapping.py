@@ -28,8 +28,9 @@ class Mapping:
         raise NotImplementedError
 
     def scaled(self, scale: int) -> tuple[Callable, int] | None:
-        """(kernel, den): the map from a coordinate times ``scale`` to its
-        image times den, over ints; None when it has none."""
+        """(kernel, den): the map from one int per variable, the
+        coordinate times ``scale``, to its image times den, over ints;
+        None when it has none."""
         return None
 
 

@@ -88,11 +88,11 @@ def picard(
         y = t(x)
         j = walk.land(i, y)
         landed = value(j)
-        alpha = s((x, x, landed))
+        alpha = s(x, x, landed)
         nodes.append(j)
         alphas.append(alpha)
         # confirm against the raw image so snapping cannot fake a fix
-        if alpha <= cut and (landed == y or s((x, x, y)) <= cut):
+        if alpha <= cut and (landed == y or s(x, x, y) <= cut):
             outcome = Outcome("converged", steps=n)
             break
         if j == i and y != x:
@@ -133,9 +133,8 @@ def _walk(space: Space, mapping: Mapping, start: Point) -> _Walk:
     if not read:
         def same(p):
             return p
-        triple = space.smetric.triple
         read = _Reading([], functools.partial(mapping.apply, space),
-                        lambda xyz: triple(*xyz))
+                        space.smetric.triple)
         return _Walk(read, start, same, functools.partial(_land, space),
                      same, same)
     xs, scale = read.points, read.scale
@@ -299,7 +298,7 @@ def discontinuity_criterion(
     read = _read(space, mapping, [target, *itertools.chain(*sequences)])
     s, (c, *terms) = read.s, read.points
     tc = read.t(c)
-    if s((c, c, tc)) > read.cut(tol):
+    if s(c, c, tc) > read.cut(tol):
         raise ValueError(f"{target.label} is not a fixed point of the map")
 
     weights, conv_cut = _folded(params), read.cut(conv)
@@ -314,7 +313,7 @@ def discontinuity_criterion(
         start = len(seq) // 2 if tail_start is None else tail_start
         if start >= len(seq):
             raise ValueError(f"tail_start {start} is past the end of sequence {index}")
-        if any(s((x, x, c)) > conv_cut for x in seq[start:]):
+        if any(s(x, x, c) > conv_cut for x in seq[start:]):
             raise ValueError(f"sequence {index} does not converge to u")
         w = window if window is not None else max(1, len(seq) // 4)
         tail = seq[-w:]

@@ -134,8 +134,9 @@ class SMetric:
         raise NotImplementedError
 
     def scaled(self, scale: int) -> tuple[Callable, int] | None:
-        """(kernel, den): S from coordinates times ``scale`` to its value
-        times den, over ints; None when it has none."""
+        """(kernel, den): S from one int per variable, x, y and z times
+        ``scale``, to its value times den, over ints; None when it has
+        none."""
         return None
 
 
@@ -521,9 +522,7 @@ def on_lattice(mapping, points) -> tuple | None:
         image, den = compiled
         scale, lattice = lattice, math.lcm(lattice, den)
         up, image_up = lattice // scale, lattice // den
-
-        def t(x):
-            return image((x // up,)) * image_up
+        t = image if up == image_up == 1 else (lambda x: image(x // up) * image_up)
 
     if isinstance(points, Grid):
         return lattice, points.over(lattice), t
@@ -538,7 +537,7 @@ class _Reading:
 
     points: list
     t: Callable | None  # a read point -> its image, read the same way
-    s: Callable  # (x, y, z) -> S(x, y, z) times den
+    s: Callable  # (x, y, z) -> S(x, y, z) times den, one argument each
     den: int = 1
     scale: int | None = None
 
@@ -555,12 +554,11 @@ def _read(space: Space, mapping, points) -> _Reading:
     the space's ``Grid``, their images under ``mapping`` (S alone when it
     is None) and S, on the lattice when the map and S both have int
     kernels there; else each point coerced to a point of the space."""
-    smetric = space.smetric
     return _lattice_read(space, mapping, points) or _Reading(
         list(points) if isinstance(points, Grid)
         else [space.coerce(p) for p in points],
         mapping and functools.partial(mapping.apply, space),
-        lambda xyz: smetric.triple(*xyz),
+        space.smetric.triple,
     )
 
 
@@ -586,7 +584,7 @@ def _read_s(space: Space, pts: tuple[Point, ...]) -> _Memo | _FromMetric:
             pass  # the triple loop below raises it where S first does
     read = _read(space, None, pts)
     xs, s = read.points, read.s
-    return _Memo(lambda i, j, k: s((xs[i], xs[j], xs[k])),
+    return _Memo(lambda i, j, k: s(xs[i], xs[j], xs[k]),
                  read.den if read.scale else None)
 
 

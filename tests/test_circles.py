@@ -6,7 +6,7 @@ import pytest
 
 from conftest import identity_mapping
 
-from smetriclab import circles, run
+from smetriclab import build_experiment, circles, run
 from smetriclab import (
     Space,
     TableMapping,
@@ -140,6 +140,28 @@ def test_moved_circle_point_under_clean_hypotheses_is_inconsistent():
         "v",
     ]
     assert report.inconsistent is True
+
+
+def test_a_moved_point_in_the_margin_alone_is_no_inconsistency():
+    # rho = 1/2, so the theorem's circle {2|x| = 1/2} holds no node; the
+    # grid margin 1/2 reports [-0.5, 0, 0.5], whose ends move under clean
+    # hypotheses, and only the unmoved 0 is within tol of the disc
+    spec = build_experiment({
+        "space": {"kind": "real_grid", "lo": -2, "hi": 2, "step": Fraction(1, 2),
+                  "smetric": {"kind": "formula",
+                              "expr": "abs(x - z) + abs(y - z)"}},
+        "map": {"kind": "formula", "expr": "x/2"},
+        "checks": [{"check": "fixed_circle", "x0": 0, "a": Fraction(1, 2),
+                    "b": 0}],
+    })
+    report = check_fixed_circle(spec.space, spec.mapping, Fraction(1, 2), 0, 0)
+    assert report.rho == report.tol_circle == Fraction(1, 2)
+    assert [p.label for p in report.circle_points] == ["-0.5", "0", "0.5"]
+    assert report.hypotheses_hold and report.circle_fixed is False
+    assert [p.label for p in report.nonfixed_witnesses] == ["-0.5", "0.5"]
+    assert report.inconsistent is False
+    [record] = run(spec).report["checks"]
+    assert (record["inconsistent"], record["verdict"]) == (False, "pass")
 
 
 def _circle_records(path, names):

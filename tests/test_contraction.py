@@ -116,7 +116,7 @@ def test_m_value_skipping_zero_weights_equals_the_full_max(a, b, c, coords, s):
         params.c / 2 * (triple(px, px, ty) + triple(py, py, tx)),
     )
     weights = _folded(params)
-    m = _m_folded(lambda xyz: triple(*xyz), weights, px, py, tx, ty)
+    m = _m_folded(triple, weights, px, py, tx, ty)
     assert Fraction(m, weights[0]) == full
 
 

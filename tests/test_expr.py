@@ -164,7 +164,7 @@ def test_nesting_depth_is_bounded(nest):
     deepest = Formula.parse(nest(MAX_DEPTH - 1), ("x",))
     assert pretty(parse(deepest.pretty(), ("x",))) == deepest.pretty()
     kernel, den = deepest.scaled(10)
-    assert Fraction(kernel((30,)), den) == deepest(3)
+    assert Fraction(kernel(30), den) == deepest(3)
     with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
         parse(nest(MAX_DEPTH), ("x",))
     with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_DEPTH}"):
@@ -330,7 +330,7 @@ def test_formulas_at_the_limits_compile_exact_and_scaled(text):
         assert formula(x) == want
         scale = math.lcm(6, Fraction(x).denominator)
         kernel, den = formula.scaled(scale)
-        assert Fraction(kernel((int(x * scale),)), den) == want
+        assert Fraction(kernel(int(x * scale)), den) == want
 
 
 def test_a_3000_branch_map_runs_from_the_command_line(tmp_path):
@@ -379,7 +379,7 @@ def test_a_den_past_4300_digits_compiles():
     assert den > 10**4300  # its repr raises ValueError on Python 3.11+
     for x in (Fraction(3, 2), Fraction(-5, 4)):
         want = reference(formula.ast, {"x": x})
-        assert Fraction(kernel((int(x * scale),)), den) == want
+        assert Fraction(kernel(int(x * scale)), den) == want
 
 
 def test_a_zero_divisor_in_a_branch_not_taken_does_not_raise():
@@ -403,7 +403,7 @@ def test_no_formula_text_reaches_the_kernel_source():
     odd = ("__import__('os')", "x y")
     formula = Formula(BinOp("-", Var(odd[0]), Var(odd[1])), odd)
     assert formula(5, 2) == 3
-    assert formula.scaled(4)[0]((20, 8)) == 12
+    assert formula.scaled(4)[0](20, 8) == 12
     with pytest.raises(ExprEvalError, match="cannot evaluate node"):
         Formula(Call("exec", (Num(Fraction(1)), Num(Fraction(2)))), ())()
 

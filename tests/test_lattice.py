@@ -5,6 +5,7 @@ lookups, each against the code it replaced, kept here as the oracle.
 Run these under more examples with ``--hypothesis-profile oracle``.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -53,8 +54,8 @@ from smetriclab.numeric import (
     DEFAULT_TOL, MAX_LATTICE_BITS, format_decimal, to_fraction,
 )
 from smetriclab import (
-    as_point, build_experiment, expr, fixture_path, load_experiment, run,
-    runner,
+    ConfigError, as_point, build_experiment, cli, expr, fixture_path,
+    load_experiment, run, runner,
 )
 from smetriclab.mapping import MappingRangeError
 from smetriclab.solver import DiscontinuityVerdict, SequenceLimit, _land
@@ -136,10 +137,14 @@ def reference_circle(
     ]
     nonfixed = [r.point for r in disc if r.moved > tol]
     circle_fixed = all(r.moved <= tol for r in circle)
-    hyp_ok_on_circle = all(r.image_dist <= limit for r in circle)
+
+    def contradicts(members):  # only members within tol of the sets count
+        return (all(r.image_dist <= limit for r in members)
+                and any(r.moved > tol for r in members))
+
     inconsistent = not zam and (
-        (hyp_ok_on_circle and not circle_fixed)
-        or (not hypothesis_violations and bool(nonfixed))
+        contradicts([r for r in circle if abs(r.dist - radius) <= tol])
+        or contradicts([r for r in disc if r.dist <= limit])
     )
     return CircleReport(
         rho=radius,
@@ -315,9 +320,11 @@ def _divisors():
     )
 
 
-@st.composite
-def scalable_formulas(draw, variables=("x", "y")):
-    """Formulas in ``variables`` that divide only by constants."""
+@functools.cache
+def scalable_formulas(variables=("x", "y")):
+    """Formulas in ``variables`` that divide only by constants, each draw
+    a new ``Formula``.  The strategy is built once per variable tuple, so
+    that Hypothesis validates it once rather than on every draw."""
     leaves = st.one_of(
         LITERALS.map(Num), st.sampled_from([Var(name) for name in variables])
     )
@@ -347,7 +354,8 @@ def scalable_formulas(draw, variables=("x", "y")):
             ).map(lambda t: Piecewise(tuple(t[0]), t[1])),
         )
 
-    return Formula(draw(st.recursive(leaves, extend, max_leaves=10)), variables)
+    return st.recursive(leaves, extend, max_leaves=10).map(
+        lambda ast: Formula(ast, variables))
 
 
 def _divides_by_zero(node):
@@ -385,7 +393,7 @@ def test_scaled_closure_matches_the_fraction_closure(formula, scale, xn, yn):
         assert _divides_by_zero(formula.ast)
         return
     closure, den = compiled
-    value = closure((xn, yn))
+    value = closure(xn, yn)
     assert type(value) is int and type(den) is int and den > 0
     assert Fraction(value, den) == formula(Fraction(xn, scale), Fraction(yn, scale))
 
@@ -416,7 +424,7 @@ def test_variable_or_zero_divisors_get_no_integer_closure(text, x, error):
 def test_scaled_closure_carries_its_den():
     image, den = Formula.parse("x/2 + 1", ("x",)).scaled(10)
     assert den == 20
-    assert image((30,)) == 50  # x = 3 maps to 5/2, times 20
+    assert image(30) == 50  # x = 3 maps to 5/2, times 20
 
 
 def test_kernels_keep_the_error_of_a_dividing_map():
@@ -1322,9 +1330,9 @@ def _counted_reads(monkeypatch, names):
             return compiled
         kernel, den = compiled
 
-        def counted(values):
+        def counted(*values):
             calls[names[id(self)]] += 1
-            return kernel(values)
+            return kernel(*values)
 
         return counted, den
 
@@ -1366,6 +1374,27 @@ def test_the_conditions_read_one_set_of_rows_on_the_lattice(monkeypatch):
     assert reads("ii") == one_set
 
 
+@pytest.mark.parametrize(("name", "checks", "counts"), [
+    # one pass for the pair: T at x0 and on 2,001 nodes; S(Tx, Tx, x) and
+    # S(x, x, x0) on each, the x0-bound's two terms on the 1,400 moved
+    # nodes and S(Tx, Tx, x0) on the 201 unmoved nodes of the disc
+    ("example_3_3", ("zamfirescu", "fixed_circle"), {"S": 7_003, "T": 2_002}),
+    ("example_3_3", ("fix_set",), {"S": 0, "T": 2_001}),
+    # T at u and on two tails of 250; S at u, on two tails of 800 past
+    # tail_start and twice per tail term under b alone
+    ("discontinuity_0_2", ("discontinuity",), {"S": 2_601, "T": 501}),
+])
+def test_each_value_is_read_once_on_the_lattice(name, checks, counts, monkeypatch):
+    spec = load_experiment(fixture_path(f"{name}.json"))
+    spec.checks = [c for c in spec.checks if c.name in checks]
+    calls = _counted_reads(monkeypatch, {
+        id(spec.space.smetric.formula): "S", id(spec.mapping.formula): "T"})
+    report = run(spec).report
+    assert [r["check"] for r in report["checks"]] == list(checks)
+    assert report["summary"]["status"] == "pass"
+    assert calls == counts
+
+
 @pytest.mark.parametrize("name", ["example_2_2", "example_2_2_corrected"])
 def test_example_2_2_condition_ii_reuses_condition_i_rows(name, monkeypatch):
     spec = load_experiment(fixture_path(f"{name}.json"))
@@ -1387,3 +1416,102 @@ def test_example_2_2_condition_ii_reuses_condition_i_rows(name, monkeypatch):
             k: v for k, v in record.items()
             if k not in ("check", "label", "verdict")}
         assert record["verdict"] == ("pass" if passed else "fail")
+
+
+# -- whole documents on both paths ---------------------------------------
+
+DOCUMENT_TOLERANCES = st.sampled_from([DEFAULT_TOL, Fraction(1, 7), Fraction(1, 2)])
+CIRCLE_MARGINS = st.none() | st.sampled_from([Fraction(0), Fraction(1, 10), 1])
+EPS = st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=8)
+
+
+@st.composite
+def documents(draw):
+    """A whole grid or finite document: a formula S and a formula map from
+    the grammar (S from the list above half the time, the map mostly
+    fixing u), params, gauges and a mix of checks with drawn options and
+    samples.  ``solve`` and ``discontinuity``, which abort on a map that
+    leaves the grid or moves u, come after the others, since an aborted
+    check ends the run."""
+    if draw(st.booleans()):
+        step = draw(st.sampled_from(STEPS))
+        lo = draw(st.integers(-3, 1)) * Fraction(1, 2)
+        count = draw(st.integers(1, 9))
+        space = {"kind": "real_grid", "lo": lo, "hi": lo + (count - 1) * step,
+                 "step": step}
+        coordinates = [lo + i * step for i in range(count)]
+    else:
+        coordinates = draw(st.lists(COORDINATES, min_size=1, max_size=6, unique=True))
+        space = {"kind": "finite", "points": coordinates}
+    s_text = (draw(st.sampled_from(S_FORMULAS)) if draw(st.booleans())
+              else draw(scalable_formulas(("x", "y", "z"))).pretty())
+    space["smetric"] = {"kind": "formula", "expr": s_text}
+    universe = st.sampled_from(coordinates)
+    sample = st.none() | st.lists(universe, min_size=1, max_size=5)
+    u = draw(universe)
+    formula = draw(scalable_formulas(("x",)))
+    if draw(st.integers(0, 3)):  # three in four maps fix u
+        formula = _fixing(formula, u).formula
+    approach = st.builds(lambda r, n: u + Fraction(r, n),
+                         st.integers(-3, 3), st.integers(1, 40))
+
+    def center():
+        return {"x0": draw(universe), "a": draw(COEFFICIENTS),
+                "b": draw(COEFFICIENTS), "sample": draw(sample)}
+
+    options = {
+        "axioms": lambda: {"sample": draw(sample)},
+        "zamfirescu": center,
+        "fixed_circle": lambda: {**center(), "tol_circle": draw(CIRCLE_MARGINS)},
+        "fix_set": dict,
+        "condition_i": lambda: {"mode": draw(MODES), "sample": draw(sample)},
+        "condition_ii": lambda: {
+            "eps": draw(st.none() | st.lists(EPS, min_size=1, max_size=3)),
+            "sample": draw(sample)},
+        "solve": lambda: {"x0": draw(universe), "max_iter": draw(st.integers(1, 30))},
+        "discontinuity": lambda: {
+            "u": u,
+            "sequences": draw(st.lists(st.lists(approach | universe, min_size=1,
+                                                max_size=8), min_size=1, max_size=3)),
+            "limit_tol": draw(LIMIT_TOLERANCES),
+            "conv_tol": draw(CONV_TOLERANCES)},
+    }
+    last = ["solve", "discontinuity"]
+    names = draw(st.lists(st.sampled_from([k for k in options if k not in last]),
+                          min_size=1, max_size=4))
+    names += draw(st.permutations(last))[:draw(st.integers(0, 2))]
+    checks = [
+        {"check": name, **{k: v for k, v in options[name]().items() if v is not None}}
+        for name in names
+    ]
+    return {
+        "tolerance": draw(DOCUMENT_TOLERANCES),
+        "space": space,
+        "map": {"kind": "formula", "expr": formula.pretty()},
+        "params": {"a": draw(QUARTERS), "b": draw(QUARTERS), "c": draw(C_QUARTERS)},
+        "gauge": {"phi": draw(PHIS), "delta": draw(DELTAS)},
+        "checks": checks,
+    }
+
+
+def _whole_run(doc):
+    """(exit code, JSON report without its timing block) of one document."""
+    try:
+        outcome = run(build_experiment(doc))
+    except ConfigError as e:
+        return 2, str(e)
+    report = dict(outcome.report)
+    del report["timing"]
+    pieces = []
+    cli.write_json(report, pieces.append)
+    return outcome.exit_code, "".join(pieces)
+
+
+@settings(deadline=None)
+@given(documents())
+def test_a_whole_document_reads_alike_on_both_paths(doc):
+    # the report bytes and the exit code, with no formula compiled on a
+    # lattice, so that every check takes its Fraction path
+    lattice = _whole_run(doc)
+    with mock.patch.object(Formula, "scaled", lambda self, scale: None):
+        assert _whole_run(doc) == lattice
