@@ -158,6 +158,8 @@ class CircleReport:
     nonfixed_witnesses: list[Point]
     inconsistent: bool
     tol_circle: Fraction
+    circle_fixed_within_tol: bool  # judged like ``inconsistent``
+    disc_fixed_within_tol: bool
 
     @property
     def hypotheses_hold(self) -> bool:
@@ -184,7 +186,9 @@ def check_fixed_circle(
     when the x0-bound holds, the members within tol of the circle (disc)
     all meet S(Tx, Tx, x0) <= rho + tol and one of them moves, that is
     reported as an inconsistency.  A member within the margin alone
-    makes none, since the theorem does not speak of it.
+    makes none, since the theorem does not speak of it; the same members
+    decide ``circle_fixed_within_tol`` and ``disc_fixed_within_tol``, and
+    an empty set of them counts as fixed.
     """
     tol = to_fraction(tol)
     center = space.resolve(x0)
@@ -215,19 +219,22 @@ def check_fixed_circle(
         for k in disc if image_dist[k] > limit
     ]
     nonfixed = [disc_points[k] for k in disc if moved[k] > moves]
-    circle_fixed = all(moved[k] <= moves for k in circle)
+
+    def fixed(members):
+        return all(moved[k] <= moves for k in members)
 
     def contradicts(members):
         """The theorem's hypothesis S(Tx, Tx, x0) <= rho holds on every
         member, and yet some member moves."""
-        return (all(image_dist[k] <= limit for k in members)
-                and any(moved[k] > moves for k in members))
+        return all(image_dist[k] <= limit for k in members) and not fixed(members)
 
     # the theorem speaks of the circle and disc themselves, so only the
-    # members within tol of them can contradict it, never the margin alone
+    # members within tol of them can contradict it or decide whether they
+    # are fixed, never the margin alone
+    on_circle = [k for k in circle if abs(dist[k] - radius) <= moves]
+    in_disc = [k for k in disc if dist[k] <= limit]
     inconsistent = not done.violations and (
-        contradicts([k for k in circle if abs(dist[k] - radius) <= moves])
-        or contradicts([k for k in disc if dist[k] <= limit])
+        contradicts(on_circle) or contradicts(in_disc)
     )
     return CircleReport(
         rho=read.exact(radius),
@@ -235,9 +242,11 @@ def check_fixed_circle(
         disc_points=list(disc_points.values()),
         zamfirescu_violations=list(done.violations),
         hypothesis_violations=hypothesis_violations,
-        circle_fixed=circle_fixed,
+        circle_fixed=fixed(circle),
         disc_fixed=not nonfixed,
         nonfixed_witnesses=nonfixed,
         inconsistent=inconsistent,
+        circle_fixed_within_tol=fixed(on_circle),
+        disc_fixed_within_tol=fixed(in_disc),
         tol_circle=margin,
     )

@@ -25,11 +25,13 @@ whole formula as one, both in its text (parentheses, argument lists and
 unary minus) and in its tree (``1 + 2 + 3`` is three levels); deeper input
 is a syntax error, so no recursion over it exhausts Python's stack.
 :class:`Formula` turns its tree into generated Python functions, its
-kernels, each built on first use and kept: ``Formula.exact`` over exact
-numbers, and :meth:`Formula.scaled` one per input scale over integers,
-unless the formula divides by a variable or by 0.  Both read every node
-as an integer pair (numerator, den); the exact kernel builds one
-``Fraction`` per result, from the last pair.
+kernels: ``Formula.exact`` over exact numbers, and :meth:`Formula.scaled`
+one per input scale over integers, unless the formula divides by a
+variable or by 0.  Both read every node as an integer pair (numerator,
+den); the exact kernel builds one ``Fraction`` per result, from the last
+pair.  A kernel depends only on the tree, the variable order and the
+scale, so the process keeps the last ``MAX_KERNELS`` built, keyed by
+these three (``_kernel``): equal formulas, parsed apart, share one.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -607,17 +609,40 @@ class _Source:
 
 #: Builds so far: a kernel's filename, so a profile keeps one entry per kernel.
 _builds = itertools.count(1)
+MAX_KERNELS = 32  # kernels the process keeps, the most recently used
 
 
-def _kernel(
-    node: Expr, variables: tuple[str, ...], scale: int | None = None
-) -> tuple[Callable, int]:
-    """(kernel, den): ``node`` compiled to one Python function of one
+@dataclass(frozen=True)
+class _Tree:
+    """A formula's tree and variables, the kernel cache's key with the
+    scale.  The cache hashes its key on every read, so the hash is taken
+    once; unlike the formula, the key keeps no exact kernel alive."""
+
+    ast: Expr
+    variables: tuple[str, ...]
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.ast, self.variables))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+@functools.lru_cache(maxsize=MAX_KERNELS)
+def _kernel(tree: _Tree, scale: int | None) -> tuple[Callable, int] | None:
+    """(kernel, den): ``tree`` compiled to one Python function of one
     argument per variable.  With no ``scale`` each is an exact number, a
     Fraction or an int, and den is 1; with a ``scale`` each is one int,
-    the value times ``scale`` (see :meth:`_Source.code`)."""
-    source = _Source(variables, scale)
-    body, den = source.body(node, top=True)
+    the value times ``scale`` (see :meth:`_Source.code`), and the result
+    is None when the formula divides by a variable or by 0."""
+    source = _Source(tree.variables, scale)
+    try:
+        body, den = source.body(tree.ast, top=True)
+    except (ExprEvalError, ZeroDivisionError):
+        if scale is None:
+            raise
+        return None
     source.define(body, f"def kernel({source.args}):")
     code = compile("\n".join(source.defs), f"<kernel {next(_builds)}>", "exec")
     exec(code, source.names)
@@ -627,22 +652,26 @@ def _kernel(
 @dataclass(frozen=True)
 class Formula:
     """A parsed expression bound to an ordered variable list.  Its
-    kernels, the functions generated from it, are built on first use and
-    kept: ``exact`` and one per scale."""
+    kernels, the functions generated from it, come from the process's
+    kernel cache (``_kernel``): ``exact``, kept on the formula once read,
+    and one per scale."""
 
     ast: Expr
     variables: tuple[str, ...]
-    _kernels: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def parse(cls, text: str, variables: tuple[str, ...]) -> "Formula":
         return cls(parse(text, frozenset(variables)), variables)
 
     @functools.cached_property
+    def _tree(self) -> _Tree:
+        return _Tree(self.ast, self.variables)
+
+    @functools.cached_property
     def exact(self) -> Callable[..., Fraction]:
         """The kernel over exact numbers, one Fraction or int per
         variable, to a Fraction; a bare variable returns its argument."""
-        return _kernel(self.ast, self.variables)[0]
+        return _kernel(self._tree, None)[0]
 
     def __call__(self, *values: object) -> Fraction:
         if len(values) != len(self.variables):
@@ -653,14 +682,9 @@ class Formula:
 
     def scaled(self, scale: int) -> tuple[Callable, int] | None:
         """(kernel, den): the formula from one int per variable, its value
-        times ``scale``, to its value times den, over ints, built once per
-        scale; None when it divides by a variable or by 0."""
-        if scale not in self._kernels:
-            try:
-                self._kernels[scale] = _kernel(self.ast, self.variables, scale)
-            except (ExprEvalError, ZeroDivisionError):
-                self._kernels[scale] = None
-        return self._kernels[scale]
+        times ``scale``, to its value times den, over ints; None when it
+        divides by a variable or by 0."""
+        return _kernel(self._tree, scale)
 
     def pretty(self) -> str:
         return pretty(self.ast)

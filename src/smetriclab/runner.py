@@ -560,8 +560,10 @@ def _run_fixed_circle(spec, options, tol):
         **_fields(report, ("circle_fixed", "disc_fixed", "nonfixed_witnesses")),
         "inconsistent": report.inconsistent,
     }
-    circle_ok = _meets(options, "expect_circle_fixed", report.circle_fixed, details)
-    disc_ok = _meets(options, "expect_disc_fixed", report.disc_fixed, details)
+    circle_ok = _meets(
+        options, "expect_circle_fixed", report.circle_fixed_within_tol, details
+    )
+    disc_ok = _meets(options, "expect_disc_fixed", report.disc_fixed_within_tol, details)
     return not report.inconsistent and circle_ok and disc_ok, details
 
 

@@ -164,6 +164,44 @@ def test_a_moved_point_in_the_margin_alone_is_no_inconsistency():
     assert (record["inconsistent"], record["verdict"]) == (False, "pass")
 
 
+def _halving_document(map_text, expect):
+    """The grid [-2, 2], step 1/2, under S = |x - z| + |y - z|, with one
+    ``fixed_circle`` at 0 that expects its circle and disc fixed."""
+    return {
+        "space": {"kind": "real_grid", "lo": -2, "hi": 2, "step": Fraction(1, 2),
+                  "smetric": {"kind": "formula",
+                              "expr": "abs(x - z) + abs(y - z)"}},
+        "map": {"kind": "formula", "expr": map_text},
+        "checks": [{"check": "fixed_circle", "x0": 0, "a": Fraction(1, 2), "b": 0,
+                    "expect_circle_fixed": expect, "expect_disc_fixed": expect}],
+    }
+
+
+def test_the_expectations_are_judged_within_tol_not_on_the_margin():
+    # under x/2 the theorem's disc is {0}, which is fixed, and its circle
+    # {2|x| = 1/2} holds no node; the margin's moved ends -0.5 and 0.5
+    # are reported but decide neither expectation
+    outcome = run(build_experiment(_halving_document("x/2", True)))
+    [record] = outcome.report["checks"]
+    assert record["circle"] == record["disc"] == ["-0.5", "0", "0.5"]
+    assert (record["circle_fixed"], record["disc_fixed"]) == (False, False)
+    assert (record["verdict"], outcome.exit_code) == ("pass", 0)
+    outcome = run(build_experiment(_halving_document("x/2", False)))
+    assert (outcome.report["checks"][0]["verdict"], outcome.exit_code) == ("fail", 1)
+
+
+def test_a_moved_member_within_tol_still_fails_the_expectations():
+    # x + 1 moves every node by rho = 2, so the disc within tol, |x| <= 1,
+    # moves; the x0-bound fails, so this is no inconsistency, only a fail
+    spec = build_experiment(_halving_document("x + 1", True))
+    circle = check_fixed_circle(spec.space, spec.mapping, Fraction(1, 2), 0, 0)
+    assert circle.circle_fixed_within_tol is circle.disc_fixed_within_tol is False
+    outcome = run(spec)
+    [record] = outcome.report["checks"]
+    assert (record["rho"], record["inconsistent"]) == (2, False)
+    assert (record["verdict"], outcome.exit_code) == ("fail", 1)
+
+
 def _circle_records(path, names):
     spec = load_experiment(path)
     spec.checks = [c for c in spec.checks if c.name in names]

@@ -17,6 +17,7 @@ from smetriclab import (
     parse,
     pretty,
 )
+from smetriclab import expr
 from smetriclab.experiment import SequenceSpec
 from smetriclab.expr import (
     MAX_DEPTH,
@@ -357,12 +358,50 @@ def test_each_kernel_is_built_once():
     assert Formula.parse("1/x", ("x",)).scaled(10) is None
 
 
+def test_a_formula_hashes_its_tree_once(monkeypatch):
+    # the kernel cache hashes its key on every read; a formula's hash is
+    # taken once, so no read after the first walks the tree again
+    walks = []
+    monkeypatch.setattr(expr.BinOp, "__hash__", lambda node: walks.append(node) or 0)
+    formula = Formula.parse("x/7 + 3", ("x",))
+    for _ in range(3):
+        assert formula.scaled(10) is formula.scaled(10)
+    assert formula.exact(Fraction(7)) == 4
+    assert [node for node in walks if node is formula.ast] == [formula.ast]
+
+
 def test_each_kernel_compiles_under_its_own_filename():
-    formula, again = (Formula.parse("x/2 + 1", ("x",)) for _ in range(2))
-    kernels = (formula.exact, again.exact, formula.scaled(10)[0])
+    # equal (tree, variables, scale) share one kernel, however the text was
+    # spaced; a distinct tree, variable order or scale gets its own build
+    formula = Formula.parse("x/2 + y", ("x", "y"))
+    again = Formula.parse("  x / 2+y ", ("x", "y"))
+    assert again is not formula and again == formula
+    assert again.exact is formula.exact
+    assert again.scaled(10) is formula.scaled(10)
+    kernels = (
+        formula.exact,
+        formula.scaled(10)[0],
+        formula.scaled(20)[0],
+        Formula.parse("x/2 + y", ("y", "x")).exact,
+        Formula.parse("x/3 + y", ("x", "y")).exact,
+    )
     names = {kernel.__code__.co_filename for kernel in kernels}
-    assert len(names) == 3  # a profile tells them apart
+    assert len(names) == len(kernels)  # a profile tells them apart
     assert all(re.fullmatch(r"<kernel \d+>", name) for name in names)
+
+
+def test_the_kernel_cache_keeps_at_most_its_bound():
+    kernel, den = Formula.parse("x + 0", ("x",)).scaled(3)
+    for n in range(1, expr.MAX_KERNELS + 5):
+        Formula.parse(f"x + {n}", ("x",)).scaled(3)
+    info = expr._kernel.cache_info()
+    assert info.maxsize == info.currsize == expr.MAX_KERNELS
+    again, den_again = Formula.parse("x + 0", ("x",)).scaled(3)  # evicted
+    assert expr._kernel.cache_info().misses == info.misses + 1
+    assert again is not kernel
+    assert again.__code__.co_filename != kernel.__code__.co_filename
+    assert den_again == den
+    assert [again(v) for v in range(-6, 7)] == [kernel(v) for v in range(-6, 7)]
 
 
 def test_a_piecewise_def_carries_its_kernels_filename():

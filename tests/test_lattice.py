@@ -142,10 +142,9 @@ def reference_circle(
         return (all(r.image_dist <= limit for r in members)
                 and any(r.moved > tol for r in members))
 
-    inconsistent = not zam and (
-        contradicts([r for r in circle if abs(r.dist - radius) <= tol])
-        or contradicts([r for r in disc if r.dist <= limit])
-    )
+    on_circle = [r for r in circle if abs(r.dist - radius) <= tol]
+    in_disc = [r for r in disc if r.dist <= limit]
+    inconsistent = not zam and (contradicts(on_circle) or contradicts(in_disc))
     return CircleReport(
         rho=radius,
         circle_points=[r.point for r in circle],
@@ -157,6 +156,8 @@ def reference_circle(
         nonfixed_witnesses=nonfixed,
         inconsistent=inconsistent,
         tol_circle=margin,
+        circle_fixed_within_tol=all(r.moved <= tol for r in on_circle),
+        disc_fixed_within_tol=all(r.moved <= tol for r in in_disc),
     )
 
 
@@ -1271,23 +1272,25 @@ def test_example_3_3_makes_a_point_only_for_a_node_it_names(monkeypatch):
 
 
 def test_example_2_2_solves_with_no_exact_kernel_of_s_or_the_map(monkeypatch):
-    # its three orbits run on the lattice, so S and the map are built at
-    # scale 1 for the integer sweeps and never as exact kernels
+    # its three orbits run on the lattice, so S and the map are read at
+    # scale 1 for the integer sweeps and never as exact kernels; each
+    # kernel asked for is recorded once, however often it is asked for
     spec = load_experiment(fixture_path("example_2_2.json"))
     ours = {spec.space.smetric.formula.ast, spec.mapping.formula.ast}
-    built = []
+    asked = set()
     kernel = expr._kernel
 
-    def recording(node, variables, scale=None):
-        built.append((node in ours, scale))
-        return kernel(node, variables, scale)
+    def recording(tree, scale):
+        if tree.ast in ours:
+            asked.add((tree.ast, scale))
+        return kernel(tree, scale)
 
     monkeypatch.setattr(expr, "_kernel", recording)
     report = run(spec).report
     monkeypatch.undo()
     solves = [r for r in report["checks"] if r["check"] == "solve"]
     assert [r["outcome"]["status"] for r in solves] == ["converged"] * 3
-    assert sorted(scale for ours, scale in built if ours) == [1, 1]
+    assert sorted(scale for _, scale in asked) == [1, 1]
 
 
 def test_grid_conditions_read_phi_and_delta_with_no_exact_kernel(monkeypatch):
@@ -1306,10 +1309,10 @@ def test_grid_conditions_read_phi_and_delta_with_no_exact_kernel(monkeypatch):
     built = []
     kernel = expr._kernel
 
-    def recording(node, variables, scale=None):
-        if node in gauges:
-            built.append((gauges[node], scale is None))
-        return kernel(node, variables, scale)
+    def recording(tree, scale):
+        if tree.ast in gauges:
+            built.append((gauges[tree.ast], scale is None))
+        return kernel(tree, scale)
 
     monkeypatch.setattr(expr, "_kernel", recording)
     report = run(spec).report
@@ -1510,8 +1513,36 @@ def _whole_run(doc):
 @settings(deadline=None)
 @given(documents())
 def test_a_whole_document_reads_alike_on_both_paths(doc):
-    # the report bytes and the exit code, with no formula compiled on a
-    # lattice, so that every check takes its Fraction path
+    # the report bytes and the exit code, with every kernel built afresh,
+    # again with every kernel from the cache, and with no formula compiled
+    # on a lattice, so that every check takes its Fraction path
+    expr._kernel.cache_clear()
     lattice = _whole_run(doc)
+    assert _whole_run(doc) == lattice
     with mock.patch.object(Formula, "scaled", lambda self, scale: None):
         assert _whole_run(doc) == lattice
+
+
+def _verdicts_and_totals(doc):
+    """The exit code and, per check, its label, verdict, numbers and flags
+    and the length of each list it reports."""
+    code, text = _whole_run(doc)
+    if not text.startswith("{"):
+        return code, text  # a ConfigError
+    return code, [
+        {key: len(value) if isinstance(value, list) else value
+         for key, value in record.items()
+         if key in ("label", "verdict") or isinstance(value, (int, float, list))}
+        for record in json.loads(text)["checks"]
+    ]
+
+
+@settings(deadline=None)
+@given(documents(), st.data())
+def test_permuting_each_sample_keeps_every_verdict_and_total(doc, data):
+    permuted = {**doc, "checks": [
+        {**check, "sample": data.draw(st.permutations(check["sample"]))}
+        if "sample" in check else check
+        for check in doc["checks"]
+    ]}
+    assert _verdicts_and_totals(permuted) == _verdicts_and_totals(doc)
