@@ -75,12 +75,14 @@ class SequenceSpec:
     n_from: int = 1
     n_to: int = 1
 
-    def expand(self) -> list[Fraction]:
+    def expand(self) -> list[tuple[int, int]]:
+        """The terms as reduced (numerator, den) int pairs, den > 0, which
+        ``space._read`` reads as coordinates; a formula's from ``Formula.pairs``."""
         if self.values is not None:
-            return list(self.values)
+            return [(v.numerator, v.denominator) for v in self.values]
         assert self.expr is not None
-        kernel = self.expr.exact  # one variable, n, fixed at load
-        return [kernel(n) for n in range(self.n_from, self.n_to + 1)]
+        kernel = self.expr.pairs  # one variable, n, fixed at load
+        return list(map(kernel, range(self.n_from, self.n_to + 1)))
 
 
 @dataclass

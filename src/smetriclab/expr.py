@@ -29,9 +29,11 @@ kernels: ``Formula.exact`` over exact numbers, and :meth:`Formula.scaled`
 one per input scale over integers, unless the formula divides by a
 variable or by 0.  Both read every node as an integer pair (numerator,
 den); the exact kernel builds one ``Fraction`` per result, from the last
-pair.  A kernel depends only on the tree, the variable order and the
-scale, so the process keeps the last ``MAX_KERNELS`` built, keyed by
-these three (``_kernel``): equal formulas, parsed apart, share one.
+pair; its pair flavour, ``Formula.pairs``, returns that pair reduced.  A
+kernel depends only on the tree, the variable order and the scale
+(``_PAIRS`` for the pair flavour), so the process keeps the last
+``MAX_KERNELS`` built, keyed by these three (``_kernel``): equal
+formulas, parsed apart, share one.
 """
 
 from __future__ import annotations
@@ -360,6 +362,12 @@ def _divide_by_zero():
     raise ExprEvalError("division by zero")
 
 
+def _pair(p: int, q: int) -> tuple[int, int]:
+    """p/q, q > 0, as its reduced (numerator, denominator)."""
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
         "/": operator.truediv, "abs": abs, "min": min, "max": max}
 
@@ -392,7 +400,8 @@ class _Source:
     den is dynamic, read from its argument, and a den built from dynamic
     ones is kept in a temp, so no text is written twice.  The exact kernel
     builds one ``Fraction`` per result, at ``return`` (a bare variable is
-    returned as it came); a scaled kernel returns p over one static den.
+    returned as it came), and its pair flavour (``pairs``) the reduced
+    pair instead; a scaled kernel returns p over one static den.
     Its text holds internal names only: ``v0, v1, ...`` for the arguments,
     ``n0, d0, ...`` for their numerators and dens, ``c...`` for int
     constants bound in its globals, ``f...`` for defs and ``t...`` for
@@ -403,15 +412,16 @@ class _Source:
     parentheses around a child, so a formula within ``MAX_DEPTH`` nests at
     most 198, under the 200 that CPython's tokenizer takes."""
 
-    def __init__(self, variables: tuple[str, ...], scale: int | None):
+    def __init__(self, variables: tuple[str, ...], scale: int | None, pairs: bool = False):
         self.index = {name: i for i, name in enumerate(variables)}
         self.args = ", ".join(f"v{i}" for i in range(len(variables)))
-        self.scale = scale
+        self.scale, self.pairs = scale, pairs
         self.names: dict = {
             "__builtins__": {"abs": abs, "min": min, "max": max},
             "_zero": _divide_by_zero,
             "_gcd": math.gcd,
             "_fraction": Fraction,
+            "_pair": _pair,
         }
         self.defs: list[str] = []
         self.temps = 0
@@ -468,8 +478,8 @@ class _Source:
         """Statements that return ``node``, and its den.  Each returns p
         over one static den when every value has one, else its pair
         (p, q) and the den is None; at the top of an exact kernel each
-        returns a ``Fraction``.  A condition, and a value, runs its own
-        statements only when it is reached."""
+        returns a ``Fraction`` (with ``pairs``, the reduced pair).  A
+        condition, and a value, runs its own statements only when reached."""
         outer, self.used = self.used, set()
         pieces = node.branches if isinstance(node, Piecewise) else ()
         otherwise = node.otherwise if isinstance(node, Piecewise) else node
@@ -480,12 +490,15 @@ class _Source:
             test = cond and self.code(cond, head)[0]
             block: list[str] = []
             if exact_top and isinstance(value, Var) and value.name in self.index:
-                blocks.append((head, test, block, f"v{self.index[value.name]}", None))
+                v = f"v{self.index[value.name]}"
+                bare = f"{v}.numerator, {v}.denominator" if self.pairs else v
+                blocks.append((head, test, block, bare, None))
             else:
                 blocks.append((head, test, block, *self.code(value, block)))
         parts = [(p, q) for *_, p, q in blocks]
         if exact_top:
-            returns, den = [p if q is None else f"_fraction({p}, {self.den(q)})"
+            top = "_pair" if self.pairs else "_fraction"
+            returns, den = [p if q is None else f"{top}({p}, {self.den(q)})"
                             for p, q in parts], None
         else:  # static at a scale; a def's temps and dens stay in the def
             returns, den = self.common(parts)
@@ -610,6 +623,7 @@ class _Source:
 #: Builds so far: a kernel's filename, so a profile keeps one entry per kernel.
 _builds = itertools.count(1)
 MAX_KERNELS = 32  # kernels the process keeps, the most recently used
+_PAIRS = "pairs"  # the pair flavour's key in the place of a scale
 
 
 @dataclass(frozen=True)
@@ -630,17 +644,19 @@ class _Tree:
 
 
 @functools.lru_cache(maxsize=MAX_KERNELS)
-def _kernel(tree: _Tree, scale: int | None) -> tuple[Callable, int] | None:
+def _kernel(tree: _Tree, scale: int | str | None) -> tuple[Callable, int] | None:
     """(kernel, den): ``tree`` compiled to one Python function of one
     argument per variable.  With no ``scale`` each is an exact number, a
-    Fraction or an int, and den is 1; with a ``scale`` each is one int,
-    the value times ``scale`` (see :meth:`_Source.code`), and the result
-    is None when the formula divides by a variable or by 0."""
-    source = _Source(tree.variables, scale)
+    Fraction or an int, and den is 1, as with ``_PAIRS``, whose kernel
+    returns a reduced pair; with a ``scale`` each is one int, the value
+    times ``scale`` (see :meth:`_Source.code`), and the result is None
+    when the formula divides by a variable or by 0."""
+    pairs = scale == _PAIRS
+    source = _Source(tree.variables, None if pairs else scale, pairs)
     try:
         body, den = source.body(tree.ast, top=True)
     except (ExprEvalError, ZeroDivisionError):
-        if scale is None:
+        if source.scale is None:
             raise
         return None
     source.define(body, f"def kernel({source.args}):")
@@ -672,6 +688,13 @@ class Formula:
         """The kernel over exact numbers, one Fraction or int per
         variable, to a Fraction; a bare variable returns its argument."""
         return _kernel(self._tree, None)[0]
+
+    @functools.cached_property
+    def pairs(self) -> Callable[..., tuple[int, int]]:
+        """``exact``'s pair flavour: the value as its reduced (numerator,
+        denominator), den > 0, with no ``Fraction``; it raises where
+        ``exact`` does, with the same text."""
+        return _kernel(self._tree, _PAIRS)[0]
 
     def __call__(self, *values: object) -> Fraction:
         if len(values) != len(self.variables):

@@ -286,9 +286,10 @@ def discontinuity_criterion(
     that does not, or ends before that index, is rejected by index.
     ``u`` itself must be fixed within ``tol``.
 
-    u and every term are read at once by ``space._read``; off the lattice
-    T and S are evaluated in the order of the checks above, so an
-    evaluation error aborts with the same text.
+    A term is a point, a coordinate or its reduced (numerator, den) pair,
+    as ``SequenceSpec.expand`` gives it.  u and every term are read at once
+    by ``space._read``; off the lattice T and S are evaluated in the order
+    of the checks above, so an evaluation error aborts with the same text.
     """
     tol = to_fraction(tol)
     limit_tol = to_fraction(limit_tol)

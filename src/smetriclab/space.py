@@ -503,17 +503,25 @@ def on_lattice(mapping, points) -> tuple | None:
     """``(scale, xs, t)``: the points' coordinates as ints over the least
     scale that holds them and their images under ``mapping`` exactly, and
     ``t``, the map on such ints (None when ``mapping`` is None).  A point
-    is a ``Point`` or its coordinate; a ``Grid`` gives its scale from its
-    ints, and its coordinates as a ``range``.  None for a map without an
-    int kernel (``Mapping.scaled``), a point without a coordinate, or a
-    scale past ``numeric.MAX_LATTICE_BITS``."""
+    is a ``Point``, its coordinate, or that as a reduced (numerator, den)
+    pair, den > 0; each int is numerator * (scale // den), one quotient
+    per distinct den.  A ``Grid`` gives its scale from its ints, and its
+    coordinates as a ``range``.  None for a map without an int kernel
+    (``Mapping.scaled``), a point without a coordinate, or a scale past
+    ``numeric.MAX_LATTICE_BITS``."""
     if isinstance(points, Grid):
         lattice = points.scale
         if lattice.bit_length() > MAX_LATTICE_BITS:
             lattice = None
     else:
         values = [p.value if isinstance(p, Point) else p for p in points]
-        lattice = lattice_scale(values)
+        try:
+            pairs = [v if type(v) is tuple else (v.numerator, v.denominator)
+                     for v in values]
+        except AttributeError:  # a point without a coordinate
+            return None
+        dens = {q for _, q in pairs}
+        lattice = lattice_scale(dens)
     compiled = lattice and (mapping is None or mapping.scaled(lattice))
     if not compiled:
         return None
@@ -526,7 +534,8 @@ def on_lattice(mapping, points) -> tuple | None:
 
     if isinstance(points, Grid):
         return lattice, points.over(lattice), t
-    return lattice, [v.numerator * (lattice // v.denominator) for v in values], t
+    per_den = {q: lattice // q for q in dens}
+    return lattice, [p * per_den[q] for p, q in pairs], t
 
 
 @dataclass
@@ -550,13 +559,14 @@ class _Reading:
 
 
 def _read(space: Space, mapping, points) -> _Reading:
-    """The one reader: ``points``, each a ``Point`` or a coordinate, or
-    the space's ``Grid``, their images under ``mapping`` (S alone when it
-    is None) and S, on the lattice when the map and S both have int
-    kernels there; else each point coerced to a point of the space."""
+    """The one reader: ``points``, each a ``Point``, a coordinate or its
+    (numerator, den) pair (see ``on_lattice``), or the space's ``Grid``,
+    their images under ``mapping`` (S alone when it is None) and S, on the
+    lattice when the map and S both have int kernels there; else each
+    point coerced to a point of the space, a pair as ``Fraction(p, q)``."""
     return _lattice_read(space, mapping, points) or _Reading(
         list(points) if isinstance(points, Grid)
-        else [space.coerce(p) for p in points],
+        else [space.coerce(Fraction(*p) if type(p) is tuple else p) for p in points],
         mapping and functools.partial(mapping.apply, space),
         space.smetric.triple,
     )

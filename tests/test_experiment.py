@@ -352,17 +352,15 @@ def test_the_sweep_cap_counts_the_points_each_check_sweeps():
 
 
 def test_sequence_specs_expand_exactly():
-    listed = SequenceSpec(values=[Fraction(1), Fraction(1, 2)])
-    assert listed.expand() == [1, Fraction(1, 2)]
+    # each term as its reduced (numerator, denominator) int pair
+    listed = SequenceSpec(values=[Fraction(1), Fraction(-1, 2), 3])
+    assert listed.expand() == [(1, 1), (-1, 2), (3, 1)]
     ramp = SequenceSpec(
-        expr=Formula.parse("1/n", ("n",)), n_from=2, n_to=5
+        expr=Formula.parse("2/n - 1", ("n",)), n_from=2, n_to=5
     )
-    assert ramp.expand() == [
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(1, 4),
-        Fraction(1, 5),
-    ]
+    terms = ramp.expand()
+    assert terms == [(0, 1), (-1, 3), (-1, 2), (-3, 5)]
+    assert {type(part) for term in terms for part in term} == {int}
 
 
 def test_duplicate_check_labels_get_numbered():

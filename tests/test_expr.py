@@ -478,9 +478,9 @@ def test_a_bare_variable_returns_its_argument_as_it_is():
 
 def test_a_sequence_expands_over_int_n():
     formula = Formula.parse("1 + 1/n", ("n",))
-    kernel, seen = formula.exact, []
-    formula.__dict__["exact"] = lambda n: seen.append(type(n)) or kernel(n)
+    kernel, seen = formula.pairs, []
+    formula.__dict__["pairs"] = lambda n: seen.append(type(n)) or kernel(n)
     terms = SequenceSpec(expr=formula, n_from=1, n_to=1000).expand()
     assert set(seen) == {int} and len(seen) == 1000  # no Fraction(n) per term
-    assert terms == [1 + Fraction(1, n) for n in range(1, 1001)]
-    assert {type(t) for t in terms} == {Fraction}
+    assert terms == [(n + 1, n) for n in range(1, 1001)]  # nor a Fraction term
+    assert {type(part) for term in terms for part in term} == {int}

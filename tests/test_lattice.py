@@ -50,8 +50,9 @@ from smetriclab import (
 from smetriclab.circles import CircleReport
 from smetriclab.contraction import ContractionParams
 from smetriclab.expr import BinOp, Call, Comparison, Neg, Num, Piecewise, Var
+from smetriclab.experiment import SequenceSpec
 from smetriclab.numeric import (
-    DEFAULT_TOL, MAX_LATTICE_BITS, format_decimal, to_fraction,
+    DEFAULT_TOL, MAX_LATTICE_BITS, format_decimal, lattice_scale, to_fraction,
 )
 from smetriclab import (
     ConfigError, as_point, build_experiment, cli, expr, fixture_path,
@@ -438,6 +439,60 @@ def test_kernels_keep_the_error_of_a_dividing_map():
         assert str(excinfo.value) == "division by zero"
     with pytest.raises(ExprEvalError, match="^division by zero$"):
         fix_set(space, mapping)
+
+
+#: formulas in n from the grammar, and quotients of two, which divide by n
+SEQUENCE_FORMULAS = scalable_formulas(("n",)) | st.builds(
+    lambda top, bottom: Formula(BinOp("/", top.ast, bottom.ast), ("n",)),
+    scalable_formulas(("n",)), scalable_formulas(("n",)),
+)
+
+
+def _fraction_expansion(spec):
+    """``SequenceSpec.expand`` as it was: one Fraction (or int) per term."""
+    return [spec.expr.exact(n) for n in range(spec.n_from, spec.n_to + 1)]
+
+
+@settings(deadline=None)
+@given(SEQUENCE_FORMULAS, st.integers(-6, 6), st.integers(0, 8))
+@example(Formula.parse("1/(n - 5)", ("n",)), 1, 8)
+@example(Formula.parse("1 + 1/n", ("n",)), 0, 3)
+@example(Formula.parse("1 - 1/n", ("n",)), -3, 8)
+@example(Formula.parse("n", ("n",)), -2, 5)
+@example(Formula.parse("6/(4*n)", ("n",)), -2, 5)
+def test_the_pair_kernel_gives_the_reduced_pair_of_the_exact_kernel(
+    formula, n_from, count
+):
+    for n in range(n_from, n_from + count):
+        want = _outcome(formula.exact, n)
+        got = _outcome(formula.pairs, n)
+        if want[0] is ExprEvalError:
+            assert got == want  # the same text at the same n
+            continue
+        (p, q), _ = got
+        assert type(p) is type(q) is int and q > 0 and math.gcd(p, q) == 1
+        assert Fraction(p, q) == want[0]
+    spec = SequenceSpec(expr=formula, n_from=n_from, n_to=n_from + count - 1)
+    got, want = _outcome(spec.expand), _outcome(_fraction_expansion, spec)
+    if want[0] is ExprEvalError:
+        assert got == want
+    else:
+        assert [Fraction(*pair) for pair in got[0]] == want[0]
+
+
+@pytest.mark.parametrize(("text", "n_from"), [("1/(n - 5)", 1), ("1 + 1/n", 0),
+                                              ("1 - 1/n", -4)])
+def test_a_term_that_divides_by_zero_aborts_the_check(text, n_from, tmp_path):
+    doc = json.loads(fixture_path("discontinuity_0_2.json").read_text())
+    check = doc["checks"][2]
+    check["sequences"][0].update(expr=text, n_from=n_from)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**doc, "checks": [check]}))
+    outcome = run(load_experiment(path))
+    assert outcome.exit_code == 2
+    record, = outcome.report["checks"]
+    assert record["verdict"] == "aborted"
+    assert record["error"] == "ExprEvalError: division by zero"
 
 
 # -- the circle and fix-set kernels --------------------------------------
@@ -852,6 +907,30 @@ def test_integer_discontinuity_matches_the_fraction_kernel(instance, a, b, c, op
     assert (read.scale is not None) == compiles
 
 
+def _pairs(sequences):
+    """Each term of ``sequences`` as its (numerator, denominator) pair."""
+    return [[(x.numerator, x.denominator) for x in seq] for seq in sequences]
+
+
+@settings(deadline=None)
+@given(discontinuity_instances(), QUARTERS, QUARTERS, C_QUARTERS, criterion_options())
+@example(_jump(JUMP), 0, HALF, 0, _JUMP_OPTIONS)
+def test_the_criterion_reads_pairs_as_the_equal_fractions(instance, a, b, c, options):
+    space, mapping, u, sequences = instance
+    params = ContractionParams(a, b, c)
+
+    def outcomes():
+        return [_outcome(discontinuity_criterion, space, mapping, params, u, terms,
+                         *options.values()) for terms in (sequences, _pairs(sequences))]
+
+    fractions, pairs = outcomes()
+    assert pairs == fractions
+    # and on the Fraction path, where a pair is coerced to a point
+    with mock.patch.object(Formula, "scaled", lambda self, scale: None):
+        fractions, pairs = outcomes()
+    assert pairs == fractions
+
+
 @st.composite
 def discontinuity_fallback_instances(draw):
     """A discontinuity instance the lattice cannot read: a table map, a map
@@ -1059,12 +1138,38 @@ def test_lattice_declines_past_its_bound_with_the_same_answers():
         sequences = [[small, 2 * small, 0], [3 * small, 0]]
         assert (_read(space, mapping, [0, *sequences[0], *sequences[1]]).scale
                 is not None) == read
+        assert (_read(space, mapping, [0, *_pairs(sequences)[0]]).scale
+                is not None) == read
         kwargs = {"conv_tol": Fraction(1, 2), "window": 2}
-        assert _exactly(
-            discontinuity_criterion(space, mapping, params, 0, sequences, **kwargs)
-        ) == _exactly(
+        want = _exactly(
             reference_discontinuity(space, mapping, params, 0, sequences, **kwargs)
         )
+        for terms in (sequences, _pairs(sequences)):
+            assert _exactly(
+                discontinuity_criterion(space, mapping, params, 0, terms, **kwargs)
+            ) == want
+
+
+def _sequential_lcm(dens):
+    scale = 1
+    for den in dens:
+        scale = math.lcm(scale, den)
+    return scale
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 3000) | st.integers(1, 2 ** 600)
+                | st.integers(2 ** (MAX_LATTICE_BITS - 40), 2 ** MAX_LATTICE_BITS),
+                max_size=300))
+@example(range(1, 5683))  # 8,189 bits
+@example(range(1, 5684))  # 8,202 bits
+@example([2 ** (MAX_LATTICE_BITS - 1)])
+@example([2 ** MAX_LATTICE_BITS])
+@example([])
+def test_the_lattice_scale_is_the_lcm_within_its_bound(dens):
+    want = _sequential_lcm(dens)
+    got = lattice_scale(dens)
+    assert got == (want if want.bit_length() <= MAX_LATTICE_BITS else None)
 
 
 # -- the grid labels -----------------------------------------------------
@@ -1428,14 +1533,44 @@ CIRCLE_MARGINS = st.none() | st.sampled_from([Fraction(0), Fraction(1, 10), 1])
 EPS = st.fractions(min_value=Fraction(1, 8), max_value=6, max_denominator=8)
 
 
+def _substitute(node, trees):
+    """``node`` with each variable named in ``trees`` replaced by its tree."""
+    match node:
+        case Var(name):
+            return trees.get(name, node)
+        case Neg(operand):
+            return Neg(_substitute(operand, trees))
+        case BinOp(op, left, right) | Comparison(op, left, right):
+            return type(node)(op, _substitute(left, trees), _substitute(right, trees))
+        case Call(func, args):
+            return Call(func, tuple(_substitute(arg, trees) for arg in args))
+        case Piecewise(branches, otherwise):
+            return Piecewise(
+                tuple((_substitute(c, trees), _substitute(v, trees)) for c, v in branches),
+                _substitute(otherwise, trees),
+            )
+    return node
+
+
+def _differences(formula):
+    """S(x, y, z) = F(x - y, y - z, z - x): an S that reads only differences."""
+    def minus(a, b):
+        return BinOp("-", Var(a), Var(b))
+    return Formula(_substitute(formula.ast, {
+        "x": minus("x", "y"), "y": minus("y", "z"), "z": minus("z", "x")}),
+        formula.variables)
+
+
 @st.composite
-def documents(draw):
+def documents(draw, differences=False):
     """A whole grid or finite document: a formula S and a formula map from
     the grammar (S from the list above half the time, the map mostly
     fixing u), params, gauges and a mix of checks with drawn options and
     samples.  ``solve`` and ``discontinuity``, which abort on a map that
     leaves the grid or moves u, come after the others, since an aborted
-    check ends the run."""
+    check ends the run.  A sequence lists values, or is a formula in n,
+    u + r/n or from the grammar.  With ``differences`` S reads only the
+    differences of its arguments (the list's S always does)."""
     if draw(st.booleans()):
         step = draw(st.sampled_from(STEPS))
         lo = draw(st.integers(-3, 1)) * Fraction(1, 2)
@@ -1446,8 +1581,11 @@ def documents(draw):
     else:
         coordinates = draw(st.lists(COORDINATES, min_size=1, max_size=6, unique=True))
         space = {"kind": "finite", "points": coordinates}
-    s_text = (draw(st.sampled_from(S_FORMULAS)) if draw(st.booleans())
-              else draw(scalable_formulas(("x", "y", "z"))).pretty())
+    if draw(st.booleans()):
+        s_text = draw(st.sampled_from(S_FORMULAS))
+    else:
+        s_formula = draw(scalable_formulas(("x", "y", "z")))
+        s_text = (_differences(s_formula) if differences else s_formula).pretty()
     space["smetric"] = {"kind": "formula", "expr": s_text}
     universe = st.sampled_from(coordinates)
     sample = st.none() | st.lists(universe, min_size=1, max_size=5)
@@ -1457,6 +1595,13 @@ def documents(draw):
         formula = _fixing(formula, u).formula
     approach = st.builds(lambda r, n: u + Fraction(r, n),
                          st.integers(-3, 3), st.integers(1, 40))
+    in_n = scalable_formulas(("n",)) | st.builds(
+        lambda r: Formula(BinOp("+", Num(u), BinOp("/", Num(r), Var("n"))), ("n",)),
+        st.integers(-3, 3).map(Fraction))
+    formula_sequence = st.builds(
+        lambda f, first, count: {"expr": f.pretty(), "n_from": first,
+                                 "n_to": first + count},
+        in_n, st.integers(-1, 6), st.integers(0, 7))
 
     def center():
         return {"x0": draw(universe), "a": draw(COEFFICIENTS),
@@ -1474,8 +1619,9 @@ def documents(draw):
         "solve": lambda: {"x0": draw(universe), "max_iter": draw(st.integers(1, 30))},
         "discontinuity": lambda: {
             "u": u,
-            "sequences": draw(st.lists(st.lists(approach | universe, min_size=1,
-                                                max_size=8), min_size=1, max_size=3)),
+            "sequences": draw(st.lists(
+                st.lists(approach | universe, min_size=1, max_size=8) | formula_sequence,
+                min_size=1, max_size=3)),
             "limit_tol": draw(LIMIT_TOLERANCES),
             "conv_tol": draw(CONV_TOLERANCES)},
     }
@@ -1523,16 +1669,17 @@ def test_a_whole_document_reads_alike_on_both_paths(doc):
         assert _whole_run(doc) == lattice
 
 
-def _verdicts_and_totals(doc):
-    """The exit code and, per check, its label, verdict, numbers and flags
-    and the length of each list it reports."""
+def _verdicts_and_totals(doc, labels=True):
+    """The exit code and, per check, its label (unless not ``labels``),
+    verdict, numbers and flags and the length of each list it reports."""
     code, text = _whole_run(doc)
     if not text.startswith("{"):
-        return code, text  # a ConfigError
+        return code, text if labels else None  # a ConfigError
     return code, [
         {key: len(value) if isinstance(value, list) else value
          for key, value in record.items()
-         if key in ("label", "verdict") or isinstance(value, (int, float, list))}
+         if key == "verdict" or key == "label" and labels
+         or key != "label" and isinstance(value, (int, float, list))}
         for record in json.loads(text)["checks"]
     ]
 
@@ -1546,3 +1693,47 @@ def test_permuting_each_sample_keeps_every_verdict_and_total(doc, data):
         for check in doc["checks"]
     ]}
     assert _verdicts_and_totals(permuted) == _verdicts_and_totals(doc)
+
+
+def _shifted(doc, h):
+    """``doc`` moved by h: its grid or points, its map conjugated,
+    T'(x) = T(x - h) + h, and every point, sample, u, x0 and sequence
+    (a formula's value at each n) moved by h."""
+    def moved(text, variable):
+        formula = Formula.parse(text, (variable,))
+        ast = _substitute(formula.ast, {"x": BinOp("-", Var("x"), Num(h))})
+        return Formula(BinOp("+", ast, Num(h)), formula.variables).pretty()
+
+    def sequence(seq):
+        if isinstance(seq, list):
+            return [x + h for x in seq]
+        return {**seq, "expr": moved(seq["expr"], "n")}
+
+    space = dict(doc["space"])
+    if space["kind"] == "real_grid":
+        space["lo"], space["hi"] = space["lo"] + h, space["hi"] + h
+    else:
+        space["points"] = [x + h for x in space["points"]]
+    checks = []
+    for check in doc["checks"]:
+        check = dict(check)
+        for key in ("x0", "u"):
+            if key in check:
+                check[key] += h
+        if "sample" in check:
+            check["sample"] = [x + h for x in check["sample"]]
+        if "sequences" in check:
+            check["sequences"] = [sequence(seq) for seq in check["sequences"]]
+        checks.append(check)
+    return {**doc, "space": space, "checks": checks,
+            "map": {**doc["map"], "expr": moved(doc["map"]["expr"], "x")}}
+
+
+@settings(deadline=None)
+@given(documents(differences=True),
+       st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-1, 4)]))
+def test_shifting_a_document_keeps_every_verdict_and_total(doc, h):
+    # S reads only differences, so moving everything by h moves nothing
+    # it measures, while the scale of every lattice read may change
+    assert _verdicts_and_totals(_shifted(doc, h), labels=False) == \
+        _verdicts_and_totals(doc, labels=False)
